@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use kkt_congest::{Network, NetworkConfig};
-use kkt_core::{find_any, find_min, hp_test_out, test_out, KktConfig, WeightInterval};
+use kkt_core::{find_any, find_min, hp_test_out, test_out, Budget, KktConfig, WeightInterval};
 use kkt_graphs::{generators, kruskal, Graph, SpanningForest};
 
 fn half_marked(n: usize, seed: u64) -> (Graph, SpanningForest) {
@@ -45,12 +45,12 @@ fn bench_primitives(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("find_any", n), |b| {
         let mut net = network_with_half_marks(&g, &mst, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        b.iter(|| find_any(&mut net, 0, &config, &mut rng).unwrap())
+        b.iter(|| find_any(&mut net, 0, Budget::Whp, &config, &mut rng).unwrap())
     });
     group.bench_function(BenchmarkId::new("find_min_word_parallel", n), |b| {
         let mut net = network_with_half_marks(&g, &mst, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        b.iter(|| find_min(&mut net, 0, &config, &mut rng).unwrap())
+        b.iter(|| find_min(&mut net, 0, Budget::Whp, &config, &mut rng).unwrap())
     });
     // Ablation: restrict the word width to 2 sub-intervals (binary search),
     // removing the log log n speed-up — the design choice DESIGN.md §5 calls
@@ -59,7 +59,7 @@ fn bench_primitives(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("find_min_binary_search_ablation", n), |b| {
         let mut net = network_with_half_marks(&g, &mst, 9);
         let mut rng = StdRng::seed_from_u64(10);
-        b.iter(|| find_min(&mut net, 0, &binary_config, &mut rng).unwrap())
+        b.iter(|| find_min(&mut net, 0, Budget::Whp, &binary_config, &mut rng).unwrap())
     });
     group.finish();
 }

@@ -47,7 +47,7 @@ fn bench_repair(c: &mut Criterion) {
                 let mut net = Network::new(g.clone(), NetworkConfig::asynchronous(5, 8));
                 net.mark_all(&mst.edges);
                 net.delete_edge(victim.u, victim.v);
-                insert_edge_mst(&mut net, victim.u, victim.v, victim.weight, &config).unwrap()
+                insert_edge_mst(&mut net, victim.u, victim.v, victim.weight).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("flood_repair_delete", n), &g, |b, g| {

@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 use kkt_baselines::{build_mst_ghs, build_st_by_flooding, flood_repair_delete};
 use kkt_congest::{Network, NetworkConfig};
 use kkt_core::{
-    build_mst, build_st, delete_edge_mst, delete_edge_st, find_any_c, find_min_traced, hp_test_out,
-    insert_edge_mst, test_out, DeleteOutcome, KktConfig, WeightInterval,
+    build_mst, build_st, delete_edge_mst, delete_edge_st, find_any, find_min, hp_test_out,
+    insert_edge_mst, test_out, Budget, DeleteOutcome, KktConfig, WeightInterval,
 };
 use kkt_graphs::{generators, kruskal, Graph};
 use kkt_workloads::{
@@ -165,7 +165,7 @@ pub fn exp3_mst_repair(scale: Scale, seed: u64) -> Table {
             kkt_deletes.push((net.cost() - before).messages);
 
             let before = net.cost();
-            insert_edge_mst(&mut net, edge.u, edge.v, edge.weight, &config).unwrap();
+            insert_edge_mst(&mut net, edge.u, edge.v, edge.weight).unwrap();
             kkt_inserts.push((net.cost() - before).messages);
             kkt_graphs::verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
 
@@ -309,11 +309,11 @@ pub fn exp6_find_primitives(scale: Scale, seed: u64) -> Table {
             // Mark half the MST so the fragment of node 0 has outgoing edges.
             net.mark_all(&mst.edges[..mst.edges.len() / 2]);
             let mut r = StdRng::seed_from_u64(seed ^ (300 + t as u64));
-            if find_any_c(&mut net, 0, &config, &mut r).unwrap().is_some() {
+            if find_any(&mut net, 0, Budget::Constant, &config, &mut r).unwrap().edge().is_some() {
                 successes += 1;
             }
             let before = net.cost();
-            let (outcome, trace) = find_min_traced(&mut net, 0, &config, &mut r).unwrap();
+            let (outcome, trace) = find_min(&mut net, 0, Budget::Whp, &config, &mut r).unwrap();
             assert!(outcome.edge().is_some());
             iterations.push(trace.iterations as u64);
             broadcast_echoes.push((net.cost() - before).broadcast_echoes);
@@ -352,7 +352,7 @@ pub fn exp7_superpoly_weights(scale: Scale, seed: u64) -> Table {
             let mut net = Network::new(g.clone(), NetworkConfig::synchronous(seed ^ t as u64));
             net.mark_all(&mst.edges[..mst.edges.len() / 2]);
             let mut r = StdRng::seed_from_u64(seed ^ (400 + t as u64));
-            let (outcome, trace) = find_min_traced(&mut net, 0, &config, &mut r).unwrap();
+            let (outcome, trace) = find_min(&mut net, 0, Budget::Whp, &config, &mut r).unwrap();
             assert!(outcome.edge().is_some());
             iters.push(trace.iterations as u64);
             narrowings.push(trace.narrowings as u64);

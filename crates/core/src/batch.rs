@@ -22,12 +22,13 @@
 //!    electing (and exempting from the search) each cluster's largest
 //!    fragment and doubles as `FindMin`'s step-2 statistics; every other
 //!    fragment then runs its `FindMin` (MST) or `FindAny` (ST) search. The
-//!    searches are *interleaved* — every broadcast-and-echo wave runs all
-//!    fragments' current probes concurrently in a single engine pass
-//!    ([`run_broadcast_echoes`]), so the makespan is the slowest fragment's,
-//!    not the sum. Found replacement edges are marked simultaneously (safe
-//!    by the cut property for distinct weights; guarded by a union–find
-//!    cycle check for the ST case) and fragments merge.
+//!    searches are *interleaved* by the wave loop of [`crate::search`] —
+//!    every broadcast-and-echo wave runs all fragments' current probes
+//!    concurrently in a single engine pass ([`run_broadcast_echoes`]), so the
+//!    makespan is the slowest fragment's, not the sum. Found replacement
+//!    edges are marked simultaneously (safe by the cut property for
+//!    distinct weights; guarded by a union–find cycle check for the ST
+//!    case) and fragments merge.
 //! 3. **Amortized announces.** Instead of one tree-wide decision broadcast
 //!    per cut, each *repaired fragment* broadcasts a single batch digest once
 //!    the burst is fully mended, so announce costs are paid per merged
@@ -47,22 +48,20 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use kkt_congest::broadcast_echo::{run_broadcast_echoes, TreeAggregate, TreeStats};
-use kkt_congest::{BitSized, Histogram, Network, NodeView, Phase};
+use kkt_congest::broadcast_echo::{run_broadcast_echoes, TreeStats};
+use kkt_congest::{BitSized, Histogram, Network, Phase};
 use kkt_graphs::generators::Update;
-use kkt_graphs::{EdgeNumber, NodeId};
-use kkt_hashing::PairwiseHash;
+use kkt_graphs::NodeId;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::find_any::{IsolateDown, IsolateKeys, PrefixDown, PrefixParity, VerifyCandidate};
-use crate::hp_test_out::{HpAggregate, HpDown, HpUp, HP_PRIME};
+use crate::find_any::AnySearch;
+use crate::find_min::{weight_bits, MinSearch};
 use crate::maintained::{TreeKind, UpdateOutcome};
 use crate::repair::{
     announce, decrease_weight_mst, insert_edge_mst, insert_edge_st, DeleteOutcome,
 };
-use crate::test_out::{TestOutAggregate, TestOutDown, WideTestOut};
-use crate::weights::{resolve_edge, WeightInterval};
+use crate::search::{drive_waves, Budget, Reply, Search, SearchOutcome, Slot, Step};
 
 // ---------------------------------------------------------------------------
 // Public result / error types
@@ -121,471 +120,6 @@ pub struct BatchStats {
 }
 
 // ---------------------------------------------------------------------------
-// Unified probe aggregate: one wire type for every search step
-// ---------------------------------------------------------------------------
-
-/// A search step broadcast by some fragment root. One enum covers every
-/// broadcast-and-echo the `FindMin` / `FindAny` state machines issue, so
-/// fragments at *different* steps can share a single concurrent engine pass.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProbeDown {
-    /// Word-parallel TestOut over sub-intervals (`FindMin` narrowing).
-    Wide(TestOutDown),
-    /// HP-TestOut emptiness / verification probe.
-    Hp(HpDown),
-    /// `FindAny` prefix-parity sampling.
-    Prefix(PrefixDown),
-    /// `FindAny` key isolation at a chosen level.
-    Isolate(IsolateDown),
-    /// Candidate-edge verification (shared final step).
-    Verify(crate::find_any::VerifyDown),
-}
-
-const PROBE_TAG_BITS: usize = 3;
-
-impl BitSized for ProbeDown {
-    fn bit_size(&self) -> usize {
-        PROBE_TAG_BITS
-            + match self {
-                ProbeDown::Wide(d) => d.bit_size(),
-                ProbeDown::Hp(d) => d.bit_size(),
-                ProbeDown::Prefix(d) => d.bit_size(),
-                ProbeDown::Isolate(d) => d.bit_size(),
-                ProbeDown::Verify(d) => d.bit_size(),
-            }
-    }
-}
-
-/// The echo of a [`ProbeDown`]. Wide/prefix/isolate probes all echo one
-/// XOR-combined word.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProbeUp {
-    Word(u64),
-    Hp(HpUp),
-    Verify(crate::find_any::VerifyUp),
-}
-
-impl BitSized for ProbeUp {
-    fn bit_size(&self) -> usize {
-        PROBE_TAG_BITS
-            + match self {
-                ProbeUp::Word(w) => w.bit_size(),
-                ProbeUp::Hp(u) => u.bit_size(),
-                ProbeUp::Verify(u) => u.bit_size(),
-            }
-    }
-}
-
-/// The root's decoded result of one probe.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProbeOutput {
-    Word(u64),
-    Flag(bool),
-    Candidate(Option<(EdgeNumber, u64, u64)>),
-}
-
-/// The aggregate driving one probe. Each root carries its *own* request;
-/// every other node acts purely on the broadcast payload (the documented
-/// accounting-honesty contract of [`TreeAggregate`]), which is what lets
-/// fragments with different requests share one engine pass.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ProbeAggregate {
-    request: ProbeDown,
-}
-
-impl TreeAggregate for ProbeAggregate {
-    type Down = ProbeDown;
-    type Up = ProbeUp;
-    type Output = ProbeOutput;
-
-    fn root_payload(&self, _root_view: &NodeView) -> ProbeDown {
-        self.request
-    }
-
-    fn local(&self, view: &NodeView, down: &ProbeDown) -> ProbeUp {
-        match down {
-            ProbeDown::Wide(d) => ProbeUp::Word(TestOutAggregate { down: *d }.local(view, d)),
-            ProbeDown::Hp(d) => ProbeUp::Hp(HpAggregate { down: *d }.local(view, d)),
-            ProbeDown::Prefix(d) => ProbeUp::Word(PrefixParity { down: *d }.local(view, d)),
-            ProbeDown::Isolate(d) => ProbeUp::Word(IsolateKeys { down: *d }.local(view, d)),
-            ProbeDown::Verify(d) => ProbeUp::Verify(VerifyCandidate::from_down(*d).local(view, d)),
-        }
-    }
-
-    fn combine(&self, view: &NodeView, acc: ProbeUp, child: ProbeUp) -> ProbeUp {
-        match (acc, child) {
-            (ProbeUp::Word(a), ProbeUp::Word(b)) => ProbeUp::Word(a ^ b),
-            (ProbeUp::Hp(a), ProbeUp::Hp(b)) => {
-                // The modular products combine independently of the payload.
-                let dummy = HpAggregate {
-                    down: HpDown { alpha: 0, interval: WeightInterval::everything() },
-                };
-                ProbeUp::Hp(dummy.combine(view, a, b))
-            }
-            (ProbeUp::Verify(a), ProbeUp::Verify(b)) => {
-                let dummy = VerifyCandidate::by_key(0, WeightInterval::everything());
-                ProbeUp::Verify(dummy.combine(view, a, b))
-            }
-            // Echo kinds cannot mix inside one tree: each fragment runs
-            // exactly one probe per wave and fragments are vertex-disjoint.
-            _ => unreachable!("mismatched probe echoes within one fragment"),
-        }
-    }
-
-    fn finish(&self, root_view: &NodeView, down: &ProbeDown, total: ProbeUp) -> ProbeOutput {
-        match (down, total) {
-            (ProbeDown::Wide(_), ProbeUp::Word(w)) => ProbeOutput::Word(w),
-            (ProbeDown::Prefix(_), ProbeUp::Word(w)) => ProbeOutput::Word(w),
-            (ProbeDown::Isolate(_), ProbeUp::Word(w)) => ProbeOutput::Word(w),
-            (ProbeDown::Hp(d), ProbeUp::Hp(u)) => {
-                ProbeOutput::Flag(HpAggregate { down: *d }.finish(root_view, d, u))
-            }
-            (ProbeDown::Verify(d), ProbeUp::Verify(u)) => {
-                ProbeOutput::Candidate(VerifyCandidate::from_down(*d).finish(root_view, d, u))
-            }
-            _ => unreachable!("probe echo kind does not match its request"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stepping search state machines
-// ---------------------------------------------------------------------------
-
-/// What a finished fragment search concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SearchVerdict {
-    /// No edge leaves the fragment: it spans its whole component.
-    NoLeavingEdge,
-    /// The retry budget ran out (probability `n^{-c}`, treated like the
-    /// sequential path's `BudgetExhausted` → give up on this fragment).
-    GaveUp,
-    /// A leaving edge was identified by its edge number.
-    Found(EdgeNumber),
-}
-
-/// `FindMin` as a resumable state machine: [`MinSearch::next_request`] yields
-/// the next broadcast-and-echo to run and [`MinSearch::absorb`] consumes its
-/// result. The step sequence replicates `find_min_impl` exactly; only the
-/// *driver* differs (many fragments advance concurrently, one wave at a
-/// time).
-#[derive(Debug)]
-struct MinSearch {
-    rng: StdRng,
-    interval: WeightInterval,
-    buckets: u32,
-    repeats: u32,
-    id_bits: u32,
-    budget: u32,
-    iterations: u32,
-    state: MinState,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum MinState {
-    Narrow,
-    AwaitWide,
-    CheckEmpty,
-    AwaitEmpty,
-    CheckLighter { sub: WeightInterval },
-    AwaitLighter { sub: WeightInterval },
-    CheckHolds { sub: WeightInterval },
-    AwaitHolds { sub: WeightInterval },
-    Identify,
-    AwaitIdentify,
-    Done(SearchVerdict),
-}
-
-impl MinSearch {
-    /// Seeds a search from the fragment's [`TreeStats`] echo (the same
-    /// "step 2" the sequential `FindMin` performs).
-    fn new(
-        degree_sum: u64,
-        max_weight: u64,
-        n: usize,
-        id_bits: u32,
-        weight_bits: u32,
-        config: &KktConfig,
-        seed: u64,
-    ) -> MinSearch {
-        let repeats = config.testout_repeats.clamp(1, 64);
-        let buckets = config.effective_word_width(n).clamp(1, 64 / repeats);
-        let state = if degree_sum == 0 {
-            MinState::Done(SearchVerdict::NoLeavingEdge)
-        } else {
-            MinState::Narrow
-        };
-        MinSearch {
-            rng: StdRng::seed_from_u64(seed),
-            interval: WeightInterval::up_to_raw(max_weight, id_bits),
-            buckets,
-            repeats,
-            id_bits,
-            budget: config.findmin_budget(n, weight_bits).max(1),
-            iterations: 0,
-            state,
-        }
-    }
-
-    fn verdict(&self) -> Option<SearchVerdict> {
-        match self.state {
-            MinState::Done(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn next_request(&mut self) -> Option<ProbeDown> {
-        match self.state {
-            MinState::Narrow => {
-                self.iterations += 1;
-                if self.iterations > self.budget {
-                    self.state = MinState::Done(SearchVerdict::GaveUp);
-                    return None;
-                }
-                let down = TestOutDown {
-                    seed: self.rng.gen(),
-                    interval: self.interval,
-                    buckets: self.buckets,
-                    repeats: self.repeats,
-                };
-                self.state = MinState::AwaitWide;
-                Some(ProbeDown::Wide(down))
-            }
-            MinState::CheckEmpty => {
-                let alpha = self.rng.gen_range(0..HP_PRIME);
-                self.state = MinState::AwaitEmpty;
-                Some(ProbeDown::Hp(HpDown { alpha, interval: self.interval }))
-            }
-            MinState::CheckLighter { sub } => {
-                let alpha = self.rng.gen_range(0..HP_PRIME);
-                self.state = MinState::AwaitLighter { sub };
-                Some(ProbeDown::Hp(HpDown {
-                    alpha,
-                    interval: WeightInterval::new(self.interval.lo, sub.lo - 1),
-                }))
-            }
-            MinState::CheckHolds { sub } => {
-                let alpha = self.rng.gen_range(0..HP_PRIME);
-                self.state = MinState::AwaitHolds { sub };
-                Some(ProbeDown::Hp(HpDown { alpha, interval: sub }))
-            }
-            MinState::Identify => {
-                debug_assert!(self.interval.is_singleton());
-                let bits = self.id_bits.clamp(1, 32);
-                let key = (self.interval.lo & ((1u128 << (2 * bits)) - 1)) as u64;
-                self.state = MinState::AwaitIdentify;
-                Some(ProbeDown::Verify(crate::find_any::VerifyDown {
-                    key,
-                    interval: self.interval,
-                }))
-            }
-            MinState::Done(_) => None,
-            _ => unreachable!("next_request called while a probe is in flight"),
-        }
-    }
-
-    fn absorb(&mut self, reply: ProbeOutput) {
-        self.state = match (self.state, reply) {
-            (MinState::AwaitWide, ProbeOutput::Word(word)) => {
-                let wide = WideTestOut {
-                    word,
-                    repeats: self.repeats,
-                    subintervals: self.interval.split(self.buckets),
-                };
-                match wide.min_positive() {
-                    None => MinState::CheckEmpty,
-                    Some(i) => {
-                        let sub = wide.subintervals[i];
-                        if sub.lo > self.interval.lo {
-                            MinState::CheckLighter { sub }
-                        } else {
-                            MinState::CheckHolds { sub }
-                        }
-                    }
-                }
-            }
-            (MinState::AwaitEmpty, ProbeOutput::Flag(exists)) => {
-                if exists {
-                    MinState::Narrow
-                } else {
-                    MinState::Done(SearchVerdict::NoLeavingEdge)
-                }
-            }
-            (MinState::AwaitLighter { sub }, ProbeOutput::Flag(lighter)) => {
-                if lighter {
-                    MinState::Narrow
-                } else {
-                    MinState::CheckHolds { sub }
-                }
-            }
-            (MinState::AwaitHolds { sub }, ProbeOutput::Flag(holds)) => {
-                if holds {
-                    self.interval = sub;
-                    if self.interval.is_singleton() {
-                        MinState::Identify
-                    } else {
-                        MinState::Narrow
-                    }
-                } else {
-                    MinState::Narrow
-                }
-            }
-            (MinState::AwaitIdentify, ProbeOutput::Candidate(candidate)) => match candidate {
-                Some((number, _weight, 1)) => MinState::Done(SearchVerdict::Found(number)),
-                _ => MinState::Done(SearchVerdict::GaveUp),
-            },
-            _ => unreachable!("probe reply does not match the awaited step"),
-        };
-    }
-}
-
-/// `FindAny` as a resumable state machine, replicating `find_any_impl`.
-#[derive(Debug)]
-struct AnySearch {
-    rng: StdRng,
-    interval: WeightInterval,
-    degree_bound: u64,
-    attempts: u32,
-    attempt: u32,
-    state: AnyState,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum AnyState {
-    CheckEmpty,
-    AwaitEmpty,
-    Attempt,
-    AwaitPrefix { down: PrefixDown },
-    CheckIsolate { down: PrefixDown, level: u32 },
-    AwaitIsolate,
-    CheckVerify { candidate: u64 },
-    AwaitVerify,
-    Done(SearchVerdict),
-}
-
-impl AnySearch {
-    fn new(n: usize, config: &KktConfig, seed: u64) -> AnySearch {
-        let n64 = n as u64;
-        AnySearch {
-            rng: StdRng::seed_from_u64(seed),
-            interval: WeightInterval::everything(),
-            degree_bound: n64.saturating_mul(n64.saturating_sub(1)).max(2),
-            attempts: config.findany_budget(n).max(1),
-            attempt: 0,
-            state: AnyState::CheckEmpty,
-        }
-    }
-
-    fn verdict(&self) -> Option<SearchVerdict> {
-        match self.state {
-            AnyState::Done(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn next_request(&mut self) -> Option<ProbeDown> {
-        match self.state {
-            AnyState::CheckEmpty => {
-                let alpha = self.rng.gen_range(0..HP_PRIME);
-                self.state = AnyState::AwaitEmpty;
-                Some(ProbeDown::Hp(HpDown { alpha, interval: self.interval }))
-            }
-            AnyState::Attempt => {
-                self.attempt += 1;
-                if self.attempt > self.attempts {
-                    self.state = AnyState::Done(SearchVerdict::GaveUp);
-                    return None;
-                }
-                let range = (2 * self.degree_bound.max(2)).next_power_of_two();
-                let hash = PairwiseHash::random(range, &mut self.rng);
-                let down = PrefixDown {
-                    a: self.rng.gen::<u64>() | 1,
-                    b: self.rng.gen(),
-                    range: hash.range().max(range),
-                    interval: self.interval,
-                };
-                self.state = AnyState::AwaitPrefix { down };
-                Some(ProbeDown::Prefix(down))
-            }
-            AnyState::CheckIsolate { down, level } => {
-                self.state = AnyState::AwaitIsolate;
-                Some(ProbeDown::Isolate(IsolateDown { prefix: down, level }))
-            }
-            AnyState::CheckVerify { candidate } => {
-                self.state = AnyState::AwaitVerify;
-                Some(ProbeDown::Verify(crate::find_any::VerifyDown {
-                    key: candidate,
-                    interval: self.interval,
-                }))
-            }
-            AnyState::Done(_) => None,
-            _ => unreachable!("next_request called while a probe is in flight"),
-        }
-    }
-
-    fn absorb(&mut self, reply: ProbeOutput) {
-        self.state = match (self.state, reply) {
-            (AnyState::AwaitEmpty, ProbeOutput::Flag(exists)) => {
-                if exists {
-                    AnyState::Attempt
-                } else {
-                    AnyState::Done(SearchVerdict::NoLeavingEdge)
-                }
-            }
-            (AnyState::AwaitPrefix { down }, ProbeOutput::Word(word)) => {
-                if word == 0 {
-                    AnyState::Attempt
-                } else {
-                    AnyState::CheckIsolate { down, level: word.trailing_zeros() }
-                }
-            }
-            (AnyState::AwaitIsolate, ProbeOutput::Word(candidate)) => {
-                if candidate == 0 {
-                    AnyState::Attempt
-                } else {
-                    AnyState::CheckVerify { candidate }
-                }
-            }
-            (AnyState::AwaitVerify, ProbeOutput::Candidate(candidate)) => match candidate {
-                Some((number, _weight, 1)) => AnyState::Done(SearchVerdict::Found(number)),
-                _ => AnyState::Attempt,
-            },
-            _ => unreachable!("probe reply does not match the awaited step"),
-        };
-    }
-}
-
-/// A fragment search of either kind, with a uniform stepping interface.
-#[derive(Debug)]
-enum Search {
-    Min(MinSearch),
-    Any(AnySearch),
-}
-
-impl Search {
-    fn verdict(&self) -> Option<SearchVerdict> {
-        match self {
-            Search::Min(s) => s.verdict(),
-            Search::Any(s) => s.verdict(),
-        }
-    }
-
-    fn next_request(&mut self) -> Option<ProbeDown> {
-        match self {
-            Search::Min(s) => s.next_request(),
-            Search::Any(s) => s.next_request(),
-        }
-    }
-
-    fn absorb(&mut self, reply: ProbeOutput) {
-        match self {
-            Search::Min(s) => s.absorb(reply),
-            Search::Any(s) => s.absorb(reply),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Fragment bookkeeping (driver-side orchestration)
 // ---------------------------------------------------------------------------
 
@@ -639,6 +173,24 @@ impl Groups {
         self.digest[keep] ^= self.digest[drop];
         self.done[keep] = false;
         keep
+    }
+}
+
+/// A fragment's search: `FindMin` to mend an MST, `FindAny` to mend an ST.
+/// One type lets a flush build its slots in one pass, and gives both kinds
+/// the same [`Slot`] size (see its note on allocation).
+#[derive(Debug)]
+enum FragmentSearch {
+    Min(MinSearch),
+    Any(AnySearch),
+}
+
+impl Search for FragmentSearch {
+    fn step<R: Rng + ?Sized>(&mut self, reply: Option<Reply>, rng: &mut R) -> Step {
+        match self {
+            FragmentSearch::Min(search) => search.step(reply, rng),
+            FragmentSearch::Any(search) => search.step(reply, rng),
+        }
     }
 }
 
@@ -716,8 +268,8 @@ fn stage<R: Rng>(
         Update::Insert { u, v, weight } => {
             flush(net, kind, config, rng, pending, outcomes, stats)?;
             let outcome = match kind {
-                TreeKind::Mst => insert_edge_mst(net, u, v, weight, config)?,
-                TreeKind::St => insert_edge_st(net, u, v, weight, config)?,
+                TreeKind::Mst => insert_edge_mst(net, u, v, weight)?,
+                TreeKind::St => insert_edge_st(net, u, v, weight)?,
             };
             outcomes.push(UpdateOutcome::Inserted(outcome));
         }
@@ -743,7 +295,7 @@ fn stage<R: Rng>(
                 // A non-tree edge getting lighter may swap into the tree:
                 // that is a path query, which needs the tree intact.
                 flush(net, kind, config, rng, pending, outcomes, stats)?;
-                decrease_weight_mst(net, u, v, weight, config)?;
+                decrease_weight_mst(net, u, v, weight)?;
             }
             outcomes.push(UpdateOutcome::Reweighted);
         }
@@ -834,11 +386,7 @@ fn flush<R: Rng>(
         }
     }
 
-    let weight_bits = {
-        let raw_bits = 64 - net.graph().max_weight().leading_zeros();
-        raw_bits + 2 * net.id_bits()
-    };
-    let id_bits = net.id_bits();
+    let weight_bits = weight_bits(net);
 
     // -- Borůvka rounds ----------------------------------------------------
     loop {
@@ -909,71 +457,46 @@ fn flush<R: Rng>(
         searchers.sort_by_key(|&r| groups.root_id[r]);
         stats.searches += searchers.len() as u32;
 
-        let mut searches: Vec<(usize, Search)> = searchers
+        // Every searcher runs its FindMin (MST) or FindAny (ST) with coins
+        // from its own seeded RNG; the searches advance together, one
+        // concurrent probe wave at a time.
+        let slots = searchers
             .iter()
             .map(|&r| {
                 let search = match kind {
-                    TreeKind::Mst => {
-                        let st = stat_of(r);
-                        Search::Min(MinSearch::new(
-                            st.degree_sum,
-                            st.max_weight,
-                            n,
-                            id_bits,
-                            weight_bits,
-                            config,
-                            rng.gen(),
-                        ))
-                    }
-                    TreeKind::St => Search::Any(AnySearch::new(n, config, rng.gen())),
+                    TreeKind::Mst => FragmentSearch::Min(MinSearch::new(
+                        net,
+                        &stat_of(r),
+                        Budget::Whp,
+                        weight_bits,
+                        config,
+                    )),
+                    TreeKind::St => FragmentSearch::Any(AnySearch::new(n, Budget::Whp, config)),
                 };
-                (r, search)
+                let rng = StdRng::seed_from_u64(rng.gen());
+                Slot::Running { root: groups.root_node[r], search, rng }
             })
             .collect();
-
-        // Drive all searches to completion, one concurrent probe wave at a
-        // time: fragments still searching issue their next broadcast-and-echo
-        // together; finished fragments drop out of the wave.
-        loop {
-            let mut wave: Vec<(usize, NodeId, ProbeAggregate)> = Vec::new();
-            for (pos, (rep, search)) in searches.iter_mut().enumerate() {
-                if search.verdict().is_some() {
-                    continue;
-                }
-                if let Some(request) = search.next_request() {
-                    wave.push((pos, groups.root_node[*rep], ProbeAggregate { request }));
-                }
-            }
-            if wave.is_empty() {
-                break;
-            }
-            // Probe waves are the batched analogue of the sequential
-            // searches, so they attribute to the same phase the sequential
-            // path uses.
-            let probe_phase = match kind {
-                TreeKind::Mst => Phase::FindMinNarrow,
-                TreeKind::St => Phase::FindAnySample,
-            };
-            let replies = net.span(probe_phase, |net| {
-                run_broadcast_echoes(net, wave.iter().map(|(_, root, agg)| (*root, *agg)).collect())
-            })?;
-            for ((pos, _, _), reply) in wave.into_iter().zip(replies) {
-                searches[pos].1.absorb(reply);
-            }
-        }
+        // Probe waves are the batched analogue of the sequential searches,
+        // so they attribute to the same phase the sequential path uses.
+        let probe_phase = match kind {
+            TreeKind::Mst => Phase::FindMinNarrow,
+            TreeKind::St => Phase::FindAnySample,
+        };
+        let outcomes = drive_waves(net, probe_phase, slots)?;
 
         // Mark the found replacements simultaneously. Each is the minimum
         // edge leaving its fragment, so for an MST all of them belong to the
         // (unique) MST; the union–find check only skips same-round
         // duplicates — and, for an ST, edges that would close a cycle.
-        for (rep, search) in searches {
-            match search.verdict().expect("search completed") {
-                SearchVerdict::Found(number) => {
-                    let found = resolve_edge(net, number)?;
+        for (&rep, outcome) in searchers.iter().zip(outcomes) {
+            match outcome {
+                SearchOutcome::Found(found) => {
                     let (x, y) = found.endpoints;
                     if frag_of[x] == usize::MAX || frag_of[y] == usize::MAX {
                         return Err(CoreError::Internal(format!(
-                            "replacement edge {number:?} leaves the affected region"
+                            "replacement edge {:?} leaves the affected region",
+                            found.edge_number
                         )));
                     }
                     let (gx, gy) = (groups.find(frag_of[x]), groups.find(frag_of[y]));
@@ -993,7 +516,7 @@ fn flush<R: Rng>(
                     groups.merges[merged] += 1;
                     groups.digest[merged] ^= found.edge_number.as_u128();
                 }
-                SearchVerdict::NoLeavingEdge | SearchVerdict::GaveUp => {
+                SearchOutcome::NoLeavingEdge | SearchOutcome::GaveUp => {
                     let g = groups.find(rep);
                     groups.done[g] = true;
                 }

@@ -20,7 +20,8 @@ use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::find_min::{find_min_c, FindMinOutcome};
+use crate::find_min::find_min;
+use crate::search::Budget;
 
 /// Per-phase progress information, exposed for experiments and debugging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +76,8 @@ pub fn build_mst<R: Rng + ?Sized>(
         // vertex-disjoint so the searches do not interact.
         let mut chosen = Vec::new();
         for &leader in &leaders {
-            match find_min_c(net, leader, config, rng)? {
-                FindMinOutcome::Found(found) => chosen.push(found),
-                FindMinOutcome::NoLeavingEdge | FindMinOutcome::BudgetExhausted => {}
+            if let Some(found) = find_min(net, leader, Budget::Constant, config, rng)?.0.edge() {
+                chosen.push(found);
             }
         }
 

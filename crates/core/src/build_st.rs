@@ -20,7 +20,8 @@ use rand::Rng;
 use crate::build_mst::{BuildOutcome, PhaseReport};
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::find_any::find_any_c;
+use crate::find_any::find_any;
+use crate::search::Budget;
 
 /// Runs `Build ST`: marks a spanning forest of the (possibly weighted, but
 /// weights are ignored) network using `O(n log n)` messages w.h.p.
@@ -50,7 +51,7 @@ pub fn build_st<R: Rng + ?Sized>(
         // Each leader looks for *any* outgoing edge.
         let mut new_edges: Vec<EdgeId> = Vec::new();
         for &leader in &leaders {
-            if let Some(found) = find_any_c(net, leader, config, rng)? {
+            if let Some(found) = find_any(net, leader, Budget::Constant, config, rng)?.edge() {
                 // Add-Edge notification across the chosen edge.
                 net.cost_mut().record_message_in(
                     Phase::Announce,

@@ -18,11 +18,14 @@
 //!    endpoints incident to it is counted; the attempt succeeds iff that
 //!    count is 1.
 //!
-//! `FindAny` retries attempts until success (expected 16 ≈ O(1) attempts,
-//! capped at `16·ln ε(n)^{-1}`); `FindAny-C` performs a single attempt, so its
-//! worst-case cost matches `FindAny`'s expected cost (Lemma 5).
+//! With the [`Budget::Whp`] budget `FindAny` retries attempts until success
+//! (expected 16 ≈ O(1) attempts, capped at `16·ln ε(n)^{-1}`); `FindAny-C`
+//! ([`Budget::Constant`]) performs a single attempt, so its worst-case cost
+//! matches `FindAny`'s expected cost (Lemma 5). The procedure is implemented
+//! once, as the `AnySearch` state machine; [`crate::search`] runs it alone or
+//! in concurrent waves.
 
-use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
+use kkt_congest::broadcast_echo::TreeAggregate;
 use kkt_congest::{BitSized, Network, NodeView, Phase};
 use kkt_graphs::{EdgeNumber, NodeId};
 use kkt_hashing::PairwiseHash;
@@ -30,20 +33,18 @@ use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::hp_test_out::hp_test_out;
-use crate::weights::{resolve_edge, FoundEdge, WeightInterval};
+use crate::hp_test_out::HpDown;
+use crate::search::{drive, Budget, Probe, Reply, Search, SearchOutcome, Step};
+use crate::weights::WeightInterval;
 
 /// Broadcast payload of the prefix-parity step: the pairwise hash function.
-/// Fields are crate-visible so the batched-repair pipeline can drive the same
-/// aggregates step by step (see `crate::batch`).
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixDown {
     pub(crate) a: u64,
     pub(crate) b: u64,
     pub(crate) range: u64,
-    /// Restrict attention to edges inside this interval (used when `FindAny`
-    /// is asked for *any* edge in a weight class; the repair algorithms use
-    /// the full range).
+    /// Restrict attention to edges inside this interval (the paper's
+    /// `[j, k]`; the searches send the full range).
     pub(crate) interval: WeightInterval,
 }
 
@@ -188,20 +189,11 @@ impl BitSized for VerifyUp {
 }
 
 /// The verification aggregate, shared by `FindAny` (step 4) and `FindMin`'s
-/// final identification step.
+/// final identification step. Its output is the recognised edge's number
+/// and weight and how many tree endpoints recognised it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct VerifyCandidate {
-    down: VerifyDown,
-}
-
-impl VerifyCandidate {
-    pub(crate) fn by_key(key: u64, interval: WeightInterval) -> Self {
-        VerifyCandidate { down: VerifyDown { key, interval } }
-    }
-
-    pub(crate) fn from_down(down: VerifyDown) -> Self {
-        VerifyCandidate { down }
-    }
+    pub(crate) down: VerifyDown,
 }
 
 impl TreeAggregate for VerifyCandidate {
@@ -249,107 +241,129 @@ impl TreeAggregate for VerifyCandidate {
     }
 }
 
-/// One isolation attempt (steps 3–5 of the paper). Returns the found edge, or
-/// `None` if the attempt failed (no level isolated a single cut edge).
-fn attempt<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
+/// `FindAny` as a resumable state machine, driven by [`crate::search`].
+#[derive(Debug)]
+pub(crate) struct AnySearch {
     interval: WeightInterval,
     degree_bound: u64,
-    rng: &mut R,
-) -> Result<Option<FoundEdge>, CoreError> {
-    let range = (2 * degree_bound.max(2)).next_power_of_two();
-    let hash = PairwiseHash::random(range, rng);
-    let down = PrefixDown { a: rng.gen::<u64>() | 1, b: rng.gen(), range, interval };
-    // Re-derive the hash actually broadcast (from_parts normalises `a`).
-    let down = PrefixDown { a: down.a, b: down.b, range: hash.range().max(down.range), ..down };
-    let word = run_broadcast_echo(net, root, PrefixParity { down })?;
-    if word == 0 {
-        return Ok(None);
-    }
-    let min_level = word.trailing_zeros();
-    let isolate = IsolateDown { prefix: down, level: min_level };
-    let candidate = run_broadcast_echo(net, root, IsolateKeys { down: isolate })?;
-    if candidate == 0 {
-        return Ok(None);
-    }
-    let verify = VerifyCandidate::by_key(candidate, interval);
-    match run_broadcast_echo(net, root, verify)? {
-        Some((number, _weight, 1)) => Ok(Some(resolve_edge(net, number)?)),
-        _ => Ok(None),
-    }
+    attempts: u32,
+    tried: u32,
+    awaiting: Awaiting,
 }
 
-/// Shared implementation of `FindAny` / `FindAny-C`. The emptiness check and
-/// every isolation attempt bill to [`Phase::FindAnySample`] (attribution
-/// only; costs and coin flips are unchanged).
-fn find_any_impl<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    interval: WeightInterval,
-    attempts: u32,
-    rng: &mut R,
-) -> Result<Option<FoundEdge>, CoreError> {
-    net.span(Phase::FindAnySample, |net| {
-        // Step 2: w.h.p. emptiness check; "∅" answers are then always correct.
-        if !hp_test_out(net, root, interval, rng)? {
-            return Ok(None);
-        }
+/// The probe an [`AnySearch`] has in flight.
+#[derive(Debug, Clone, Copy)]
+enum Awaiting {
+    /// Nothing yet: the search opens with the emptiness check.
+    Start,
+    /// HP-TestOut: does any edge leave the tree?
+    Empty,
+    /// Prefix parities under this attempt's hash.
+    Prefix(PrefixDown),
+    /// The XOR of the keys hashing below the lowest odd level.
+    Isolate,
+    /// Verification of the isolated candidate key.
+    Verify,
+}
+
+impl AnySearch {
+    pub(crate) fn new(n: usize, budget: Budget, config: &KktConfig) -> AnySearch {
         // The pairwise hash range must exceed the sum of tree degrees; that
         // sum is below n², which every node knows (KT1), so no extra
         // broadcast-and-echo is needed to size the hash.
-        let n = net.node_count() as u64;
-        let degree_bound = n.saturating_mul(n.saturating_sub(1)).max(2);
-        for _ in 0..attempts.max(1) {
-            if let Some(found) = attempt(net, root, interval, degree_bound, rng)? {
-                return Ok(Some(found));
-            }
+        let n64 = n as u64;
+        AnySearch {
+            interval: WeightInterval::everything(),
+            degree_bound: n64.saturating_mul(n64.saturating_sub(1)).max(2),
+            attempts: match budget {
+                Budget::Whp => config.findany_budget(n).max(1),
+                Budget::Constant => 1,
+            },
+            tried: 0,
+            awaiting: Awaiting::Start,
         }
-        Ok(None)
-    })
+    }
+
+    /// Opens the next isolation attempt (steps 3–5 of the paper) by sampling
+    /// a fresh hash, or gives up once the budget is spent.
+    fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Step {
+        if self.tried == self.attempts {
+            return Step::Done(SearchOutcome::GaveUp);
+        }
+        self.tried += 1;
+        let range = (2 * self.degree_bound).next_power_of_two();
+        // Only the sampled hash's range is used, but its two coin draws are
+        // part of the coin stream the sealed reports pin. The broadcast
+        // carries fresh coefficients, which every node normalises via
+        // `from_parts`.
+        let hash = PairwiseHash::random(range, rng);
+        let down = PrefixDown {
+            a: rng.gen::<u64>() | 1,
+            b: rng.gen(),
+            range: hash.range().max(range),
+            interval: self.interval,
+        };
+        self.awaiting = Awaiting::Prefix(down);
+        Step::Probe(Probe::Prefix(down))
+    }
 }
 
-/// `FindAny(x)`: returns an edge leaving the marked tree containing `root`
-/// w.h.p. (retrying internally), or `None` if no edge leaves the tree.
-/// Expected cost: O(1) broadcast-and-echoes, i.e. O(|T|) messages.
+impl Search for AnySearch {
+    fn step<R: Rng + ?Sized>(&mut self, reply: Option<Reply>, rng: &mut R) -> Step {
+        match (self.awaiting, reply) {
+            // Step 2: w.h.p. emptiness check; "∅" answers are then always
+            // correct.
+            (Awaiting::Start, None) => {
+                self.awaiting = Awaiting::Empty;
+                Step::Probe(Probe::Hp(HpDown::random(self.interval, rng)))
+            }
+            (Awaiting::Empty, Some(Reply::Flag(false))) => Step::Done(SearchOutcome::NoLeavingEdge),
+            // Exactly one tree endpoint recognised the isolated key.
+            (Awaiting::Verify, Some(Reply::Verified(Some((number, _, 1))))) => {
+                Step::Done(SearchOutcome::Found(number))
+            }
+            // A non-empty cut opens the first attempt; no odd level, no
+            // isolated key or a failed verification opens the next one.
+            (Awaiting::Empty, Some(Reply::Flag(true)))
+            | (Awaiting::Prefix(_) | Awaiting::Isolate, Some(Reply::Word(0)))
+            | (Awaiting::Verify, Some(Reply::Verified(_))) => self.sample(rng),
+            (Awaiting::Prefix(prefix), Some(Reply::Word(word))) => {
+                self.awaiting = Awaiting::Isolate;
+                Step::Probe(Probe::Isolate(IsolateDown { prefix, level: word.trailing_zeros() }))
+            }
+            (Awaiting::Isolate, Some(Reply::Word(key))) => {
+                self.awaiting = Awaiting::Verify;
+                Step::Probe(Probe::Verify(VerifyDown { key, interval: self.interval }))
+            }
+            _ => unreachable!("probe reply does not match the awaited step"),
+        }
+    }
+}
+
+/// `FindAny(x)` / `FindAny-C(x)`: some edge leaving the marked tree
+/// containing `root`. Under [`Budget::Whp`] it retries isolation attempts
+/// (expected O(1) broadcast-and-echoes, i.e. O(|T|) messages) and gives up
+/// only with probability `n^{-c}`; under [`Budget::Constant`] it makes a
+/// single attempt, which succeeds with probability ≥ 1/16 when a leaving
+/// edge exists, for a worst-case cost of O(|T|) messages. Either way it
+/// never returns a wrong edge, and always reports
+/// [`SearchOutcome::NoLeavingEdge`] when no edge leaves. The whole search
+/// bills to [`Phase::FindAnySample`] (attribution only).
 pub fn find_any<R: Rng + ?Sized>(
     net: &mut Network,
     root: NodeId,
+    budget: Budget,
     config: &KktConfig,
     rng: &mut R,
-) -> Result<Option<FoundEdge>, CoreError> {
-    let attempts = config.findany_budget(net.node_count());
-    find_any_impl(net, root, WeightInterval::everything(), attempts, rng)
-}
-
-/// `FindAny-C(x)`: a single isolation attempt; succeeds with probability
-/// ≥ 1/16 when a leaving edge exists, never returns a wrong edge, and always
-/// returns `None` when no edge leaves. Worst-case cost O(|T|) messages.
-pub fn find_any_c<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    _config: &KktConfig,
-    rng: &mut R,
-) -> Result<Option<FoundEdge>, CoreError> {
-    find_any_impl(net, root, WeightInterval::everything(), 1, rng)
-}
-
-/// `FindAny` restricted to a weight interval (used by tests and by the
-/// benchmark harness to probe specific weight classes).
-pub fn find_any_in_interval<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    interval: WeightInterval,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<Option<FoundEdge>, CoreError> {
-    let attempts = config.findany_budget(net.node_count());
-    find_any_impl(net, root, interval, attempts, rng)
+) -> Result<SearchOutcome, CoreError> {
+    let mut search = AnySearch::new(net.node_count(), budget, config);
+    net.span(Phase::FindAnySample, |net| drive(net, root, &mut search, rng))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::FoundEdge;
     use kkt_congest::NetworkConfig;
     use kkt_graphs::{generators, kruskal, Graph};
     use rand::rngs::StdRng;
@@ -357,6 +371,10 @@ mod tests {
 
     fn cfg() -> KktConfig {
         KktConfig::default()
+    }
+
+    fn any(net: &mut Network, root: NodeId, budget: Budget, rng: &mut StdRng) -> SearchOutcome {
+        find_any(net, root, budget, &cfg(), rng).unwrap()
     }
 
     /// Marks the first `marked` MST edges of a connected random graph.
@@ -379,8 +397,8 @@ mod tests {
     fn spanning_tree_returns_none() {
         let mut net = partial_network(30, 0.2, usize::MAX, 1);
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(find_any(&mut net, 0, &cfg(), &mut rng).unwrap(), None);
-        assert_eq!(find_any_c(&mut net, 0, &cfg(), &mut rng).unwrap(), None);
+        assert_eq!(any(&mut net, 0, Budget::Whp, &mut rng), SearchOutcome::NoLeavingEdge);
+        assert_eq!(any(&mut net, 0, Budget::Constant, &mut rng), SearchOutcome::NoLeavingEdge);
     }
 
     #[test]
@@ -388,8 +406,8 @@ mod tests {
         for seed in 0..8 {
             let mut net = partial_network(30, 0.2, 14, seed);
             let mut rng = StdRng::seed_from_u64(seed + 100);
-            let found = find_any(&mut net, 0, &cfg(), &mut rng)
-                .unwrap()
+            let found = any(&mut net, 0, Budget::Whp, &mut rng)
+                .edge()
                 .expect("a partial fragment has leaving edges");
             assert!(crosses_cut(&net, 0, &found), "seed {seed}: returned edge must cross the cut");
         }
@@ -399,7 +417,7 @@ mod tests {
     fn found_edge_is_live_and_resolvable() {
         let mut net = partial_network(25, 0.3, 10, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let found = find_any(&mut net, 0, &cfg(), &mut rng).unwrap().unwrap();
+        let found = any(&mut net, 0, Budget::Whp, &mut rng).edge().unwrap();
         assert!(net.graph().is_live(found.edge));
         assert_eq!(net.graph().edge_number(found.edge), found.edge_number);
         assert_eq!(net.graph().edge(found.edge).weight, found.weight);
@@ -412,7 +430,7 @@ mod tests {
         let trials = 150;
         let mut successes = 0;
         for _ in 0..trials {
-            if let Some(found) = find_any_c(&mut net, 0, &cfg(), &mut rng).unwrap() {
+            if let Some(found) = any(&mut net, 0, Budget::Constant, &mut rng).edge() {
                 assert!(crosses_cut(&net, 0, &found));
                 successes += 1;
             }
@@ -432,7 +450,7 @@ mod tests {
         // Unmark one tree edge: the cut it opens has exactly one non-tree edge.
         let removed = mst.edges[3];
         net.unmark(removed);
-        let found = find_any(&mut net, 0, &cfg(), &mut rng).unwrap().unwrap();
+        let found = any(&mut net, 0, Budget::Whp, &mut rng).edge().unwrap();
         assert!(crosses_cut(&net, 0, &found));
     }
 
@@ -456,10 +474,14 @@ mod tests {
             crate::weights::pack_weight(6, kkt_graphs::EdgeNumber::from_ids(1, 2), id_bits),
             u128::MAX,
         );
-        let found = find_any_in_interval(&mut net, 0, heavy, &cfg(), &mut rng).unwrap().unwrap();
+        let mut in_interval = |interval| {
+            let search = AnySearch::new(net.node_count(), Budget::Whp, &cfg());
+            drive(&mut net, 0, &mut AnySearch { interval, ..search }, &mut rng).unwrap()
+        };
+        let found = in_interval(heavy).edge().unwrap();
         assert_eq!(found.weight, 9, "only the weight-9 edge lies in the interval");
         let light = WeightInterval::up_to_raw(4, id_bits);
-        assert_eq!(find_any_in_interval(&mut net, 0, light, &cfg(), &mut rng).unwrap(), None);
+        assert_eq!(in_interval(light), SearchOutcome::NoLeavingEdge);
     }
 
     #[test]
@@ -476,7 +498,7 @@ mod tests {
             e.u
         };
         let before = net.cost();
-        find_any(&mut net, root, &cfg(), &mut rng).unwrap().unwrap();
+        any(&mut net, root, Budget::Whp, &mut rng).edge().unwrap();
         let delta = net.cost() - before;
         let fragment = net.forest().tree_of(net.graph(), root).len() as u64;
         // Every broadcast-and-echo touches only the fragment, so the message
@@ -495,7 +517,7 @@ mod tests {
         let runs = 60;
         let before = net.cost();
         for _ in 0..runs {
-            find_any(&mut net, 0, &cfg(), &mut rng).unwrap().unwrap();
+            any(&mut net, 0, Budget::Whp, &mut rng).edge().unwrap();
         }
         let delta = net.cost() - before;
         let per_run = delta.broadcast_echoes as f64 / runs as f64;

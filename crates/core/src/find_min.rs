@@ -12,45 +12,25 @@
 //! `log(maxWt)/log w = O(log n / log log n)` successful narrowings suffice,
 //! and each succeeds with constant probability `q = 1/8`.
 //!
-//! `FindMin` retries until the w.h.p. budget is exhausted; `FindMin-C` uses a
-//! budget of twice the expectation, so its *worst case* matches `FindMin`'s
-//! expected cost at the price of a constant failure probability (Lemma 2).
+//! With the [`Budget::Whp`] budget `FindMin` retries until it converges
+//! w.h.p.; `FindMin-C` ([`Budget::Constant`]) caps the loop at twice the
+//! expectation, so its *worst case* matches `FindMin`'s expected cost at the
+//! price of a constant failure probability (Lemma 2). The loop is
+//! implemented once, as the `MinSearch` state machine; [`crate::search`]
+//! runs it alone or in concurrent waves.
 
-use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeStats};
+use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeStats, TreeStatsOutput};
 use kkt_congest::{Histogram, Network, Phase};
 use kkt_graphs::NodeId;
 use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::find_any::VerifyCandidate;
-use crate::hp_test_out::hp_test_out;
-use crate::test_out::wide_test_out;
-use crate::weights::{resolve_edge, FoundEdge, WeightInterval};
-
-/// Outcome of a [`find_min`] / [`find_min_c`] call, distinguishing "there is
-/// certainly no leaving edge" from "the bounded variant gave up".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FindMinOutcome {
-    /// The lightest edge leaving the tree.
-    Found(FoundEdge),
-    /// No edge leaves the tree (verified w.h.p. by HP-TestOut).
-    NoLeavingEdge,
-    /// The retry budget ran out before the search converged (possible for
-    /// `FindMin-C` with constant probability; possible for `FindMin` only
-    /// with probability `n^{-c}`).
-    BudgetExhausted,
-}
-
-impl FindMinOutcome {
-    /// The found edge, if any.
-    pub fn edge(&self) -> Option<FoundEdge> {
-        match self {
-            FindMinOutcome::Found(e) => Some(*e),
-            _ => None,
-        }
-    }
-}
+use crate::find_any::VerifyDown;
+use crate::hp_test_out::HpDown;
+use crate::search::{drive, Budget, Probe, Reply, Search, SearchOutcome, Step};
+use crate::test_out::{TestOutDown, WideTestOut};
+use crate::weights::WeightInterval;
 
 /// Number of search iterations (word-parallel TestOut rounds) used, exposed
 /// for the experiment harness.
@@ -62,146 +42,180 @@ pub struct FindMinTrace {
     pub narrowings: u32,
 }
 
-fn find_min_impl<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    budget: u32,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<(FindMinOutcome, FindMinTrace), CoreError> {
-    // The whole narrowing search — statistics wave, TestOut iterations,
-    // identification — bills to one phase; attribution only, costs unchanged.
-    net.span(Phase::FindMinNarrow, |net| {
-        let out = find_min_inner(net, root, budget, config, rng)?;
-        if let Some(metrics) = net.metrics_mut() {
-            let bounds = Histogram::pow2_bounds(10);
-            metrics.observe("findmin_narrowing_iterations", &bounds, u64::from(out.1.iterations));
-        }
-        Ok(out)
-    })
-}
-
-fn find_min_inner<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    budget: u32,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<(FindMinOutcome, FindMinTrace), CoreError> {
-    let mut trace = FindMinTrace::default();
-    // Step 2: learn maxWt(T) (and fragment size) in one broadcast-and-echo.
-    let stats = run_broadcast_echo(net, root, TreeStats)?;
-    if stats.degree_sum == 0 {
-        // No incident edges at all: certainly nothing leaves the tree.
-        return Ok((FindMinOutcome::NoLeavingEdge, trace));
-    }
-    let w = config.effective_word_width(net.node_count());
-    let id_bits = net.id_bits();
-    let mut interval = WeightInterval::up_to_raw(stats.max_weight, id_bits);
-
-    for _ in 0..budget.max(1) {
-        trace.iterations += 1;
-        let wide = wide_test_out(net, root, interval, w, config.testout_repeats, rng)?;
-        match wide.min_positive() {
-            None => {
-                // Nothing detected: either the cut (within the interval) is
-                // empty, or TestOut missed. Resolve w.h.p. with HP-TestOut.
-                if !hp_test_out(net, root, interval, rng)? {
-                    return Ok((FindMinOutcome::NoLeavingEdge, trace));
-                }
-            }
-            Some(i) => {
-                let sub = wide.subintervals[i];
-                // Verify no cut edge lies strictly below the flagged
-                // sub-interval (otherwise TestOut missed the lighter one).
-                let lighter_exists = if sub.lo > interval.lo {
-                    hp_test_out(net, root, WeightInterval::new(interval.lo, sub.lo - 1), rng)?
-                } else {
-                    false
-                };
-                if lighter_exists {
-                    continue;
-                }
-                // Verify the flagged sub-interval really holds a cut edge
-                // (HP-TestOut errs towards "no" with negligible probability).
-                if !hp_test_out(net, root, sub, rng)? {
-                    continue;
-                }
-                interval = sub;
-                trace.narrowings += 1;
-                if interval.is_singleton() {
-                    return Ok((identify(net, root, interval, id_bits)?, trace));
-                }
-            }
-        }
-    }
-    Ok((FindMinOutcome::BudgetExhausted, trace))
-}
-
-/// Final step: the interval is a single augmented weight; one more
-/// broadcast-and-echo retrieves the full edge number from the tree endpoint
-/// that owns the edge.
-fn identify(
-    net: &mut Network,
-    root: NodeId,
-    singleton: WeightInterval,
+/// `FindMin` as a resumable state machine, driven by [`crate::search`].
+#[derive(Debug)]
+pub(crate) struct MinSearch {
+    interval: WeightInterval,
+    buckets: u32,
+    repeats: u32,
     id_bits: u32,
-) -> Result<FindMinOutcome, CoreError> {
-    debug_assert!(singleton.is_singleton());
-    let key = (singleton.lo & ((1u128 << (2 * id_bits.clamp(1, 32))) - 1)) as u64;
-    let verify = VerifyCandidate::by_key(key, singleton);
-    match run_broadcast_echo(net, root, verify)? {
-        Some((number, _weight, 1)) => Ok(FindMinOutcome::Found(resolve_edge(net, number)?)),
-        _ => Ok(FindMinOutcome::BudgetExhausted),
+    budget: u32,
+    trace: FindMinTrace,
+    awaiting: Awaiting,
+}
+
+/// The probe a [`MinSearch`] has in flight.
+#[derive(Debug, Clone, Copy)]
+enum Awaiting {
+    /// Nothing yet; `edges` says whether the tree has incident edges at all.
+    Start { edges: bool },
+    /// Word-parallel TestOut over the current interval.
+    Wide,
+    /// HP-TestOut: does any cut edge lie in the current interval?
+    Empty,
+    /// HP-TestOut: does a cut edge lie below the flagged sub-interval?
+    Lighter(WeightInterval),
+    /// HP-TestOut: does the flagged sub-interval really hold a cut edge?
+    Holds(WeightInterval),
+    /// Verification of the singleton interval's edge.
+    Identify,
+}
+
+impl MinSearch {
+    /// Seeds a search from its tree's [`TreeStats`] echo (step 2 of the
+    /// paper). `weight_bits` is [`weight_bits`] of `net`, which callers
+    /// running many searches compute once.
+    pub(crate) fn new(
+        net: &Network,
+        stats: &TreeStatsOutput,
+        budget: Budget,
+        weight_bits: u32,
+        config: &KktConfig,
+    ) -> MinSearch {
+        let n = net.node_count();
+        let repeats = config.testout_repeats.clamp(1, 64);
+        let budget = match budget {
+            Budget::Whp => config.findmin_budget(n, weight_bits),
+            Budget::Constant => config.findmin_c_budget(n, weight_bits),
+        };
+        MinSearch {
+            interval: WeightInterval::up_to_raw(stats.max_weight, net.id_bits()),
+            buckets: config.effective_word_width(n).clamp(1, 64 / repeats),
+            repeats,
+            id_bits: net.id_bits(),
+            budget: budget.max(1),
+            trace: FindMinTrace::default(),
+            awaiting: Awaiting::Start { edges: stats.degree_sum > 0 },
+        }
+    }
+
+    /// Opens the next narrowing iteration, or gives up once the budget is
+    /// spent.
+    fn narrow<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Step {
+        if self.trace.iterations == self.budget {
+            return Step::Done(SearchOutcome::GaveUp);
+        }
+        self.trace.iterations += 1;
+        self.awaiting = Awaiting::Wide;
+        Step::Probe(Probe::Wide(TestOutDown {
+            seed: rng.gen(),
+            interval: self.interval,
+            buckets: self.buckets,
+            repeats: self.repeats,
+        }))
+    }
+
+    fn hp<R: Rng + ?Sized>(
+        &mut self,
+        awaiting: Awaiting,
+        interval: WeightInterval,
+        rng: &mut R,
+    ) -> Step {
+        self.awaiting = awaiting;
+        Step::Probe(Probe::Hp(HpDown::random(interval, rng)))
     }
 }
 
-/// `FindMin(x)`: the lightest edge leaving the marked tree containing `root`,
-/// w.h.p., in `O(log n / log log n)` expected broadcast-and-echoes
-/// (`O(|T|·log n / log log n)` expected messages).
+impl Search for MinSearch {
+    fn step<R: Rng + ?Sized>(&mut self, reply: Option<Reply>, rng: &mut R) -> Step {
+        match (self.awaiting, reply) {
+            // No incident edges at all: certainly nothing leaves the tree.
+            (Awaiting::Start { edges: false }, None) => Step::Done(SearchOutcome::NoLeavingEdge),
+            (Awaiting::Start { edges: true }, None) => self.narrow(rng),
+            (Awaiting::Wide, Some(Reply::Word(word))) => {
+                let subintervals = self.interval.split(self.buckets);
+                let wide = WideTestOut { word, repeats: self.repeats, subintervals };
+                match wide.min_positive().map(|i| wide.subintervals[i]) {
+                    // Nothing detected: either the cut (within the interval)
+                    // is empty, or TestOut missed. Resolve w.h.p.
+                    None => self.hp(Awaiting::Empty, self.interval, rng),
+                    // Verify no cut edge lies strictly below the flagged
+                    // sub-interval (otherwise TestOut missed the lighter one).
+                    Some(sub) if sub.lo > self.interval.lo => {
+                        let below = WeightInterval::new(self.interval.lo, sub.lo - 1);
+                        self.hp(Awaiting::Lighter(sub), below, rng)
+                    }
+                    Some(sub) => self.hp(Awaiting::Holds(sub), sub, rng),
+                }
+            }
+            (Awaiting::Empty, Some(Reply::Flag(false))) => Step::Done(SearchOutcome::NoLeavingEdge),
+            // Verify the flagged sub-interval really holds a cut edge
+            // (HP-TestOut errs towards "no" with negligible probability).
+            (Awaiting::Lighter(sub), Some(Reply::Flag(false))) => {
+                self.hp(Awaiting::Holds(sub), sub, rng)
+            }
+            (Awaiting::Holds(sub), Some(Reply::Flag(true))) => {
+                self.interval = sub;
+                self.trace.narrowings += 1;
+                if !sub.is_singleton() {
+                    return self.narrow(rng);
+                }
+                // Final step: the interval is a single augmented weight; one
+                // more broadcast-and-echo retrieves the full edge number from
+                // the tree endpoint that owns the edge.
+                let key = (sub.lo & ((1u128 << (2 * self.id_bits.clamp(1, 32))) - 1)) as u64;
+                self.awaiting = Awaiting::Identify;
+                Step::Probe(Probe::Verify(VerifyDown { key, interval: sub }))
+            }
+            // TestOut missed, a lighter cut edge exists, or the flagged
+            // sub-interval was empty after all: iterate again.
+            (Awaiting::Empty | Awaiting::Lighter(_) | Awaiting::Holds(_), Some(Reply::Flag(_))) => {
+                self.narrow(rng)
+            }
+            (Awaiting::Identify, Some(Reply::Verified(Some((number, _, 1))))) => {
+                Step::Done(SearchOutcome::Found(number))
+            }
+            (Awaiting::Identify, Some(Reply::Verified(_))) => Step::Done(SearchOutcome::GaveUp),
+            _ => unreachable!("probe reply does not match the awaited step"),
+        }
+    }
+}
+
+/// `FindMin(x)` / `FindMin-C(x)`: the lightest edge leaving the marked tree
+/// containing `root`, plus the iteration trace. Under [`Budget::Whp`] it
+/// succeeds w.h.p. in `O(log n / log log n)` expected broadcast-and-echoes
+/// (`O(|T|·log n / log log n)` expected messages). Under
+/// [`Budget::Constant`] the loop is capped at twice its expected length, so
+/// the worst-case message count is `O(|T|·log n / log log n)` and the search
+/// returns the lightest edge with constant probability. Either way it never
+/// returns a wrong edge.
 pub fn find_min<R: Rng + ?Sized>(
     net: &mut Network,
     root: NodeId,
+    budget: Budget,
     config: &KktConfig,
     rng: &mut R,
-) -> Result<FindMinOutcome, CoreError> {
-    let bits = weight_bits(net);
-    let budget = config.findmin_budget(net.node_count(), bits);
-    find_min_impl(net, root, budget, config, rng).map(|(o, _)| o)
-}
-
-/// `FindMin-C(x)`: like `FindMin` but with the loop capped at twice its
-/// expected length, so the worst-case message count is
-/// `O(|T|·log n / log log n)`. Returns the lightest edge with constant
-/// probability; with probability `1 - n^{-c}` it returns either the lightest
-/// edge or gives up (never a wrong edge).
-pub fn find_min_c<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<FindMinOutcome, CoreError> {
-    let bits = weight_bits(net);
-    let budget = config.findmin_c_budget(net.node_count(), bits);
-    find_min_impl(net, root, budget, config, rng).map(|(o, _)| o)
-}
-
-/// Like [`find_min`], additionally reporting how many search iterations were
-/// used (consumed by experiment E6).
-pub fn find_min_traced<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<(FindMinOutcome, FindMinTrace), CoreError> {
-    let bits = weight_bits(net);
-    let budget = config.findmin_budget(net.node_count(), bits);
-    find_min_impl(net, root, budget, config, rng)
+) -> Result<(SearchOutcome, FindMinTrace), CoreError> {
+    let weight_bits = weight_bits(net);
+    // The whole narrowing search — statistics wave, TestOut iterations,
+    // identification — bills to one phase; attribution only, costs unchanged.
+    net.span(Phase::FindMinNarrow, |net| {
+        // Step 2: learn maxWt(T) (and the degree sum) in one broadcast-and-echo.
+        let stats = run_broadcast_echo(net, root, TreeStats)?;
+        let mut search = MinSearch::new(net, &stats, budget, weight_bits, config);
+        let outcome = drive(net, root, &mut search, rng)?;
+        if let Some(metrics) = net.metrics_mut() {
+            let bounds = Histogram::pow2_bounds(10);
+            let iterations = u64::from(search.trace.iterations);
+            metrics.observe("findmin_narrowing_iterations", &bounds, iterations);
+        }
+        Ok((outcome, search.trace))
+    })
 }
 
 /// Number of bits of the augmented-weight universe for this network (raw
-/// weight bits + 64 tie-break bits), used to size retry budgets.
-fn weight_bits(net: &Network) -> u32 {
+/// weight bits + 2·`id_bits` tie-break bits), used to size retry budgets.
+pub(crate) fn weight_bits(net: &Network) -> u32 {
     let raw_bits = 64 - net.graph().max_weight().leading_zeros();
     raw_bits + 2 * net.id_bits()
 }
@@ -216,6 +230,10 @@ mod tests {
 
     fn cfg() -> KktConfig {
         KktConfig::default()
+    }
+
+    fn min(net: &mut Network, root: NodeId, budget: Budget, rng: &mut StdRng) -> SearchOutcome {
+        find_min(net, root, budget, &cfg(), rng).unwrap().0
     }
 
     /// Oracle: the true minimum-unique-weight edge leaving the fragment of `root`.
@@ -239,7 +257,7 @@ mod tests {
             let mut net = partial_network(24, 0.25, 11, seed);
             let mut rng = StdRng::seed_from_u64(1000 + seed);
             let expected = oracle_min(&net, 0).expect("partial fragment has leaving edges");
-            let outcome = find_min(&mut net, 0, &cfg(), &mut rng).unwrap();
+            let outcome = min(&mut net, 0, Budget::Whp, &mut rng);
             let found = outcome.edge().expect("FindMin must find the edge w.h.p.");
             assert_eq!(found.edge, expected, "seed {seed}");
         }
@@ -249,11 +267,8 @@ mod tests {
     fn spanning_tree_reports_no_leaving_edge() {
         let mut net = partial_network(20, 0.2, usize::MAX, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(find_min(&mut net, 0, &cfg(), &mut rng).unwrap(), FindMinOutcome::NoLeavingEdge);
-        assert_eq!(
-            find_min_c(&mut net, 0, &cfg(), &mut rng).unwrap(),
-            FindMinOutcome::NoLeavingEdge
-        );
+        assert_eq!(min(&mut net, 0, Budget::Whp, &mut rng), SearchOutcome::NoLeavingEdge);
+        assert_eq!(min(&mut net, 0, Budget::Constant, &mut rng), SearchOutcome::NoLeavingEdge);
     }
 
     #[test]
@@ -263,7 +278,7 @@ mod tests {
         g.add_edge(2, 3, 6);
         let mut net = Network::new(g, NetworkConfig::default());
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(find_min(&mut net, 0, &cfg(), &mut rng).unwrap(), FindMinOutcome::NoLeavingEdge);
+        assert_eq!(min(&mut net, 0, Budget::Whp, &mut rng), SearchOutcome::NoLeavingEdge);
     }
 
     #[test]
@@ -275,7 +290,7 @@ mod tests {
         g.add_edge(3, 4, 1);
         let mut net = Network::new(g, NetworkConfig::default());
         let mut rng = StdRng::seed_from_u64(6);
-        let found = find_min(&mut net, 0, &cfg(), &mut rng).unwrap().edge().unwrap();
+        let found = min(&mut net, 0, Budget::Whp, &mut rng).edge().unwrap();
         assert_eq!(found.weight, 3);
         assert_eq!(found.endpoints, (0, 2));
     }
@@ -291,7 +306,7 @@ mod tests {
             let mut net = Network::new(g, NetworkConfig::default());
             net.mark_all(&t.edges[..6]);
             let expected = oracle_min(&net, 0).unwrap();
-            let found = find_min(&mut net, 0, &cfg(), &mut rng).unwrap().edge().unwrap();
+            let found = min(&mut net, 0, Budget::Whp, &mut rng).edge().unwrap();
             assert_eq!(found.edge, expected, "seed {seed}");
         }
     }
@@ -303,13 +318,13 @@ mod tests {
         let expected = oracle_min(&net, 0).unwrap();
         let mut found_count = 0;
         for _ in 0..40 {
-            match find_min_c(&mut net, 0, &cfg(), &mut rng).unwrap() {
-                FindMinOutcome::Found(f) => {
+            match min(&mut net, 0, Budget::Constant, &mut rng) {
+                SearchOutcome::Found(f) => {
                     assert_eq!(f.edge, expected);
                     found_count += 1;
                 }
-                FindMinOutcome::BudgetExhausted => {}
-                FindMinOutcome::NoLeavingEdge => {
+                SearchOutcome::GaveUp => {}
+                SearchOutcome::NoLeavingEdge => {
                     panic!("the fragment certainly has leaving edges")
                 }
             }
@@ -323,7 +338,7 @@ mod tests {
         // around lg(maxWt)/lg w plus constant retries — far below lg(maxWt).
         let mut net = partial_network(64, 0.1, 30, 9);
         let mut rng = StdRng::seed_from_u64(10);
-        let (outcome, trace) = find_min_traced(&mut net, 0, &cfg(), &mut rng).unwrap();
+        let (outcome, trace) = find_min(&mut net, 0, Budget::Whp, &cfg(), &mut rng).unwrap();
         assert!(outcome.edge().is_some());
         let w = cfg().effective_word_width(64) as f64;
         let expected_narrowings = (weight_bits(&net) as f64 / w.log2()).ceil();
@@ -343,7 +358,7 @@ mod tests {
         let root = net.graph().edge(net.forest().edges()[0]).u;
         let fragment = net.forest().tree_of(net.graph(), root).len() as u64;
         let before = net.cost();
-        find_min(&mut net, root, &cfg(), &mut rng).unwrap();
+        min(&mut net, root, Budget::Whp, &mut rng);
         let delta = net.cost() - before;
         assert_eq!(delta.messages, delta.broadcast_echoes * 2 * (fragment - 1));
     }
@@ -354,7 +369,7 @@ mod tests {
         net.set_config(NetworkConfig::asynchronous(3, 9));
         let mut rng = StdRng::seed_from_u64(14);
         let expected = oracle_min(&net, 0).unwrap();
-        let found = find_min(&mut net, 0, &cfg(), &mut rng).unwrap().edge().unwrap();
+        let found = min(&mut net, 0, Budget::Whp, &mut rng).edge().unwrap();
         assert_eq!(found.edge, expected);
     }
 }

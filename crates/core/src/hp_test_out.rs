@@ -42,6 +42,13 @@ pub struct HpDown {
     pub interval: WeightInterval,
 }
 
+impl HpDown {
+    /// A probe of `interval` at a fresh random evaluation point.
+    pub(crate) fn random<R: Rng + ?Sized>(interval: WeightInterval, rng: &mut R) -> Self {
+        HpDown { alpha: rng.gen_range(0..HP_PRIME), interval }
+    }
+}
+
 impl BitSized for HpDown {
     fn bit_size(&self) -> usize {
         self.alpha.bit_size() + self.interval.lo.bit_size() + self.interval.hi.bit_size()
@@ -122,9 +129,7 @@ pub fn hp_test_out<R: Rng + ?Sized>(
     interval: WeightInterval,
     rng: &mut R,
 ) -> Result<bool, CoreError> {
-    let alpha = rng.gen_range(0..HP_PRIME);
-    let agg = HpAggregate { down: HpDown { alpha, interval } };
-    Ok(run_broadcast_echo(net, root, agg)?)
+    Ok(run_broadcast_echo(net, root, HpAggregate { down: HpDown::random(interval, rng) })?)
 }
 
 #[cfg(test)]

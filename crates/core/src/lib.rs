@@ -18,13 +18,18 @@
 //! ## Layout
 //!
 //! * Primitives: [`test_out`] (constant-probability cut detection),
-//!   [`hp_test_out`] (w.h.p. cut detection via polynomial identity testing),
-//!   [`find_any`] (some outgoing edge, expected O(1) broadcast-and-echoes),
-//!   [`find_min`] (the minimum outgoing edge, `O(log n / log log n)`
-//!   broadcast-and-echoes).
+//!   [`hp_test_out`] (w.h.p. cut detection via polynomial identity testing).
+//! * Searches: [`find_any`] (some outgoing edge, expected O(1)
+//!   broadcast-and-echoes) and [`find_min`] (the minimum outgoing edge,
+//!   `O(log n / log log n)` broadcast-and-echoes). Each is one state machine
+//!   that [`search`] drives either alone, one broadcast-and-echo at a time,
+//!   or many at once in concurrent waves. A [`Budget`] picks the w.h.p.
+//!   search or its capped `-C` variant; a [`SearchOutcome`] reports the
+//!   edge, an empty cut, or a give-up.
 //! * Construction: [`build_mst`], [`build_st`] (Borůvka phases driven by the
-//!   primitives).
-//! * Dynamics: [`repair`] (impromptu delete/insert/weight-change repairs).
+//!   searches).
+//! * Dynamics: [`repair`] (impromptu delete/insert/weight-change repairs) and
+//!   [`batch`] (bursts of cuts mended in one pipelined pass).
 //! * Public API: [`MaintainedForest`] wraps all of the above behind a
 //!   build / update / verify interface.
 //!
@@ -57,6 +62,7 @@ pub mod find_min;
 pub mod hp_test_out;
 pub mod maintained;
 pub mod repair;
+pub mod search;
 pub mod test_out;
 pub mod weights;
 
@@ -65,13 +71,14 @@ pub use build_mst::{build_mst, BuildOutcome, PhaseReport};
 pub use build_st::build_st;
 pub use config::{KktConfig, FINDANY_SUCCESS_PROBABILITY, TESTOUT_SUCCESS_PROBABILITY};
 pub use error::CoreError;
-pub use find_any::{find_any, find_any_c};
-pub use find_min::{find_min, find_min_c, find_min_traced, FindMinOutcome, FindMinTrace};
+pub use find_any::find_any;
+pub use find_min::{find_min, FindMinTrace};
 pub use hp_test_out::hp_test_out;
 pub use maintained::{MaintainOptions, MaintainedForest, TreeKind, UpdateOutcome};
 pub use repair::{
     decrease_weight_mst, delete_edge_mst, delete_edge_st, increase_weight_mst, insert_edge_mst,
     insert_edge_st, DeleteOutcome, InsertOutcome,
 };
+pub use search::{Budget, SearchOutcome};
 pub use test_out::{test_out, wide_test_out, WideTestOut};
 pub use weights::{FoundEdge, WeightInterval};

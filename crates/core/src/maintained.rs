@@ -252,8 +252,8 @@ impl MaintainedForest {
         weight: Weight,
     ) -> Result<InsertOutcome, CoreError> {
         match self.kind {
-            TreeKind::Mst => insert_edge_mst(&mut self.net, u, v, weight, &self.options.config),
-            TreeKind::St => insert_edge_st(&mut self.net, u, v, weight, &self.options.config),
+            TreeKind::Mst => insert_edge_mst(&mut self.net, u, v, weight),
+            TreeKind::St => insert_edge_st(&mut self.net, u, v, weight),
         }
     }
 
@@ -291,10 +291,7 @@ impl MaintainedForest {
                 &mut self.rng,
             )
             .map(|_| ()),
-            TreeKind::Mst => {
-                decrease_weight_mst(&mut self.net, u, v, new_weight, &self.options.config)
-                    .map(|_| ())
-            }
+            TreeKind::Mst => decrease_weight_mst(&mut self.net, u, v, new_weight).map(|_| ()),
         }
     }
 

@@ -21,14 +21,16 @@
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
 use kkt_congest::{BitSized, Network, NodeView, Phase};
-use kkt_graphs::{EdgeId, NodeId, Weight};
+use kkt_graphs::{Edge, EdgeId, EdgeNumber, NodeId, Weight};
 use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_any::find_any;
-use crate::find_min::{find_min, FindMinOutcome};
-use crate::weights::{augmented_weight, FoundEdge};
+use crate::find_min::find_min;
+use crate::maintained::TreeKind;
+use crate::search::{Budget, SearchOutcome};
+use crate::weights::{augmented_weight, pack_weight, resolve_edge, FoundEdge};
 
 /// Outcome of processing an edge deletion (or a weight increase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,7 +239,7 @@ pub fn delete_edge_mst<R: Rng + ?Sized>(
     if !was_marked {
         return Ok(DeleteOutcome::NotATreeEdge);
     }
-    repair_cut_mst(net, initiator(net, u, v), config, rng)
+    repair_cut(net, initiator(net, u, v), TreeKind::Mst, config, rng)
 }
 
 /// Processes an increase of edge `{u, v}`'s weight to `new_weight` in a
@@ -258,29 +260,7 @@ pub fn increase_weight_mst<R: Rng + ?Sized>(
         return Ok(DeleteOutcome::NotATreeEdge);
     }
     net.unmark(edge);
-    repair_cut_mst(net, initiator(net, u, v), config, rng)
-}
-
-fn repair_cut_mst<R: Rng + ?Sized>(
-    net: &mut Network,
-    root: NodeId,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<DeleteOutcome, CoreError> {
-    match find_min(net, root, config, rng)? {
-        FindMinOutcome::NoLeavingEdge | FindMinOutcome::BudgetExhausted => {
-            Ok(DeleteOutcome::Bridge)
-        }
-        FindMinOutcome::Found(found) => {
-            // Announce the replacement through the initiator's tree and
-            // forward it across the new edge (one extra message), then mark.
-            announce(net, root, found.edge_number.as_u128())?;
-            net.cost_mut()
-                .record_message_in(Phase::Announce, found.edge_number.as_u128().bit_size() as u64);
-            net.mark(found.edge);
-            Ok(DeleteOutcome::Replaced(found))
-        }
-    }
+    repair_cut(net, initiator(net, u, v), TreeKind::Mst, config, rng)
 }
 
 /// Processes the insertion of edge `{u, v}` with weight `weight` into a
@@ -290,45 +270,9 @@ pub fn insert_edge_mst(
     u: NodeId,
     v: NodeId,
     weight: Weight,
-    _config: &KktConfig,
 ) -> Result<InsertOutcome, CoreError> {
-    let new_edge = net
-        .insert_edge(u, v, weight)
-        .ok_or(CoreError::Internal(format!("edge ({u},{v}) already exists or is invalid")))?;
-    let root = initiator(net, u, v);
-    let other = if root == u { v } else { u };
-    let target_id = net.graph().id_of(other);
-    let query = PathQuery { down: PathQueryDown { target_id } };
-    match net.span(Phase::BroadcastEcho, |net| run_broadcast_echo(net, root, query))? {
-        // Other endpoint is in a different tree: the new edge joins the forest.
-        None => {
-            net.cost_mut().record_message_in(Phase::Announce, 1);
-            net.mark(new_edge);
-            Ok(InsertOutcome::MergedFragments)
-        }
-        // Same tree: swap with the heaviest path edge if the new edge is lighter.
-        Some(heaviest) => {
-            let new_aug = crate::weights::pack_weight(
-                weight,
-                net.graph().edge_number(new_edge),
-                net.id_bits(),
-            );
-            match heaviest {
-                Some((max_aug, max_edge_number)) if max_aug > new_aug => {
-                    let number = kkt_graphs::EdgeNumber::from_ids(
-                        (max_edge_number >> 64) as u64,
-                        max_edge_number as u64,
-                    );
-                    let removed = crate::weights::resolve_edge(net, number)?.edge;
-                    announce(net, root, max_edge_number)?;
-                    net.unmark(removed);
-                    net.mark(new_edge);
-                    Ok(InsertOutcome::Swapped { removed })
-                }
-                _ => Ok(InsertOutcome::NotNeeded),
-            }
-        }
-    }
+    let edge = insert(net, u, v, weight)?;
+    join_or_swap(net, edge, TreeKind::Mst)
 }
 
 /// Processes a decrease of edge `{u, v}`'s weight to `new_weight` in a
@@ -338,7 +282,6 @@ pub fn decrease_weight_mst(
     u: NodeId,
     v: NodeId,
     new_weight: Weight,
-    config: &KktConfig,
 ) -> Result<InsertOutcome, CoreError> {
     let edge = net.graph().edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
     net.change_weight(u, v, new_weight);
@@ -348,39 +291,7 @@ pub fn decrease_weight_mst(
     }
     // A non-tree edge that gets lighter is handled exactly like an insertion,
     // except the edge already exists in the graph.
-    let root = initiator(net, u, v);
-    let other = if root == u { v } else { u };
-    let target_id = net.graph().id_of(other);
-    let query = PathQuery { down: PathQueryDown { target_id } };
-    let _ = config;
-    match net.span(Phase::BroadcastEcho, |net| run_broadcast_echo(net, root, query))? {
-        None => {
-            net.cost_mut().record_message_in(Phase::Announce, 1);
-            net.mark(edge);
-            Ok(InsertOutcome::MergedFragments)
-        }
-        Some(heaviest) => {
-            let new_aug = crate::weights::pack_weight(
-                new_weight,
-                net.graph().edge_number(edge),
-                net.id_bits(),
-            );
-            match heaviest {
-                Some((max_aug, max_edge_number)) if max_aug > new_aug => {
-                    let number = kkt_graphs::EdgeNumber::from_ids(
-                        (max_edge_number >> 64) as u64,
-                        max_edge_number as u64,
-                    );
-                    let removed = crate::weights::resolve_edge(net, number)?.edge;
-                    announce(net, root, max_edge_number)?;
-                    net.unmark(removed);
-                    net.mark(edge);
-                    Ok(InsertOutcome::Swapped { removed })
-                }
-                _ => Ok(InsertOutcome::NotNeeded),
-            }
-        }
-    }
+    join_or_swap(net, edge, TreeKind::Mst)
 }
 
 // ---------------------------------------------------------------------------
@@ -401,17 +312,7 @@ pub fn delete_edge_st<R: Rng + ?Sized>(
     if !was_marked {
         return Ok(DeleteOutcome::NotATreeEdge);
     }
-    let root = initiator(net, u, v);
-    match find_any(net, root, config, rng)? {
-        None => Ok(DeleteOutcome::Bridge),
-        Some(found) => {
-            announce(net, root, found.edge_number.as_u128())?;
-            net.cost_mut()
-                .record_message_in(Phase::Announce, found.edge_number.as_u128().bit_size() as u64);
-            net.mark(found.edge);
-            Ok(DeleteOutcome::Replaced(found))
-        }
-    }
+    repair_cut(net, initiator(net, u, v), TreeKind::St, config, rng)
 }
 
 /// Processes the insertion of edge `{u, v}` into a maintained spanning
@@ -421,22 +322,82 @@ pub fn insert_edge_st(
     u: NodeId,
     v: NodeId,
     weight: Weight,
-    _config: &KktConfig,
 ) -> Result<InsertOutcome, CoreError> {
-    let new_edge = net
-        .insert_edge(u, v, weight)
-        .ok_or(CoreError::Internal(format!("edge ({u},{v}) already exists or is invalid")))?;
+    let edge = insert(net, u, v, weight)?;
+    join_or_swap(net, edge, TreeKind::St)
+}
+
+// ---------------------------------------------------------------------------
+// Shared steps
+// ---------------------------------------------------------------------------
+
+/// Mends the cut around `root`'s tree: `FindMin` (MST) or `FindAny` (ST)
+/// finds a replacement, which is announced through the initiator's tree,
+/// forwarded across the new edge (one extra message) and marked.
+fn repair_cut<R: Rng + ?Sized>(
+    net: &mut Network,
+    root: NodeId,
+    kind: TreeKind,
+    config: &KktConfig,
+    rng: &mut R,
+) -> Result<DeleteOutcome, CoreError> {
+    let outcome = match kind {
+        TreeKind::Mst => find_min(net, root, Budget::Whp, config, rng)?.0,
+        TreeKind::St => find_any(net, root, Budget::Whp, config, rng)?,
+    };
+    match outcome {
+        // A search that gave up (probability n^{-c}) is reported as a bridge
+        // too, although the forest then no longer spans its component.
+        SearchOutcome::NoLeavingEdge | SearchOutcome::GaveUp => Ok(DeleteOutcome::Bridge),
+        SearchOutcome::Found(found) => {
+            announce(net, root, found.edge_number.as_u128())?;
+            net.cost_mut()
+                .record_message_in(Phase::Announce, found.edge_number.as_u128().bit_size() as u64);
+            net.mark(found.edge);
+            Ok(DeleteOutcome::Replaced(found))
+        }
+    }
+}
+
+fn insert(net: &mut Network, u: NodeId, v: NodeId, weight: Weight) -> Result<EdgeId, CoreError> {
+    net.insert_edge(u, v, weight)
+        .ok_or(CoreError::Internal(format!("edge ({u},{v}) already exists or is invalid")))
+}
+
+/// The path query of an insertion (or weight decrease): `edge`'s initiating
+/// endpoint asks, with one broadcast-and-echo, whether the other endpoint
+/// lies in its tree. If not, `edge` joins the forest. If it does and `kind`
+/// is an MST, `edge` displaces the heaviest edge on the tree path between
+/// its endpoints when that edge is heavier.
+fn join_or_swap(
+    net: &mut Network,
+    edge: EdgeId,
+    kind: TreeKind,
+) -> Result<InsertOutcome, CoreError> {
+    let Edge { u, v, weight } = *net.graph().edge(edge);
     let root = initiator(net, u, v);
     let other = if root == u { v } else { u };
-    let target_id = net.graph().id_of(other);
-    let query = PathQuery { down: PathQueryDown { target_id } };
-    match net.span(Phase::BroadcastEcho, |net| run_broadcast_echo(net, root, query))? {
-        None => {
-            net.cost_mut().record_message_in(Phase::Announce, 1);
-            net.mark(new_edge);
-            Ok(InsertOutcome::MergedFragments)
+    let query = PathQuery { down: PathQueryDown { target_id: net.graph().id_of(other) } };
+    let Some(heaviest) =
+        net.span(Phase::BroadcastEcho, |net| run_broadcast_echo(net, root, query))?
+    else {
+        // The endpoints are in different trees: the edge joins the forest.
+        net.cost_mut().record_message_in(Phase::Announce, 1);
+        net.mark(edge);
+        return Ok(InsertOutcome::MergedFragments);
+    };
+    let new_aug = pack_weight(weight, net.graph().edge_number(edge), net.id_bits());
+    match heaviest {
+        Some((max_aug, max_edge_number)) if kind == TreeKind::Mst && max_aug > new_aug => {
+            let number =
+                EdgeNumber::from_ids((max_edge_number >> 64) as u64, max_edge_number as u64);
+            let removed = resolve_edge(net, number)?.edge;
+            announce(net, root, max_edge_number)?;
+            net.unmark(removed);
+            net.mark(edge);
+            Ok(InsertOutcome::Swapped { removed })
         }
-        Some(_) => Ok(InsertOutcome::NotNeeded),
+        _ => Ok(InsertOutcome::NotNeeded),
     }
 }
 
@@ -529,7 +490,7 @@ mod tests {
             .flat_map(|a| (0..20).map(move |b| (a, b)))
             .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
             .unwrap();
-        let outcome = insert_edge_mst(&mut net, a, b, 100_000, &cfg()).unwrap();
+        let outcome = insert_edge_mst(&mut net, a, b, 100_000).unwrap();
         assert_eq!(outcome, InsertOutcome::NotNeeded);
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
         let _ = &mut rng;
@@ -543,7 +504,7 @@ mod tests {
             .flat_map(|a| (0..20).map(move |b| (a, b)))
             .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
             .unwrap();
-        let outcome = insert_edge_mst(&mut net, a, b, 1, &cfg()).unwrap();
+        let outcome = insert_edge_mst(&mut net, a, b, 1).unwrap();
         assert!(matches!(outcome, InsertOutcome::Swapped { .. } | InsertOutcome::NotNeeded));
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
     }
@@ -560,7 +521,7 @@ mod tests {
         let mst = kruskal(&g);
         let mut net = Network::new(g, NetworkConfig::default());
         net.mark_all(&mst.edges);
-        let outcome = insert_edge_mst(&mut net, 2, 5, 7, &cfg()).unwrap();
+        let outcome = insert_edge_mst(&mut net, 2, 5, 7).unwrap();
         assert_eq!(outcome, InsertOutcome::MergedFragments);
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
         assert_eq!(net.graph().component_count(), 1);
@@ -582,7 +543,7 @@ mod tests {
                 net.graph().live_edges().filter(|&x| !net.forest().is_marked(x)).collect();
             if let Some(&non_tree) = non_tree.first() {
                 let e = *net.graph().edge(non_tree);
-                decrease_weight_mst(&mut net, e.u, e.v, 1, &cfg()).unwrap();
+                decrease_weight_mst(&mut net, e.u, e.v, 1).unwrap();
                 verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
             }
         }
@@ -609,7 +570,7 @@ mod tests {
             .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
             .unwrap();
         // Same tree: never marked, regardless of weight.
-        assert_eq!(insert_edge_st(&mut net, a, b, 1, &cfg()).unwrap(), InsertOutcome::NotNeeded);
+        assert_eq!(insert_edge_st(&mut net, a, b, 1).unwrap(), InsertOutcome::NotNeeded);
         verify_spanning_forest(net.graph(), &net.marked_forest_snapshot()).unwrap();
     }
 
