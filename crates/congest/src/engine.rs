@@ -180,18 +180,25 @@ pub struct RunStats {
 #[derive(Debug)]
 pub struct ProgramMap<P> {
     entries: Vec<(NodeId, P)>,
+    /// Entry indices in ascending node order.
     by_node: Vec<u32>,
 }
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
-impl<P> ProgramMap<P> {
-    fn from_entries(entries: Vec<(NodeId, P)>) -> Self {
-        let mut by_node: Vec<u32> = (0..entries.len() as u32).collect();
-        by_node.sort_unstable_by_key(|&i| entries[i as usize].0);
-        ProgramMap { entries, by_node }
+/// The node-sorted index of a run's entries: the touched nodes, sorted as
+/// compact `u32`s, then mapped to their entry indices through the slot
+/// table. Must run before [`EngineScratch::end_run`] clears the table.
+fn index_by_node<P>(entries: &[(NodeId, P)], slots: &[u32]) -> Vec<u32> {
+    let mut by_node: Vec<u32> = entries.iter().map(|&(x, _)| x as u32).collect();
+    by_node.sort_unstable();
+    for handle in &mut by_node {
+        *handle = slots[*handle as usize];
     }
+    by_node
+}
 
+impl<P> ProgramMap<P> {
     fn index_of(&self, node: NodeId) -> Option<usize> {
         self.by_node
             .binary_search_by_key(&node, |&i| self.entries[i as usize].0)
@@ -451,12 +458,14 @@ impl Engine {
             &mut make,
         );
 
-        // Hand the staging buffer's capacity back to the pool and restore the
-        // slot-table invariant, then surface the run's outcome.
+        // Hand the staging buffer's capacity back to the pool, index a
+        // successful run's programs while the slot table still routes them,
+        // restore the table's invariant, then surface the run's outcome.
         out.staged.clear();
         scratch.staged = std::mem::take(&mut out.staged);
+        let by_node = core.map(|()| index_by_node(&entries, &scratch.slots));
         scratch.end_run(entries.iter().map(|&(x, _)| x));
-        core.map(|()| (ProgramMap::from_entries(entries), stats))
+        by_node.map(|by_node| (ProgramMap { entries, by_node }, stats))
     }
 
     /// Convenience wrapper for protocols in which *every* node is an
@@ -735,5 +744,19 @@ mod tests {
             );
         }
         assert!(programs.get(usize::MAX - 1).is_none());
+
+        // A partial run: a relay from node 0 touches a handful of nodes, in
+        // an activation order that is not node order. The index answers for
+        // exactly those nodes.
+        let (programs, _) = Engine::run(&mut network, &[0], |_| Relay { hops_left: 6 }).unwrap();
+        let touched: Vec<NodeId> = programs.iter().map(|(x, _)| x).collect();
+        assert!(touched.len() > 1 && touched.len() < 40, "a partial run, got {touched:?}");
+        assert!(!touched.is_sorted(), "activation order differs from node order");
+        for (node, p) in programs.iter() {
+            assert_eq!(programs.get(node).map(|q| q.hops_left), Some(p.hops_left));
+        }
+        for x in (0..40).filter(|x| !touched.contains(x)) {
+            assert!(programs.get(x).is_none(), "untouched node {x} has no program");
+        }
     }
 }

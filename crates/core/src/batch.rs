@@ -56,7 +56,7 @@ use kkt_graphs::NodeId;
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_any::AnySearch;
-use crate::find_min::{weight_bits, MinSearch};
+use crate::find_min::MinSearch;
 use crate::maintained::{TreeKind, UpdateOutcome};
 use crate::repair::{
     announce, decrease_weight_mst, insert_edge_mst, insert_edge_st, DeleteOutcome,
@@ -386,8 +386,6 @@ fn flush<R: Rng>(
         }
     }
 
-    let weight_bits = weight_bits(net);
-
     // -- Borůvka rounds ----------------------------------------------------
     loop {
         // Group the current merge-representatives by cluster.
@@ -464,13 +462,9 @@ fn flush<R: Rng>(
             .iter()
             .map(|&r| {
                 let search = match kind {
-                    TreeKind::Mst => FragmentSearch::Min(MinSearch::new(
-                        net,
-                        &stat_of(r),
-                        Budget::Whp,
-                        weight_bits,
-                        config,
-                    )),
+                    TreeKind::Mst => {
+                        FragmentSearch::Min(MinSearch::new(net, &stat_of(r), Budget::Whp, config))
+                    }
                     TreeKind::St => FragmentSearch::Any(AnySearch::new(n, Budget::Whp, config)),
                 };
                 let rng = StdRng::seed_from_u64(rng.gen());

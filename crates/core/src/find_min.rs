@@ -73,20 +73,19 @@ enum Awaiting {
 
 impl MinSearch {
     /// Seeds a search from its tree's [`TreeStats`] echo (step 2 of the
-    /// paper). `weight_bits` is [`weight_bits`] of `net`, which callers
-    /// running many searches compute once.
+    /// paper).
     pub(crate) fn new(
         net: &Network,
         stats: &TreeStatsOutput,
         budget: Budget,
-        weight_bits: u32,
         config: &KktConfig,
     ) -> MinSearch {
         let n = net.node_count();
         let repeats = config.testout_repeats.clamp(1, 64);
+        let bits = weight_bits(net);
         let budget = match budget {
-            Budget::Whp => config.findmin_budget(n, weight_bits),
-            Budget::Constant => config.findmin_c_budget(n, weight_bits),
+            Budget::Whp => config.findmin_budget(n, bits),
+            Budget::Constant => config.findmin_c_budget(n, bits),
         };
         MinSearch {
             interval: WeightInterval::up_to_raw(stats.max_weight, net.id_bits()),
@@ -196,13 +195,12 @@ pub fn find_min<R: Rng + ?Sized>(
     config: &KktConfig,
     rng: &mut R,
 ) -> Result<(SearchOutcome, FindMinTrace), CoreError> {
-    let weight_bits = weight_bits(net);
     // The whole narrowing search — statistics wave, TestOut iterations,
     // identification — bills to one phase; attribution only, costs unchanged.
     net.span(Phase::FindMinNarrow, |net| {
         // Step 2: learn maxWt(T) (and the degree sum) in one broadcast-and-echo.
         let stats = run_broadcast_echo(net, root, TreeStats)?;
-        let mut search = MinSearch::new(net, &stats, budget, weight_bits, config);
+        let mut search = MinSearch::new(net, &stats, budget, config);
         let outcome = drive(net, root, &mut search, rng)?;
         if let Some(metrics) = net.metrics_mut() {
             let bounds = Histogram::pow2_bounds(10);
@@ -215,6 +213,7 @@ pub fn find_min<R: Rng + ?Sized>(
 
 /// Number of bits of the augmented-weight universe for this network (raw
 /// weight bits + 2·`id_bits` tie-break bits), used to size retry budgets.
+/// O(1): the graph maintains its maximum weight.
 pub(crate) fn weight_bits(net: &Network) -> u32 {
     let raw_bits = 64 - net.graph().max_weight().leading_zeros();
     raw_bits + 2 * net.id_bits()

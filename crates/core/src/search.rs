@@ -326,7 +326,7 @@ mod tests {
     use super::*;
     use crate::config::KktConfig;
     use crate::find_any::AnySearch;
-    use crate::find_min::{weight_bits, MinSearch};
+    use crate::find_min::MinSearch;
     use crate::maintained::TreeKind;
     use kkt_congest::broadcast_echo::TreeStats;
     use kkt_congest::{CostReport, NetworkConfig, Scheduler};
@@ -357,7 +357,7 @@ mod tests {
         let coins = StdRng::seed_from_u64(seed ^ 0xD1FF);
         let outcome = match kind {
             TreeKind::Mst => {
-                let search = MinSearch::new(&net, &stats, budget, weight_bits(&net), &config);
+                let search = MinSearch::new(&net, &stats, budget, &config);
                 run(&mut net, root, search, coins, Phase::FindMinNarrow, waves)
             }
             TreeKind::St => {

@@ -27,6 +27,12 @@
 //! * The live-edge count is maintained incrementally, so [`Graph::edge_count`]
 //!   is O(1), and [`Graph::cut_iter`]/[`Graph::live_edges`] stream without
 //!   allocating.
+//! * The largest live weight is maintained, not scanned: every mutation
+//!   updates it together with the number of live edges carrying it, and the
+//!   live edges are rescanned only when the last of those leaves or is
+//!   lowered (so churn on a graph whose edges all weigh 1 never rescans).
+//!   [`Graph::max_weight`], which every `FindMin` reads to size its retry
+//!   budget, is O(1).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -291,6 +297,40 @@ impl PairTable {
 }
 
 // ---------------------------------------------------------------------------
+// Maintained maximum weight
+// ---------------------------------------------------------------------------
+
+/// The largest raw weight over live edges and how many live edges carry it
+/// (`count == 0` iff no edge is live).
+#[derive(Debug, Clone, Copy, Default)]
+struct LiveMax {
+    weight: Weight,
+    count: usize,
+}
+
+impl LiveMax {
+    /// Accounts an edge of `weight` becoming live.
+    fn insert(&mut self, weight: Weight) {
+        if self.count == 0 || weight > self.weight {
+            *self = LiveMax { weight, count: 1 };
+        } else if weight == self.weight {
+            self.count += 1;
+        }
+    }
+
+    /// Accounts a live edge of `weight` leaving. Returns false when it was
+    /// the last one carrying the maximum, which the owner must then rescan.
+    #[must_use]
+    fn remove(&mut self, weight: Weight) -> bool {
+        if weight != self.weight {
+            return true;
+        }
+        self.count -= 1;
+        self.count > 0
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The graph
 // ---------------------------------------------------------------------------
 
@@ -306,6 +346,7 @@ pub struct Graph {
     edges: Vec<Edge>,
     alive: Vec<bool>,
     live_count: usize,
+    max: LiveMax,
     adjacency: AdjArena,
     present: PairTable,
     /// `(id, node)` sorted by id, for O(log n) [`Graph::node_with_id`].
@@ -342,6 +383,7 @@ impl Graph {
             edges: Vec::new(),
             alive: Vec::new(),
             live_count: 0,
+            max: LiveMax::default(),
             adjacency: AdjArena::new(n),
             present: PairTable::new(),
             id_index,
@@ -391,6 +433,7 @@ impl Graph {
         self.edges.push(Edge { u: u.min(v), v: u.max(v), weight });
         self.alive.push(true);
         self.live_count += 1;
+        self.max.insert(weight);
         self.adjacency.push(u, AdjEntry { neighbor: v as u32, edge: id.0 as u32 });
         self.adjacency.push(v, AdjEntry { neighbor: u as u32, edge: id.0 as u32 });
         self.present.insert(key, id.0 as u32);
@@ -409,6 +452,7 @@ impl Graph {
         let raw = self.present.remove(pack_pair(u, v))?;
         self.alive[raw as usize] = false;
         self.live_count -= 1;
+        self.forget_weight(self.edges[raw as usize].weight);
         self.adjacency.remove(u, raw);
         self.adjacency.remove(v, raw);
         Some(EdgeId(raw as usize))
@@ -417,9 +461,26 @@ impl Graph {
     /// Changes the raw weight of live edge `{u, v}`, returning the old weight.
     pub fn set_weight(&mut self, u: NodeId, v: NodeId, weight: Weight) -> Option<Weight> {
         let id = self.edge_between(u, v)?;
-        let old = self.edges[id.0].weight;
-        self.edges[id.0].weight = weight;
+        let old = std::mem::replace(&mut self.edges[id.0].weight, weight);
+        // Count the new weight before withdrawing the old one: the other
+        // order could rescan with the new weight already in place and then
+        // count it twice.
+        self.max.insert(weight);
+        self.forget_weight(old);
         Some(old)
+    }
+
+    /// Withdraws a weight that is no longer live from the maintained
+    /// maximum. The O(m) rescan runs only when the last live edge carrying
+    /// the maximum left or was lowered.
+    fn forget_weight(&mut self, weight: Weight) {
+        if !self.max.remove(weight) {
+            let mut max = LiveMax::default();
+            for e in self.live_edges() {
+                max.insert(self.edges[e.0].weight);
+            }
+            self.max = max;
+        }
     }
 
     /// The edge record for `id`. Valid for tombstoned edges too.
@@ -479,12 +540,18 @@ impl Graph {
         UniqueWeight::new(self.edge(id).weight, self.edge_number(id))
     }
 
-    /// Maximum raw weight over live edges (1 if there are no edges).
+    /// Maximum raw weight over live edges (1 if there are no edges). O(1):
+    /// the maximum is maintained by every mutation, not scanned.
     pub fn max_weight(&self) -> Weight {
-        self.live_edges().map(|e| self.edge(e).weight).max().unwrap_or(1)
+        if self.max.count == 0 {
+            1
+        } else {
+            self.max.weight
+        }
     }
 
-    /// Maximum edge number over live edges incident to the given node set.
+    /// Maximum edge number over all live edges (that of IDs `1, 2` if there
+    /// are no edges). An O(m) scan.
     pub fn max_edge_number(&self) -> EdgeNumber {
         self.live_edges().map(|e| self.edge_number(e)).max().unwrap_or(EdgeNumber::from_ids(1, 2))
     }
@@ -554,8 +621,8 @@ impl Graph {
 
 // ---------------------------------------------------------------------------
 // Serialization: the wire format carries only the logical state (ids, edge
-// table, liveness); the CSR arena, pair table and ID index are derived
-// structures rebuilt on deserialization.
+// table, liveness); the CSR arena, pair table, ID index and maximum live
+// weight are derived structures rebuilt on deserialization.
 // ---------------------------------------------------------------------------
 
 impl Serialize for Graph {
@@ -589,6 +656,7 @@ impl Deserialize for Graph {
                     return Err(serde::DeError::new("Graph edge has invalid endpoints"));
                 }
                 g.live_count += 1;
+                g.max.insert(edge.weight);
                 g.adjacency.push(edge.u, AdjEntry { neighbor: edge.v as u32, edge: id.0 as u32 });
                 g.adjacency.push(edge.v, AdjEntry { neighbor: edge.u as u32, edge: id.0 as u32 });
                 g.present.insert(pack_pair(edge.u, edge.v), id.0 as u32);
@@ -806,6 +874,12 @@ mod tests {
             assert_eq!(back.edge(e), g.edge(e));
         }
         assert_eq!(back.edge_between(1, 2), g.edge_between(1, 2));
+        assert_eq!(back.max_weight(), 9);
+        // The maximum is rebuilt from live edges only: a tombstoned heaviest
+        // edge does not survive the round trip.
+        g.remove_edge(1, 2);
+        let back = Graph::from_value(&g.to_value()).unwrap();
+        assert_eq!((g.max_weight(), back.max_weight()), (7, 7));
     }
 
     #[test]

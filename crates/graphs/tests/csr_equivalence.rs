@@ -8,7 +8,9 @@
 //! * same `edge_between` / `is_live` / `degree` / `edge_count`,
 //! * same `incident` iteration **order** (insertion order — the order that
 //!   feeds view construction and hence the async scheduler's RNG),
-//! * same `live_edges`, `cut`, and component structure.
+//! * same `live_edges`, `cut`, and component structure,
+//! * same `max_weight`: the maintained maximum equals a scan of the
+//!   reference's live edges (1 if none).
 
 use std::collections::BTreeSet;
 
@@ -88,11 +90,16 @@ impl RefGraph {
     fn live_edges(&self) -> Vec<usize> {
         (0..self.edges.len()).filter(|&e| self.alive[e]).collect()
     }
+
+    fn max_weight(&self) -> u64 {
+        self.live_edges().into_iter().map(|e| self.edges[e].2).max().unwrap_or(1)
+    }
 }
 
 fn assert_equivalent(g: &Graph, r: &RefGraph, case: u64, step: usize) {
     let ctx = |what: &str| format!("case {case} step {step}: {what}");
     assert_eq!(g.edge_count(), r.live_edges().len(), "{}", ctx("edge_count"));
+    assert_eq!(g.max_weight(), r.max_weight(), "{}", ctx("max_weight"));
     assert_eq!(
         g.live_edges().map(|e| e.0).collect::<Vec<_>>(),
         r.live_edges(),
@@ -248,6 +255,7 @@ fn csr_graph_clone_is_independent() {
         g.add_edge(u, v, rng.gen_range(1..50));
     }
     let snapshot: Vec<EdgeId> = g.live_edges().collect();
+    let max = g.max_weight();
     let mut clone = g.clone();
     // Mutate the clone heavily; the original must not move.
     for &e in &snapshot {
@@ -255,7 +263,9 @@ fn csr_graph_clone_is_independent() {
         clone.remove_edge(edge.u, edge.v);
     }
     assert_eq!(clone.edge_count(), 0);
+    assert_eq!(clone.max_weight(), 1, "an empty graph reads 1");
     assert_eq!(g.live_edges().collect::<Vec<_>>(), snapshot);
+    assert_eq!(g.max_weight(), max);
     for &e in &snapshot {
         assert!(g.is_live(e));
     }
