@@ -21,7 +21,7 @@ use kkt_bench::Scale;
 fn main() {
     let scale = Scale::from_env();
     let seed = kkt_bench::seed_from_env();
-    let only_n = std::env::var("KKT_EXP13_N").ok().and_then(|s| s.parse().ok());
+    let only_n = kkt_bench::env_number("KKT_EXP13_N");
     let (table, report) = experiments::exp13_dynamic_density(scale, seed, only_n);
     eprintln!("{table}");
     println!("{}", serde_json::to_string_pretty(&report).expect("report serialises"));

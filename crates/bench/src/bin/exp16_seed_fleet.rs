@@ -20,7 +20,7 @@ use kkt_bench::Scale;
 fn main() {
     let scale = Scale::from_env();
     let seed = kkt_bench::seed_from_env();
-    let only_n = std::env::var("KKT_EXP16_N").ok().and_then(|s| s.parse().ok());
+    let only_n = kkt_bench::env_number("KKT_EXP16_N");
     let threads = kkt_bench::threads_from_env();
     let (table, report) = experiments::exp16_seed_fleet(scale, seed, only_n, threads);
     eprintln!("{table}");

@@ -10,19 +10,20 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use kkt_baselines::{build_mst_ghs, build_st_by_flooding, flood_repair_delete};
-use kkt_congest::{Network, NetworkConfig};
+use kkt_congest::{Network, NetworkConfig, Phase};
 use kkt_core::{
     build_mst, build_st, delete_edge_mst, delete_edge_st, find_any, find_min, hp_test_out,
     insert_edge_mst, test_out, Budget, DeleteOutcome, KktConfig, WeightInterval,
 };
 use kkt_graphs::{generators, kruskal, Graph};
+use kkt_workloads::report::{scheduler_label, tree_kind_label};
 use kkt_workloads::{
-    run_churn_suite, AdversarialTreeCut, AnatomyPoint, ChurnSuiteReport, CostAnatomyReport,
-    Density, DensityPoint, DensitySweepReport, MaintenancePolicy, MixedPhases, MultiEdgeCuts,
-    PhaseAccumulator, PoissonChurn, ReplayConfig, ReplayHarness, ScalePoint, ScaleSweepReport,
-    Scenario, ScenarioComparison, SuiteParams,
+    AnatomyPoint, CostAnatomyReport, Density, MaintenancePolicy, MixedPhases, MultiEdgeCuts,
+    PhaseAccumulator, ReplayReport, Scenario, SuiteParams, Sweep, SweepCell, SweepPoint,
+    SweepReport,
 };
 
+use crate::fleet::FleetScenario;
 use crate::stats::Summary;
 use crate::table::Table;
 use crate::Scale;
@@ -435,6 +436,63 @@ pub fn exp8_density_crossover(scale: Scale, seed: u64) -> Table {
     table
 }
 
+/// The rungs of `ladder` that a `KKT_EXP*_N` restriction (`var`) keeps.
+///
+/// # Panics
+///
+/// If the restriction matches no rung: an empty sweep would exit 0 with an
+/// empty report, and a CI byte-compare would pass on two trivially
+/// identical files.
+fn restrict(var: &str, scale: Scale, only_n: Option<usize>, ladder: Vec<usize>) -> Vec<usize> {
+    let sizes: Vec<usize> =
+        ladder.iter().copied().filter(|&n| only_n.is_none_or(|only| only == n)).collect();
+    assert!(
+        !sizes.is_empty(),
+        "{var}={only_n:?} matches no rung of the {scale:?} ladder {ladder:?}"
+    );
+    sizes
+}
+
+/// Every MST policy over the seed fleet's two churn regimes in `cells` (the
+/// grid of E11, E13 and E14): steady background churn (how often does churn
+/// hit the tree?) and the adversary that severs a tree edge on every
+/// deletion (what does a forced repair cost?).
+fn churn_sweep(cells: Vec<SweepCell>) -> Sweep {
+    let max_weight = cells[0].params.max_weight;
+    Sweep {
+        cells,
+        scenarios: FleetScenario::ALL.iter().map(|s| s.generator(max_weight)).collect(),
+        policies: MaintenancePolicy::all_for(kkt_core::TreeKind::Mst),
+    }
+}
+
+/// The E13/E14 grid: every rung of [`Density::LADDER`] at each grid size.
+fn density_grid(var: &str, scale: Scale, seed: u64, only_n: Option<usize>) -> Sweep {
+    let sizes = restrict(var, scale, only_n, scale.density_grid_sizes());
+    churn_sweep(
+        sizes
+            .into_iter()
+            .flat_map(|n| Density::LADDER.map(|density| SweepCell::preset(n, density, seed)))
+            .collect(),
+    )
+}
+
+/// A sweep report's replays, each beside its point, in report order.
+fn replays(report: &SweepReport) -> Vec<(&SweepPoint, &ReplayReport)> {
+    report.points.iter().flat_map(|p| p.reports.iter().map(move |r| (p, r))).collect()
+}
+
+/// `value` per top-level event of `r`, rounded.
+fn per_event(value: u64, r: &ReplayReport) -> String {
+    format!("{:.0}", value as f64 / r.top_level_events.max(1) as f64)
+}
+
+/// `r`'s bits over those of the point's `baseline` replay, to `digits`.
+fn bits_vs(point: &SweepPoint, r: &ReplayReport, baseline: &str, digits: usize) -> String {
+    let base = point.report_for(baseline).map_or(0, |b| b.total.bits).max(1);
+    format!("{:.digits$}x", r.total.bits as f64 / base as f64)
+}
+
 /// E9 — churn policies: the standard scenario battery (Poisson churn,
 /// adversarial tree-cut, partition-and-heal, weight drift, mixed lifecycle)
 /// replayed under impromptu repair vs rebuild-from-scratch policies. The
@@ -444,50 +502,33 @@ pub fn exp8_density_crossover(scale: Scale, seed: u64) -> Table {
 /// Returns the printable table *and* the full sealed JSON report (the
 /// `exp9_churn_policies` binary prints the former to stderr and the latter
 /// to stdout).
-pub fn exp9_churn_policies(scale: Scale, seed: u64) -> (Table, ChurnSuiteReport) {
-    let params = match scale {
-        Scale::Quick => SuiteParams {
-            n: 48,
-            m: 4 * 48,
-            events: 12,
-            verify_every: 4,
-            seed,
-            ..SuiteParams::default()
+pub fn exp9_churn_policies(scale: Scale, seed: u64) -> (Table, SweepReport) {
+    let cell = match scale {
+        Scale::Quick => SweepCell {
+            density: Density::Ratio(4),
+            params: SuiteParams { events: 12, seed, ..SuiteParams::with_n(48) },
         },
         // The ROADMAP's Scale item: the large tier runs the whole battery at
         // n = 1024 through the `scale_preset` ladder (incremental-oracle
         // checkpoints and the index-addressed engine are what make this a
         // minutes-scale sweep instead of an hours-scale one).
-        Scale::Large => SuiteParams { seed, ..SuiteParams::scale_preset(1024) },
+        Scale::Large => SweepCell::preset(1024, Density::Ratio(4), seed),
     };
-    let report = run_churn_suite(&params).expect("churn suite replays and verifies");
-    let mut table = Table::new(
+    let report = Sweep::battery(cell).run().expect("churn suite replays and verifies");
+    let table = Table::of_rows(
         "E9: churn policies — impromptu repair vs rebuild, total cost over the whole trace",
+        &replays(&report),
         &[
-            "scenario",
-            "policy",
-            "events",
-            "msgs_total",
-            "bits_total",
-            "msgs/event",
-            "msgs/event(max)",
-            "checkpoints",
+            ("scenario", |(p, _)| p.scenario.clone()),
+            ("policy", |(_, r)| r.policy.clone()),
+            ("events", |(_, r)| r.top_level_events.to_string()),
+            ("msgs_total", |(_, r)| r.total.messages.to_string()),
+            ("bits_total", |(_, r)| r.total.bits.to_string()),
+            ("msgs/event", |(_, r)| format!("{:.0}", r.mean_messages_per_event)),
+            ("msgs/event(max)", |(_, r)| r.max_messages_per_event.to_string()),
+            ("checkpoints", |(_, r)| r.checkpoints_verified.to_string()),
         ],
     );
-    for scenario in &report.scenarios {
-        for r in &scenario.reports {
-            table.push_row(vec![
-                scenario.scenario.clone(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.messages.to_string(),
-                r.total.bits.to_string(),
-                format!("{:.0}", r.mean_messages_per_event),
-                r.max_messages_per_event.to_string(),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
-    }
     (table, report)
 }
 
@@ -501,87 +542,47 @@ pub fn exp9_churn_policies(scale: Scale, seed: u64) -> (Table, ChurnSuiteReport)
 /// Returns the printable table *and* the sealed deterministic JSON report
 /// (the `exp10_batched_repair` binary prints the former to stderr and the
 /// latter to stdout; CI asserts the JSON is byte-identical across runs).
-pub fn exp10_batched_repair(scale: Scale, seed: u64) -> (Table, ChurnSuiteReport) {
-    let (n, m, events, burst_sizes): (usize, usize, usize, Vec<usize>) = match scale {
-        Scale::Quick => (48, 4 * 48, 6, vec![1, 2, 4, 8]),
-        Scale::Large => (128, 8 * 128, 10, vec![1, 2, 4, 8, 16]),
+pub fn exp10_batched_repair(scale: Scale, seed: u64) -> (Table, SweepReport) {
+    let (n, density, events, burst_sizes) = match scale {
+        Scale::Quick => (48, Density::Ratio(4), 6, vec![1, 2, 4, 8]),
+        Scale::Large => (128, Density::Ratio(8), 10, vec![1, 2, 4, 8, 16]),
     };
-    let params = SuiteParams { n, m, events, seed, verify_every: 2, ..SuiteParams::default() };
-    let base = params.base_graph();
-    let harness = ReplayHarness::new(ReplayConfig {
-        kind: params.kind,
-        scheduler: params.scheduler,
-        verify_every: params.verify_every,
-        seed,
-        ..ReplayConfig::default()
-    });
-    let policies = [
-        MaintenancePolicy::Impromptu,
-        MaintenancePolicy::BatchedRepair,
-        MaintenancePolicy::RebuildKkt,
-    ];
-    let mut scenarios = Vec::new();
-    for &k in &burst_sizes {
-        let scenario = MultiEdgeCuts { burst_size: k, max_weight: params.max_weight };
-        let workload = scenario.generate(&base, events, seed);
-        let stats = workload.validate(&base).expect("generated trace is applicable");
-        let mut reports = Vec::new();
-        for policy in policies {
-            reports.push(
-                harness
-                    .replay(&base, &workload, policy)
-                    .expect("every checkpoint verifies against the Kruskal oracle"),
-            );
-        }
-        scenarios.push(ScenarioComparison {
-            scenario: workload.scenario.clone(),
-            workload_fingerprint: workload.fingerprint(),
-            stats,
-            reports,
-        });
-    }
-    let mut report = ChurnSuiteReport {
-        n: base.node_count(),
-        m: base.edge_count(),
-        events_per_scenario: events,
-        m_over_n: kkt_workloads::report::m_over_n(&base),
-        seed,
-        tree_kind: "mst".to_string(),
-        scheduler: kkt_workloads::report::scheduler_label(params.scheduler),
-        scenarios,
-        fingerprint: String::new(),
+    let preset = SweepCell::preset(n, density, seed);
+    let params = SuiteParams { events, verify_every: 2, ..preset.params };
+    let max_weight = params.max_weight;
+    let sweep = Sweep {
+        cells: vec![SweepCell { params, ..preset }],
+        scenarios: burst_sizes
+            .iter()
+            .map(|&burst_size| {
+                Box::new(MultiEdgeCuts { burst_size, max_weight }) as Box<dyn Scenario>
+            })
+            .collect(),
+        policies: vec![
+            MaintenancePolicy::Impromptu,
+            MaintenancePolicy::BatchedRepair,
+            MaintenancePolicy::RebuildKkt,
+        ],
     };
-    report.seal();
+    let report = sweep.run().expect("every checkpoint verifies against the Kruskal oracle");
 
-    let mut table = Table::new(
+    let rows: Vec<(usize, &SweepPoint, &ReplayReport)> = (report.points.iter().zip(&burst_sizes))
+        .flat_map(|(p, &k)| p.reports.iter().map(move |r| (k, p, r)))
+        .collect();
+    let table = Table::of_rows(
         "E10: batched repair — sequential vs batched vs rebuild on k simultaneous cuts",
+        &rows,
         &[
-            "k",
-            "policy",
-            "events",
-            "msgs_total",
-            "bits_total",
-            "time_total",
-            "vs_seq(bits)",
-            "checkpoints",
+            ("k", |(k, _, _)| k.to_string()),
+            ("policy", |(_, _, r)| r.policy.clone()),
+            ("events", |(_, _, r)| r.top_level_events.to_string()),
+            ("msgs_total", |(_, _, r)| r.total.messages.to_string()),
+            ("bits_total", |(_, _, r)| r.total.bits.to_string()),
+            ("time_total", |(_, _, r)| r.total.time.to_string()),
+            ("vs_seq(bits)", |(_, p, r)| bits_vs(p, r, "impromptu_repair", 2)),
+            ("checkpoints", |(_, _, r)| r.checkpoints_verified.to_string()),
         ],
     );
-    for (scenario, &k) in report.scenarios.iter().zip(&burst_sizes) {
-        let sequential_bits =
-            scenario.report_for("impromptu_repair").map(|r| r.total.bits).unwrap_or(0).max(1);
-        for r in &scenario.reports {
-            table.push_row(vec![
-                k.to_string(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.messages.to_string(),
-                r.total.bits.to_string(),
-                r.total.time.to_string(),
-                format!("{:.2}x", r.total.bits as f64 / sequential_bits as f64),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
-    }
     (table, report)
 }
 
@@ -599,114 +600,29 @@ pub fn exp10_batched_repair(scale: Scale, seed: u64) -> (Table, ChurnSuiteReport
 /// reports.
 ///
 /// Returns the printable table *and* the sealed deterministic JSON report.
-pub fn exp11_scale_sweep(
-    scale: Scale,
-    seed: u64,
-    only_n: Option<usize>,
-) -> (Table, ScaleSweepReport) {
-    let sizes: Vec<usize> = scale
-        .scale_sweep_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    // An unmatched restriction must fail loudly: an empty sweep would exit 0
-    // with an empty report, and the CI determinism guard would green-light
-    // while comparing two trivially identical files.
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP11_N={:?} matches no rung of the {:?} ladder {:?}",
-        only_n,
-        scale,
-        scale.scale_sweep_sizes()
+pub fn exp11_scale_sweep(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table, SweepReport) {
+    let sizes = restrict("KKT_EXP11_N", scale, only_n, scale.scale_sweep_sizes());
+    let sweep = churn_sweep(
+        sizes.into_iter().map(|n| SweepCell::preset(n, Density::Ratio(4), seed)).collect(),
     );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
-    let mut points = Vec::new();
-    let mut scheduler = String::new();
-    for n in sizes {
-        let params = SuiteParams { seed, ..SuiteParams::scale_preset(n) };
-        let base = params.base_graph();
-        let harness = ReplayHarness::new(ReplayConfig {
-            kind: params.kind,
-            scheduler: params.scheduler,
-            verify_every: params.verify_every,
-            seed,
-            ..ReplayConfig::default()
-        });
-        scheduler = kkt_workloads::report::scheduler_label(params.scheduler);
-        // Two regimes per rung: steady-state background churn, and the
-        // adversary that severs a current tree edge on every deletion —
-        // the latter forces a real FindMin repair per event, which is what
-        // the repair-vs-rebuild scaling exponents are measured on.
-        let scenarios: Vec<Box<dyn Scenario>> = vec![
-            Box::new(PoissonChurn { delete_fraction: 0.5, max_weight: params.max_weight }),
-            Box::new(AdversarialTreeCut { max_weight: params.max_weight }),
-        ];
-        for scenario in scenarios {
-            let workload = scenario.generate(&base, params.events, seed);
-            let stats = workload.validate(&base).expect("generated trace is applicable");
-            let mut reports = Vec::new();
-            for &policy in &policies {
-                reports.push(
-                    harness
-                        .replay(&base, &workload, policy)
-                        .expect("every checkpoint verifies against the shadow oracle"),
-                );
-            }
-            points.push(ScalePoint {
-                n: base.node_count(),
-                m: base.edge_count(),
-                events: workload.len(),
-                verify_every: params.verify_every,
-                scenario: workload.scenario.clone(),
-                workload_fingerprint: workload.fingerprint(),
-                stats,
-                reports,
-            });
-        }
-    }
-    let mut report = ScaleSweepReport {
-        seed,
-        tree_kind: "mst".to_string(),
-        scheduler,
-        points,
-        fingerprint: String::new(),
-    };
-    report.seal();
+    let report = sweep.run().expect("every checkpoint verifies against the shadow oracle");
 
-    let mut table = Table::new(
+    let table = Table::of_rows(
         "E11: scale sweep — bits per event vs n, repair policies vs rebuild baselines",
+        &replays(&report),
         &[
-            "n",
-            "m",
-            "scenario",
-            "policy",
-            "events",
-            "bits_total",
-            "bits/event",
-            "msgs/event",
-            "vs_rebuild(bits)",
-            "checkpoints",
+            ("n", |(p, _)| p.n.to_string()),
+            ("m", |(p, _)| p.m.to_string()),
+            ("scenario", |(p, _)| p.scenario.clone()),
+            ("policy", |(_, r)| r.policy.clone()),
+            ("events", |(_, r)| r.top_level_events.to_string()),
+            ("bits_total", |(_, r)| r.total.bits.to_string()),
+            ("bits/event", |(_, r)| per_event(r.total.bits, r)),
+            ("msgs/event", |(_, r)| per_event(r.total.messages, r)),
+            ("vs_rebuild(bits)", |(p, r)| bits_vs(p, r, "rebuild_kkt", 3)),
+            ("checkpoints", |(_, r)| r.checkpoints_verified.to_string()),
         ],
     );
-    for point in &report.points {
-        let rebuild_bits =
-            point.report_for("rebuild_kkt").map(|r| r.total.bits).unwrap_or(0).max(1);
-        for r in &point.reports {
-            let events = r.top_level_events.max(1) as f64;
-            table.push_row(vec![
-                point.n.to_string(),
-                point.m.to_string(),
-                point.scenario.clone(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.bits.to_string(),
-                format!("{:.0}", r.total.bits as f64 / events),
-                format!("{:.0}", r.total.messages as f64 / events),
-                format!("{:.3}x", r.total.bits as f64 / rebuild_bits as f64),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
-    }
     (table, report)
 }
 
@@ -769,58 +685,40 @@ pub struct WallclockReport {
 /// record; only `seconds` is allowed to change across machines or PRs — a
 /// pure data-plane optimization shows up here and *only* here.
 pub fn exp12_wallclock(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table, WallclockReport) {
-    let sizes: Vec<usize> = scale
-        .scale_sweep_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP12_N={:?} matches no rung of the {:?} ladder {:?}",
-        only_n,
-        scale,
-        scale.scale_sweep_sizes()
-    );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
-    let mut rungs = Vec::new();
-    for n in sizes {
-        let params = SuiteParams { seed, ..SuiteParams::scale_preset(n) };
-        let base = params.base_graph();
-        let harness = ReplayHarness::new(ReplayConfig {
-            kind: params.kind,
-            scheduler: params.scheduler,
-            verify_every: params.verify_every,
-            seed,
-            ..ReplayConfig::default()
-        });
-        let scenario = MixedPhases::standard(params.max_weight);
-        let workload = scenario.generate(&base, params.events, seed);
-        let mut timed = Vec::new();
-        for &policy in &policies {
+    let sizes = restrict("KKT_EXP12_N", scale, only_n, scale.scale_sweep_sizes());
+    let cells: Vec<SweepCell> =
+        sizes.into_iter().map(|n| SweepCell::preset(n, Density::Ratio(4), seed)).collect();
+    let sweep = Sweep {
+        scenarios: vec![Box::new(MixedPhases::standard(cells[0].params.max_weight))],
+        cells,
+        policies: MaintenancePolicy::all_for(kkt_core::TreeKind::Mst),
+    };
+    let timed = sweep
+        .replay_each(|setup, workload, policy| {
             // Clock read allowed (clippy.toml/R2): exp12 *is* the wall-clock
             // experiment; its seconds column is never fingerprinted.
             #[allow(clippy::disallowed_methods)]
             let start = std::time::Instant::now();
-            let report = harness
-                .replay(&base, &workload, policy)
-                .expect("every checkpoint verifies against the shadow oracle");
-            let seconds = start.elapsed().as_secs_f64();
-            timed.push(WallclockPolicy {
-                policy: report.policy.clone(),
-                seconds,
+            let report = setup.harness.replay(&setup.base, workload, policy)?;
+            Ok(WallclockPolicy {
+                seconds: start.elapsed().as_secs_f64(),
+                policy: report.policy,
                 bits: report.total.bits,
                 messages: report.total.messages,
                 checkpoints: report.checkpoints_verified,
-            });
-        }
-        rungs.push(WallclockRung {
-            n: base.node_count(),
-            m: base.edge_count(),
-            events: workload.len(),
-            scenario: workload.scenario.clone(),
-            policies: timed,
-        });
-    }
+            })
+        })
+        .expect("every checkpoint verifies against the shadow oracle");
+    let rungs = timed
+        .into_iter()
+        .map(|(point, policies)| WallclockRung {
+            n: point.n,
+            m: point.m,
+            events: point.events,
+            scenario: point.scenario,
+            policies,
+        })
+        .collect();
     let report = WallclockReport {
         schema: 1,
         seed,
@@ -831,24 +729,22 @@ pub fn exp12_wallclock(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table
         rungs,
     };
 
-    let mut table = Table::new(
+    let rows: Vec<(&WallclockRung, &WallclockPolicy)> =
+        report.rungs.iter().flat_map(|rung| rung.policies.iter().map(move |p| (rung, p))).collect();
+    let table = Table::of_rows(
         "E12: wall-clock of the data plane — mixed-lifecycle replay, seconds per policy",
-        &["n", "m", "scenario", "policy", "events", "seconds", "bits_total", "checkpoints"],
+        &rows,
+        &[
+            ("n", |(rung, _)| rung.n.to_string()),
+            ("m", |(rung, _)| rung.m.to_string()),
+            ("scenario", |(rung, _)| rung.scenario.clone()),
+            ("policy", |(_, p)| p.policy.clone()),
+            ("events", |(rung, _)| rung.events.to_string()),
+            ("seconds", |(_, p)| format!("{:.3}", p.seconds)),
+            ("bits_total", |(_, p)| p.bits.to_string()),
+            ("checkpoints", |(_, p)| p.checkpoints.to_string()),
+        ],
     );
-    for rung in &report.rungs {
-        for p in &rung.policies {
-            table.push_row(vec![
-                rung.n.to_string(),
-                rung.m.to_string(),
-                rung.scenario.clone(),
-                p.policy.clone(),
-                rung.events.to_string(),
-                format!("{:.3}", p.seconds),
-                p.bits.to_string(),
-                p.checkpoints.to_string(),
-            ]);
-        }
-    }
     (table, report)
 }
 
@@ -874,114 +770,33 @@ pub fn exp13_dynamic_density(
     scale: Scale,
     seed: u64,
     only_n: Option<usize>,
-) -> (Table, DensitySweepReport) {
-    let sizes: Vec<usize> = scale
-        .density_grid_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    // An unmatched restriction must fail loudly, not emit an empty report
-    // the CI byte-compare would green-light (same guard as exp11/exp12).
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP13_N={:?} matches no rung of the {:?} grid {:?}",
-        only_n,
-        scale,
-        scale.density_grid_sizes()
-    );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
-    let mut points = Vec::new();
-    let mut scheduler = String::new();
-    for n in sizes {
-        for &density in &Density::LADDER {
-            let params = SuiteParams { seed, ..SuiteParams::density_preset(n, density) };
-            let base = params.base_graph();
-            let harness = ReplayHarness::new(ReplayConfig {
-                kind: params.kind,
-                scheduler: params.scheduler,
-                verify_every: params.verify_every,
-                seed,
-                ..ReplayConfig::default()
-            });
-            scheduler = kkt_workloads::report::scheduler_label(params.scheduler);
-            // The same two regimes as the scale sweep: steady background
-            // churn (how often does churn hit the tree at this density?) and
-            // the adversary that severs a tree edge every deletion (what
-            // does a forced repair cost at this density?).
-            let scenarios: Vec<Box<dyn Scenario>> = vec![
-                Box::new(PoissonChurn { delete_fraction: 0.5, max_weight: params.max_weight }),
-                Box::new(AdversarialTreeCut { max_weight: params.max_weight }),
-            ];
-            for scenario in scenarios {
-                let workload = scenario.generate(&base, params.events, seed);
-                let stats = workload.validate(&base).expect("generated trace is applicable");
-                let mut reports = Vec::new();
-                for &policy in &policies {
-                    reports.push(
-                        harness
-                            .replay(&base, &workload, policy)
-                            .expect("every checkpoint verifies against the shadow oracle"),
-                    );
-                }
-                points.push(DensityPoint {
-                    n: base.node_count(),
-                    m: base.edge_count(),
-                    density: density.label(),
-                    m_over_n: kkt_workloads::report::m_over_n(&base),
-                    events: workload.len(),
-                    verify_every: params.verify_every,
-                    scenario: workload.scenario.clone(),
-                    workload_fingerprint: workload.fingerprint(),
-                    stats,
-                    reports,
-                });
-            }
-        }
-    }
-    let mut report = DensitySweepReport {
-        seed,
-        tree_kind: "mst".to_string(),
-        scheduler,
-        points,
-        fingerprint: String::new(),
-    };
-    report.seal();
+) -> (Table, SweepReport) {
+    let report = density_grid("KKT_EXP13_N", scale, seed, only_n)
+        .run()
+        .expect("every checkpoint verifies against the shadow oracle");
 
-    let mut table = Table::new(
+    let table = Table::of_rows(
         "E13: dynamic density sweep — bits per event vs m/n, repair vs rebuild under churn",
+        &replays(&report),
         &[
-            "n",
-            "m",
-            "m/n",
-            "scenario",
-            "policy",
-            "events",
-            "bits_total",
-            "bits/event",
-            "vs_rebuild(bits)",
-            "checkpoints",
+            ("n", |(p, _)| p.n.to_string()),
+            ("m", |(p, _)| p.m.to_string()),
+            ("m/n", |(p, _)| p.density.clone()),
+            ("scenario", |(p, _)| p.scenario.clone()),
+            ("policy", |(_, r)| r.policy.clone()),
+            ("events", |(_, r)| r.top_level_events.to_string()),
+            ("bits_total", |(_, r)| r.total.bits.to_string()),
+            ("bits/event", |(_, r)| per_event(r.total.bits, r)),
+            ("vs_rebuild(bits)", |(p, r)| bits_vs(p, r, "rebuild_kkt", 3)),
+            ("checkpoints", |(_, r)| r.checkpoints_verified.to_string()),
         ],
     );
-    for point in &report.points {
-        let rebuild_bits =
-            point.report_for("rebuild_kkt").map(|r| r.total.bits).unwrap_or(0).max(1);
-        for r in &point.reports {
-            let events = r.top_level_events.max(1) as f64;
-            table.push_row(vec![
-                point.n.to_string(),
-                point.m.to_string(),
-                point.density.clone(),
-                point.scenario.clone(),
-                r.policy.clone(),
-                r.top_level_events.to_string(),
-                r.total.bits.to_string(),
-                format!("{:.0}", r.total.bits as f64 / events),
-                format!("{:.3}x", r.total.bits as f64 / rebuild_bits as f64),
-                r.checkpoints_verified.to_string(),
-            ]);
-        }
-    }
     (table, report)
+}
+
+/// `phase`'s share of an anatomy point's bits, in percent.
+fn share(point: &AnatomyPoint, phase: Phase) -> String {
+    format!("{:.1}", 100.0 * point.phases.get(phase).bits as f64 / point.total.bits.max(1) as f64)
 }
 
 /// E14 — the cost anatomy: *where do the bits go?* Every `(n, density)` cell
@@ -1006,133 +821,80 @@ pub fn exp14_cost_anatomy(
     seed: u64,
     only_n: Option<usize>,
 ) -> (Table, CostAnatomyReport) {
-    let sizes: Vec<usize> = scale
-        .density_grid_sizes()
-        .into_iter()
-        .filter(|&n| only_n.is_none_or(|only| only == n))
-        .collect();
-    // An unmatched restriction must fail loudly, not emit an empty report
-    // the CI byte-compare would green-light (same guard as exp11/exp13).
-    assert!(
-        !sizes.is_empty(),
-        "KKT_EXP14_N={:?} matches no rung of the {:?} grid {:?}",
-        only_n,
-        scale,
-        scale.density_grid_sizes()
-    );
-    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst);
+    let sweep = density_grid("KKT_EXP14_N", scale, seed, only_n);
+    let observed = sweep
+        .replay_each(|setup, workload, policy| {
+            let mut acc = PhaseAccumulator::new();
+            let report = setup.harness.replay_observed(&setup.base, workload, policy, &mut acc)?;
+            Ok((report, acc.ledger))
+        })
+        .expect("every checkpoint verifies against the shadow oracle");
     let mut points = Vec::new();
-    let mut scheduler = String::new();
-    for n in sizes {
-        for &density in &Density::LADDER {
-            let params = SuiteParams { seed, ..SuiteParams::density_preset(n, density) };
-            let base = params.base_graph();
-            let harness = ReplayHarness::new(ReplayConfig {
-                kind: params.kind,
-                scheduler: params.scheduler,
-                verify_every: params.verify_every,
-                seed,
-                ..ReplayConfig::default()
+    for (point, replays) in observed {
+        for (report, phases) in replays {
+            let total = phases.total();
+            // The tracing layer's contract, re-checked at the report
+            // boundary: attribution never loses (or invents) a bit.
+            assert!(
+                total.messages == report.total.messages
+                    && total.bits == report.total.bits
+                    && total.time == report.total.time
+                    && total.broadcast_echoes == report.total.broadcast_echoes,
+                "phase ledger does not conserve for {} at n={}: {total:?} vs {:?}",
+                report.policy,
+                point.n,
+                report.total,
+            );
+            let dominant_phase = phases
+                .entries()
+                .max_by_key(|&(phase, cost)| (cost.bits, std::cmp::Reverse(phase)))
+                .map(|(phase, _)| phase.label().to_string())
+                .expect("ledger has a fixed set of phases");
+            points.push(AnatomyPoint {
+                n: point.n,
+                m: point.m,
+                density: point.density.clone(),
+                m_over_n: point.m_over_n,
+                scenario: point.scenario.clone(),
+                policy: report.policy,
+                events: point.events,
+                checkpoints_verified: report.checkpoints_verified,
+                workload_fingerprint: point.workload_fingerprint.clone(),
+                phases,
+                total,
+                dominant_phase,
             });
-            scheduler = kkt_workloads::report::scheduler_label(params.scheduler);
-            // The same two regimes as E13, so the anatomy decomposes exactly
-            // the totals that sweep prices.
-            let scenarios: Vec<Box<dyn Scenario>> = vec![
-                Box::new(PoissonChurn { delete_fraction: 0.5, max_weight: params.max_weight }),
-                Box::new(AdversarialTreeCut { max_weight: params.max_weight }),
-            ];
-            for scenario in scenarios {
-                let workload = scenario.generate(&base, params.events, seed);
-                for &policy in &policies {
-                    let mut acc = PhaseAccumulator::new();
-                    let report = harness
-                        .replay_observed(&base, &workload, policy, &mut acc)
-                        .expect("every checkpoint verifies against the shadow oracle");
-                    let phases = acc.ledger;
-                    let total = phases.total();
-                    // The tracing layer's contract, re-checked at the report
-                    // boundary: attribution never loses (or invents) a bit.
-                    assert!(
-                        total.messages == report.total.messages
-                            && total.bits == report.total.bits
-                            && total.time == report.total.time
-                            && total.broadcast_echoes == report.total.broadcast_echoes,
-                        "phase ledger does not conserve for {} at n={n}: {total:?} vs {:?}",
-                        policy.label(),
-                        report.total,
-                    );
-                    let dominant_phase = phases
-                        .entries()
-                        .max_by_key(|&(phase, cost)| (cost.bits, std::cmp::Reverse(phase)))
-                        .map(|(phase, _)| phase.label().to_string())
-                        .expect("ledger has a fixed set of phases");
-                    points.push(AnatomyPoint {
-                        n: base.node_count(),
-                        m: base.edge_count(),
-                        density: density.label(),
-                        m_over_n: kkt_workloads::report::m_over_n(&base),
-                        scenario: workload.scenario.clone(),
-                        policy: policy.label().to_string(),
-                        events: workload.len(),
-                        checkpoints_verified: report.checkpoints_verified,
-                        workload_fingerprint: workload.fingerprint(),
-                        phases,
-                        total,
-                        dominant_phase,
-                    });
-                }
-            }
         }
     }
+    let params = sweep.cells[0].params;
     let mut report = CostAnatomyReport {
         seed,
-        tree_kind: "mst".to_string(),
-        scheduler,
+        tree_kind: tree_kind_label(params.kind),
+        scheduler: scheduler_label(params.scheduler),
         points,
         fingerprint: String::new(),
     };
     report.seal();
 
-    let mut table = Table::new(
+    let table = Table::of_rows(
         "E14: cost anatomy — bits per event by phase, every policy across the density grid",
+        &report.points,
         &[
-            "n",
-            "m/n",
-            "scenario",
-            "policy",
-            "bits/event",
-            "delivery%",
-            "becho%",
-            "elect%",
-            "findmin%",
-            "findany%",
-            "announce%",
-            "rebuild%",
-            "dominant",
+            ("n", |p| p.n.to_string()),
+            ("m/n", |p| p.density.clone()),
+            ("scenario", |p| p.scenario.clone()),
+            ("policy", |p| p.policy.clone()),
+            ("bits/event", |p| format!("{:.0}", p.total.bits as f64 / p.events.max(1) as f64)),
+            ("delivery%", |p| share(p, Phase::Delivery)),
+            ("becho%", |p| share(p, Phase::BroadcastEcho)),
+            ("elect%", |p| share(p, Phase::LeaderElection)),
+            ("findmin%", |p| share(p, Phase::FindMinNarrow)),
+            ("findany%", |p| share(p, Phase::FindAnySample)),
+            ("announce%", |p| share(p, Phase::Announce)),
+            ("rebuild%", |p| share(p, Phase::RebuildSweep)),
+            ("dominant", |p| p.dominant_phase.clone()),
         ],
     );
-    for point in &report.points {
-        let events = point.events.max(1) as f64;
-        let total_bits = point.total.bits.max(1) as f64;
-        let share = |phase: kkt_congest::Phase| {
-            format!("{:.1}", 100.0 * point.phases.get(phase).bits as f64 / total_bits)
-        };
-        table.push_row(vec![
-            point.n.to_string(),
-            point.density.clone(),
-            point.scenario.clone(),
-            point.policy.clone(),
-            format!("{:.0}", point.total.bits as f64 / events),
-            share(kkt_congest::Phase::Delivery),
-            share(kkt_congest::Phase::BroadcastEcho),
-            share(kkt_congest::Phase::LeaderElection),
-            share(kkt_congest::Phase::FindMinNarrow),
-            share(kkt_congest::Phase::FindAnySample),
-            share(kkt_congest::Phase::Announce),
-            share(kkt_congest::Phase::RebuildSweep),
-            point.dominant_phase.clone(),
-        ]);
-    }
     (table, report)
 }
 
@@ -1172,39 +934,24 @@ pub fn exp16_seed_fleet(
     );
     let report = crate::fleet::run_replay_fleet(&params, threads);
 
-    let mut table = Table::new(
+    let table = Table::of_rows(
         "E16: seed fleet — per-event distributions across ≥ 32 seeds, mean±CI95 and tail SLOs",
+        &report.cells,
         &[
-            "n",
-            "m/n",
-            "scenario",
-            "policy",
-            "seeds",
-            "rounds(mean±ci)",
-            "rounds p99",
-            "bits/ev(mean±ci)",
-            "bits p50",
-            "bits p99",
-            "bits max",
-            "checkpoints",
+            ("n", |c| c.n.to_string()),
+            ("m/n", |c| c.density.clone()),
+            ("scenario", |c| c.scenario.clone()),
+            ("policy", |c| c.policy.clone()),
+            ("seeds", |c| c.rounds.seeds.to_string()),
+            ("rounds(mean±ci)", |c| c.rounds.mean_ci_display()),
+            ("rounds p99", |c| c.rounds.p99.to_string()),
+            ("bits/ev(mean±ci)", |c| c.bits.mean_ci_display()),
+            ("bits p50", |c| c.bits.p50.to_string()),
+            ("bits p99", |c| c.bits.p99.to_string()),
+            ("bits max", |c| c.bits.max.to_string()),
+            ("checkpoints", |c| c.checkpoints_verified.to_string()),
         ],
     );
-    for cell in &report.cells {
-        table.push_row(vec![
-            cell.n.to_string(),
-            cell.density.clone(),
-            cell.scenario.clone(),
-            cell.policy.clone(),
-            cell.rounds.seeds.to_string(),
-            cell.rounds.mean_ci_display(),
-            cell.rounds.p99.to_string(),
-            cell.bits.mean_ci_display(),
-            cell.bits.p50.to_string(),
-            cell.bits.p99.to_string(),
-            cell.bits.max.to_string(),
-            cell.checkpoints_verified.to_string(),
-        ]);
-    }
     (table, report)
 }
 
@@ -1235,9 +982,9 @@ mod tests {
         // 5 scenarios × 4 MST policies (sequential, batched, KKT/GHS rebuild).
         assert_eq!(table.len(), 20);
         let poisson = report
-            .scenarios
+            .points
             .iter()
-            .find(|s| s.scenario.starts_with("poisson_churn"))
+            .find(|p| p.scenario.starts_with("poisson_churn"))
             .expect("the battery includes Poisson churn");
         let repair = poisson.report_for("impromptu_repair").unwrap();
         let rebuild = poisson.report_for("rebuild_kkt").unwrap();
@@ -1256,15 +1003,15 @@ mod tests {
         // 4 burst sizes × 3 policies.
         assert_eq!(table.len(), 12);
         assert!(!report.fingerprint.is_empty());
-        for scenario in &report.scenarios {
-            let k: usize = scenario
+        for point in &report.points {
+            let k: usize = point
                 .scenario
                 .trim_start_matches("multi_edge_cuts(k=")
                 .trim_end_matches(')')
                 .parse()
                 .unwrap();
-            let sequential = scenario.report_for("impromptu_repair").unwrap();
-            let batched = scenario.report_for("batched_repair").unwrap();
+            let sequential = point.report_for("impromptu_repair").unwrap();
+            let batched = point.report_for("batched_repair").unwrap();
             assert!(sequential.checkpoints_verified > 0);
             assert!(batched.checkpoints_verified > 0);
             if k >= 4 {
@@ -1389,7 +1136,7 @@ mod tests {
         }
         // Density is the sweep axis: the achieved m must rise from the "2"
         // rung to the "n/2" rung within a scenario family.
-        let poisson: Vec<&DensityPoint> =
+        let poisson: Vec<&kkt_workloads::SweepPoint> =
             report.points.iter().filter(|p| p.scenario.starts_with("poisson")).collect();
         assert_eq!(poisson.len(), 6);
         assert!(poisson.first().unwrap().m < poisson.last().unwrap().m);

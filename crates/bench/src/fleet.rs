@@ -25,9 +25,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use serde::{Deserialize, Serialize};
 
 use kkt_congest::Histogram;
-use kkt_workloads::replay::{MaintenancePolicy, ReplayConfig, ReplayHarness};
+use kkt_workloads::replay::MaintenancePolicy;
 use kkt_workloads::scenarios::{AdversarialTreeCut, PoissonChurn, Scenario};
-use kkt_workloads::suite::{Density, SuiteParams};
+use kkt_workloads::suite::{Density, SuiteParams, SweepCell};
 
 use crate::stats::SloSummary;
 
@@ -44,13 +44,12 @@ pub fn mix_seed(base: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Worker count from `KKT_THREADS`, falling back to the machine's available
-/// parallelism (minimum 1). Thread count affects wall-clock only — every
-/// fleet report is byte-identical across values.
+/// Worker count from `KKT_THREADS` through [`crate::env_number`], falling
+/// back to the machine's available parallelism when it is unset or 0.
+/// Thread count affects wall-clock only — every fleet report is
+/// byte-identical across values.
 pub fn threads_from_env() -> usize {
-    std::env::var("KKT_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    crate::env_number("KKT_THREADS")
         .filter(|&t| t >= 1)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -173,8 +172,8 @@ impl FleetScenario {
         }
     }
 
-    /// The concrete generator, tuned exactly as in the E13 sweep.
-    fn generator(self, max_weight: u64) -> Box<dyn Scenario> {
+    /// The concrete generator, tuned exactly as in the E11/E13 sweeps.
+    pub(crate) fn generator(self, max_weight: u64) -> Box<dyn Scenario> {
         match self {
             FleetScenario::PoissonChurn => {
                 Box::new(PoissonChurn { delete_fraction: 0.5, max_weight })
@@ -316,19 +315,12 @@ struct SeedSample {
 /// Replays one (aggregate cell, seed) work cell. Pure function of its
 /// arguments — the unit the fleet shards across workers.
 fn replay_cell(cell: &AggregateCell, seed: u64) -> SeedSample {
-    let params = SuiteParams::density_preset(cell.n, cell.density).with_seed(seed);
-    let base = params.base_graph();
-    let harness = ReplayHarness::new(ReplayConfig {
-        kind: params.kind,
-        scheduler: params.scheduler,
-        verify_every: params.verify_every,
-        seed,
-        ..ReplayConfig::default()
-    });
-    let workload = cell.scenario.generator(params.max_weight).generate(&base, params.events, seed);
-    workload.validate(&base).expect("generated trace is applicable");
-    let report = harness
-        .replay(&base, &workload, cell.policy)
+    let setup = SweepCell::preset(cell.n, cell.density, seed).setup();
+    let scenario = cell.scenario.generator(setup.cell.params.max_weight);
+    let (workload, _) = setup.trace(scenario.as_ref()).expect("generated trace is applicable");
+    let report = setup
+        .harness
+        .replay(&setup.base, &workload, cell.policy)
         .expect("every checkpoint verifies against the shadow oracle");
     SeedSample {
         rounds: report.per_event.iter().map(|e| e.time).collect(),

@@ -25,11 +25,29 @@ pub use table::Table;
 /// with its own hard-coded fallback).
 pub const DEFAULT_SEED: u64 = 0xFEED;
 
-/// Reads the base seed from `KKT_SEED`, falling back to [`DEFAULT_SEED`].
-/// Every `exp*` binary and the fleet runner resolve their seed through this
-/// one helper.
+/// Reads the base seed from `KKT_SEED` through [`env_number`], falling back
+/// to [`DEFAULT_SEED`] when it is unset. Every `exp*` binary and the fleet
+/// runner resolve their seed through this one helper.
 pub fn seed_from_env() -> u64 {
-    std::env::var("KKT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SEED)
+    env_number("KKT_SEED").unwrap_or(DEFAULT_SEED)
+}
+
+/// Reads a numeric environment variable: `None` when it is unset, its value
+/// when it is set to a number. `KKT_SEED`, `KKT_THREADS` and the
+/// `KKT_EXP*_N` rung restrictions all go through this one parser.
+///
+/// # Panics
+///
+/// When the variable is set but is not a number, naming the variable and
+/// the value: a typo must not fall back to a default or widen a sweep.
+pub fn env_number<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let value = std::env::var_os(name)?;
+    Some(parse_env_number(name, &value.to_string_lossy()))
+}
+
+/// The parse step of [`env_number`], apart from the environment.
+fn parse_env_number<T: std::str::FromStr>(name: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| panic!("{name}={value:?} is not a number"))
 }
 
 /// Sweep sizes for the experiment binaries.
@@ -106,5 +124,29 @@ impl Scale {
             Scale::Quick => 2_000,
             Scale::Large => 20_000,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("the parser must panic");
+        payload.downcast_ref::<String>().cloned().expect("a formatted panic message")
+    }
+
+    #[test]
+    fn env_numbers_parse_or_panic_naming_the_variable_and_value() {
+        assert_eq!(parse_env_number::<u64>("KKT_SEED", "42"), 42);
+        assert_eq!(parse_env_number::<usize>("KKT_EXP13_N", "48"), 48);
+        for (name, value) in [("KKT_EXP13_N", "48x"), ("KKT_SEED", "0xFEED"), ("KKT_THREADS", "")] {
+            let message = panic_message(|| {
+                parse_env_number::<usize>(name, value);
+            });
+            assert!(message.contains(name), "{message}");
+            assert!(message.contains(&format!("{value:?}")), "{message}");
+        }
+        assert_eq!(env_number::<u64>("KKT_TEST_VARIABLE_THAT_IS_NEVER_SET"), None);
     }
 }

@@ -2,6 +2,10 @@
 
 use std::fmt;
 
+/// One column of a [`Table::of_rows`] table: its header, and its cell for
+/// one row.
+pub(crate) type Column<R> = (&'static str, fn(&R) -> String);
+
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -18,6 +22,16 @@ impl Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A table with one row per element of `rows`, filled column by column.
+    pub(crate) fn of_rows<R>(title: &str, rows: &[R], columns: &[Column<R>]) -> Self {
+        let header: Vec<&str> = columns.iter().map(|&(name, _)| name).collect();
+        let mut table = Table::new(title, &header);
+        for row in rows {
+            table.push_row(columns.iter().map(|(_, cell)| cell(row)).collect());
+        }
+        table
     }
 
     /// Appends a row (stringified cells).

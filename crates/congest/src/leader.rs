@@ -98,12 +98,6 @@ pub struct LeaderElection {
 }
 
 impl LeaderElection {
-    /// The elected leader of the fragment containing `x`, or `None` if that
-    /// fragment's marked edges contain a cycle (no leader emerges).
-    pub fn leader_of(&self, net: &Network, x: NodeId) -> Option<NodeId> {
-        net.forest().tree_of(net.graph(), x).into_iter().find(|&y| self.is_leader[y])
-    }
-
     /// All elected leaders, ascending.
     pub fn leaders(&self) -> Vec<NodeId> {
         self.is_leader.iter().enumerate().filter_map(|(x, &l)| l.then_some(x)).collect()
@@ -161,7 +155,9 @@ mod tests {
             let mut net = mst_network(40, seed);
             let outcome = elect_leaders(&mut net).unwrap();
             assert_eq!(outcome.leaders().len(), 1, "seed {seed}");
-            assert_eq!(outcome.leader_of(&net, 13), Some(outcome.leaders()[0]));
+            let leader_of_13 =
+                net.forest().tree_of(net.graph(), 13).into_iter().find(|&y| outcome.is_leader[y]);
+            assert_eq!(leader_of_13, Some(outcome.leaders()[0]));
             assert!(outcome.messages <= 40, "each node sends at most one message");
             assert!(outcome.cycle_nodes().is_empty());
         }
@@ -179,7 +175,12 @@ mod tests {
         let reps = net.forest().fragment_representatives(net.graph());
         assert_eq!(outcome.leaders().len(), reps.len());
         for &r in &reps {
-            let leader = outcome.leader_of(&net, r).expect("every tree fragment has a leader");
+            let leader = net
+                .forest()
+                .tree_of(net.graph(), r)
+                .into_iter()
+                .find(|&y| outcome.is_leader[y])
+                .expect("every tree fragment has a leader");
             // The leader is in the same fragment.
             assert!(net.forest().tree_of(net.graph(), r).contains(&leader));
         }

@@ -63,7 +63,7 @@ pub use cost::{CostReport, CostTracker, PhaseTable};
 pub use engine::{Engine, Protocol, RunStats, Scheduler};
 pub use error::CongestError;
 pub use forest::MarkedForest;
-pub use kkt_obs::{Histogram, MetricsRegistry, Phase, PhaseCost, PhaseLedger, PhaseProfile};
+pub use kkt_obs::{Histogram, MetricsRegistry, Phase, PhaseCost, PhaseLedger};
 pub use message::{bits_for_value, BitSized};
 pub use model::{IncidentEdge, Network, NetworkConfig, NodeView};
 pub use queue::DeliveryQueueKind;

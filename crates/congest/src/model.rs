@@ -30,7 +30,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use kkt_graphs::{EdgeId, EdgeNumber, Graph, NodeId, UniqueWeight, Weight};
-use kkt_obs::{MetricsRegistry, Phase, PhaseLedger, PhaseProfile};
+use kkt_obs::{MetricsRegistry, Phase, PhaseLedger};
 
 use crate::cost::{CostReport, CostTracker};
 use crate::engine::{EngineScratch, Scheduler};
@@ -247,8 +247,6 @@ pub struct Network {
     scratch: EngineScratch,
     /// Opt-in metrics registry (None ⇒ zero overhead, nothing recorded).
     metrics: Option<Box<MetricsRegistry>>,
-    /// Opt-in wall-clock profile per phase (None ⇒ spans never read a clock).
-    profile: Option<Box<PhaseProfile>>,
 }
 
 impl Network {
@@ -268,7 +266,6 @@ impl Network {
             views,
             scratch: EngineScratch::default(),
             metrics: None,
-            profile: None,
         }
     }
 
@@ -306,15 +303,7 @@ impl Network {
     /// only the per-phase ledger slot the costs land in.
     pub fn span<T>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> T) -> T {
         let prev = self.cost.enter_phase(phase);
-        // Clock read allowed (clippy.toml/R2): the span only reads the clock
-        // while the opt-in PhaseProfile is installed, and seconds never reach
-        // fingerprints — this is the designated wall-clock feed.
-        #[allow(clippy::disallowed_methods)]
-        let started = self.profile.as_ref().map(|_| std::time::Instant::now());
         let out = f(self);
-        if let (Some(profile), Some(t0)) = (self.profile.as_mut(), started) {
-            profile.add(phase, t0.elapsed().as_secs_f64());
-        }
         self.cost.enter_phase(prev);
         out
     }
@@ -347,18 +336,6 @@ impl Network {
     /// Removes and returns the metrics registry.
     pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
         self.metrics.take().map(|b| *b)
-    }
-
-    /// Enables wall-clock profiling of spans (seconds per phase). Reported
-    /// separately from the deterministic cost columns and never fingerprinted
-    /// — wall-clock is machine noise, bits are the anchor.
-    pub fn enable_profile(&mut self) {
-        self.profile = Some(Box::new(PhaseProfile::new()));
-    }
-
-    /// The wall-clock profile, if enabled.
-    pub fn profile(&self) -> Option<&PhaseProfile> {
-        self.profile.as_deref()
     }
 
     /// The simulation configuration.

@@ -204,7 +204,7 @@ pub struct Config {
     pub compat_root: String,
     /// R1: crates whose non-test code must stay hash-iteration-free.
     pub r1_paths: Vec<String>,
-    /// R2: files exempt from the wall-clock ban (the profile module).
+    /// R2: files exempt from the wall-clock ban.
     pub r2_exempt: Vec<String>,
     /// R3: accounting files that must stay float-free.
     pub r3_files: Vec<String>,

@@ -5,7 +5,7 @@
 //! | rule | invariant it protects |
 //! |------|----------------------|
 //! | R1   | byte-identical fingerprints: no hasher-ordered containers in fingerprinted crates |
-//! | R2   | determinism: no wall-clock reads outside the opt-in profile module |
+//! | R2   | determinism: no wall-clock reads outside allowlisted measuring sites |
 //! | R3   | exact accounting: no floats in cost/fingerprint arithmetic |
 //! | R4   | phase conservation: every charge site lexically inside a `Network::span` closure |
 //! | R5   | fleet-runner thread safety: no `static mut` / `thread_rng` / interior-mutability cells |
@@ -96,9 +96,8 @@ pub fn r2_wallclock(file: &SourceFile, cfg: &Config) -> Vec<Violation> {
                 at,
                 "R2",
                 format!(
-                    "`{token}` outside the opt-in wall-clock module \
-                     (kkt_obs::profile): seconds are machine noise and must never \
-                     feed a deterministic path"
+                    "`{token}` outside an allowlisted measuring site: seconds \
+                     are machine noise and must never feed a deterministic path"
                 ),
             );
         }

@@ -20,10 +20,6 @@
 //!   deterministic JSON lines with a rolling flush (memory-bounded on
 //!   million-event horizons), [`PhaseAccumulator`] folds them into a single
 //!   ledger, and [`MetricsObserver`] feeds the per-event histograms.
-//! * **Wall-clock** — [`PhaseProfile`] is the opt-in seconds-per-phase
-//!   profile. Seconds are machine-dependent and are *never* fingerprinted or
-//!   serialised into sealed reports (the BENCH_PR4 discipline); the
-//!   deterministic cost columns are the anchor.
 //!
 //! # Trace record schema
 //!
@@ -56,10 +52,8 @@
 
 pub mod metrics;
 pub mod phase;
-pub mod profile;
 pub mod trace;
 
 pub use metrics::{Histogram, MetricsRegistry};
 pub use phase::{Phase, PhaseCost, PhaseLedger};
-pub use profile::PhaseProfile;
 pub use trace::{JsonlObserver, MetricsObserver, Observer, PhaseAccumulator, TraceRecord};

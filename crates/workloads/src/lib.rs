@@ -21,9 +21,14 @@
 //!   rebuild-from-scratch baselines (`Build MST` rerun, GHS, flooding),
 //!   under synchronous or random-async delivery, verifying against the
 //!   sequential Kruskal oracle at checkpoints.
-//! * **Reports** — per-event and cumulative [`ReplayReport`]s, and the
-//!   multi-scenario [`ChurnSuiteReport`] the `exp9_churn_policies` binary
-//!   serialises as deterministic JSON.
+//! * **Sweeps** — a [`Sweep`] is cells ([`SweepCell`]: a [`Density`] rung
+//!   with its [`SuiteParams`]) × scenarios × policies. For each cell the
+//!   runner builds the base graph, the harness and each validated trace
+//!   once, then replays every policy ([`Sweep::replay_each`]).
+//! * **Reports** — per-event and cumulative [`ReplayReport`]s; the
+//!   [`SweepReport`] of a plain sweep, which the `exp9`, `exp10`, `exp11`
+//!   and `exp13` binaries serialise as deterministic JSON; and the phase
+//!   decomposition [`CostAnatomyReport`] of `exp14`.
 //! * **Density axis** — [`SuiteParams::density_preset`] instantiates any
 //!   suite at a rung of the [`Density`] ladder
 //!   (`m/n ∈ {2, 4, 8, 16, n/8, n/2}`, where `n/2` is the complete graph):
@@ -35,16 +40,18 @@
 //!   binary sweeps the whole `n × m/n` grid (EXPERIMENTS.md §E13).
 //!
 //! ```rust
-//! use kkt_workloads::{run_churn_suite, Density, SuiteParams};
+//! use kkt_workloads::{Density, SuiteParams, Sweep, SweepCell};
 //!
-//! // The densest rung of the ladder at n = 16: the complete graph K_16.
+//! // The standard battery at the densest rung of the ladder at n = 16: the
+//! // complete graph K_16.
 //! let params = SuiteParams {
 //!     events: 4,
 //!     verify_every: 2,
 //!     ..SuiteParams::density_preset(16, Density::NOver2)
 //! };
-//! let report = run_churn_suite(&params).unwrap();
-//! assert_eq!(report.m, 16 * 15 / 2);
+//! let report = Sweep::battery(SweepCell { density: Density::NOver2, params }).run().unwrap();
+//! assert_eq!(report.points.len(), 5);
+//! assert!(report.points.iter().all(|p| p.m == 16 * 15 / 2 && p.density == "n/2"));
 //! ```
 //!
 //! # Example
@@ -78,12 +85,11 @@ pub use fingerprint::{fingerprint_hex, fnv1a64};
 pub use kkt_obs::{JsonlObserver, MetricsObserver, Observer, PhaseAccumulator, TraceRecord};
 pub use replay::{MaintenancePolicy, ReplayConfig, ReplayError, ReplayHarness};
 pub use report::{
-    AnatomyPoint, ChurnSuiteReport, CostAnatomyReport, DensityPoint, DensitySweepReport, EventCost,
-    ReplayReport, ScalePoint, ScaleSweepReport, ScenarioComparison,
+    AnatomyPoint, CostAnatomyReport, EventCost, ReplayReport, SweepPoint, SweepReport,
 };
 pub use scenarios::{
     standard_suite, AdversarialTreeCut, MixedPhases, MultiEdgeCuts, PartitionHeal, PoissonChurn,
     Scenario, WeightDrift,
 };
-pub use suite::{run_churn_suite, Density, SuiteParams};
+pub use suite::{CellSetup, Density, SuiteParams, Sweep, SweepCell};
 pub use workload::{Workload, WorkloadStats};

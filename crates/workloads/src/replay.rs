@@ -29,7 +29,7 @@ use kkt_graphs::{verify_mst, verify_spanning_forest, Graph, ShadowOracle, Spanni
 use kkt_obs::{Observer, TraceRecord};
 
 use crate::event::WorkloadEvent;
-use crate::report::{scheduler_label, ReplayReport};
+use crate::report::{scheduler_label, tree_kind_label, ReplayReport};
 use crate::workload::Workload;
 
 /// How the spanning structure is kept correct while the trace plays.
@@ -290,10 +290,7 @@ impl ReplayHarness {
             workload_name: workload.name.clone(),
             workload_fingerprint: workload.fingerprint(),
             policy: policy.label().to_string(),
-            tree_kind: match self.config.kind {
-                TreeKind::Mst => "mst".to_string(),
-                TreeKind::St => "st".to_string(),
-            },
+            tree_kind: tree_kind_label(self.config.kind),
             scheduler: scheduler_label(self.config.scheduler),
             n: base.node_count(),
             m_initial: base.edge_count(),

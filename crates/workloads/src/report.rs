@@ -1,9 +1,10 @@
-//! Cost reports: per-event records, per-run reports, and the multi-policy
-//! comparison document the experiment suite serialises.
+//! Cost reports: per-event records, per-run reports, and the sweep and
+//! anatomy documents the experiment suite serialises.
 
 use serde::{Deserialize, Serialize};
 
 use kkt_congest::{CostReport, PhaseCost, PhaseLedger, Scheduler};
+use kkt_core::TreeKind;
 use kkt_graphs::Graph;
 
 use crate::fingerprint::fingerprint_hex;
@@ -28,6 +29,15 @@ pub fn scheduler_label(scheduler: Scheduler) -> String {
     match scheduler {
         Scheduler::Synchronous => "synchronous".to_string(),
         Scheduler::RandomAsync { max_delay } => format!("random_async(max_delay={max_delay})"),
+    }
+}
+
+/// Stable text label of a maintained structure kind (`mst` or `st`), used
+/// in reports.
+pub fn tree_kind_label(kind: TreeKind) -> String {
+    match kind {
+        TreeKind::Mst => "mst".to_string(),
+        TreeKind::St => "st".to_string(),
     }
 }
 
@@ -124,120 +134,10 @@ impl ReplayReport {
     }
 }
 
-/// One scenario compared across maintenance policies.
+/// One point of a sweep: a scenario's trace in one `(n, m/n)` cell,
+/// replayed under every policy of the sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioComparison {
-    /// Scenario identifier.
-    pub scenario: String,
-    /// Fingerprint of the generated trace.
-    pub workload_fingerprint: String,
-    /// Trace statistics from validation.
-    pub stats: WorkloadStats,
-    /// One report per policy, impromptu first.
-    pub reports: Vec<ReplayReport>,
-}
-
-impl ScenarioComparison {
-    /// The report for a given policy label, if present.
-    pub fn report_for(&self, policy: &str) -> Option<&ReplayReport> {
-        self.reports.iter().find(|r| r.policy == policy)
-    }
-}
-
-/// The top-level document `exp9_churn_policies` emits: every scenario of the
-/// standard battery replayed under every applicable policy, with a
-/// fingerprint sealing the whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChurnSuiteReport {
-    /// Nodes of the base graph.
-    pub n: usize,
-    /// Live edges of the base graph.
-    pub m: usize,
-    /// Top-level events per scenario.
-    pub events_per_scenario: usize,
-    /// Density of the base graph (`m / n`) — the E13 sweep axis, recorded so
-    /// a report names its density rung without arithmetic on `n`/`m`.
-    pub m_over_n: f64,
-    /// Master seed.
-    pub seed: u64,
-    /// `mst` or `st`.
-    pub tree_kind: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Per-scenario comparisons.
-    pub scenarios: Vec<ScenarioComparison>,
-    /// FNV-1a fingerprint over the whole serialised document (with this
-    /// field emptied) — equal seeds yield byte-identical reports, so equal
-    /// fingerprints, and the fingerprint covers the run parameters
-    /// (`n`, `m`, density, scheduler) as well as the scenario results.
-    pub fingerprint: String,
-}
-
-impl ChurnSuiteReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
-    pub fn seal(&mut self) {
-        self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
-    }
-}
-
-/// One scale point of the E11 sweep: a scenario instantiated at a given `n`
-/// and replayed under every applicable policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScalePoint {
-    /// Nodes of this point's base graph.
-    pub n: usize,
-    /// Live edges of this point's base graph.
-    pub m: usize,
-    /// Top-level events of the trace.
-    pub events: usize,
-    /// Checkpoint interval the replays ran with (`0` = final event only).
-    pub verify_every: usize,
-    /// Scenario identifier.
-    pub scenario: String,
-    /// Fingerprint of the generated trace.
-    pub workload_fingerprint: String,
-    /// Trace statistics from validation.
-    pub stats: WorkloadStats,
-    /// One report per policy, impromptu first.
-    pub reports: Vec<ReplayReport>,
-}
-
-impl ScalePoint {
-    /// The report for a given policy label, if present.
-    pub fn report_for(&self, policy: &str) -> Option<&ReplayReport> {
-        self.reports.iter().find(|r| r.policy == policy)
-    }
-}
-
-/// The document `exp11_scale_sweep` emits: the same scenario replayed at a
-/// ladder of network sizes, pricing bits-per-event vs `n` for every policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleSweepReport {
-    /// Master seed.
-    pub seed: u64,
-    /// `mst` or `st`.
-    pub tree_kind: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// One entry per swept `n`, ascending.
-    pub points: Vec<ScalePoint>,
-    /// FNV-1a fingerprint over the serialised `points` array.
-    pub fingerprint: String,
-}
-
-impl ScaleSweepReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
-    pub fn seal(&mut self) {
-        self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
-    }
-}
-
-/// One grid cell of the E13 dynamic density sweep: a scenario instantiated
-/// at a given `(n, m/n)` and replayed under every applicable policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DensityPoint {
+pub struct SweepPoint {
     /// Nodes of this point's base graph.
     pub n: usize,
     /// Live edges of this point's base graph (the *achieved* count — dense
@@ -257,38 +157,37 @@ pub struct DensityPoint {
     pub workload_fingerprint: String,
     /// Trace statistics from validation.
     pub stats: WorkloadStats,
-    /// One report per policy, impromptu first.
+    /// One report per policy, in the sweep's policy order.
     pub reports: Vec<ReplayReport>,
 }
 
-impl DensityPoint {
+impl SweepPoint {
     /// The report for a given policy label, if present.
     pub fn report_for(&self, policy: &str) -> Option<&ReplayReport> {
         self.reports.iter().find(|r| r.policy == policy)
     }
 }
 
-/// The document `exp13_dynamic_density` emits: poisson + adversarial traces
-/// replayed across the `n × m/n` grid, pricing bits-per-event vs density for
-/// every maintenance policy — the dynamic analogue of the E8 construction
-/// crossover.
+/// The document a sweep emits (`exp9`, `exp10`, `exp11` and `exp13`):
+/// every trace of the grid replayed under every policy, with a fingerprint
+/// sealing the whole run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DensitySweepReport {
+pub struct SweepReport {
     /// Master seed.
     pub seed: u64,
     /// `mst` or `st`.
     pub tree_kind: String,
     /// Scheduler label.
     pub scheduler: String,
-    /// One entry per `(n, density, scenario)` cell, `n`-major then ladder
-    /// order.
-    pub points: Vec<DensityPoint>,
+    /// One entry per `(cell, scenario)` trace, in cell then scenario order.
+    pub points: Vec<SweepPoint>,
     /// FNV-1a fingerprint over the whole serialised document (with this
-    /// field emptied).
+    /// field emptied), so it covers the run parameters (`n`, `m`, density,
+    /// scheduler) as well as the results.
     pub fingerprint: String,
 }
 
-impl DensitySweepReport {
+impl SweepReport {
     /// Seals the report (see [`sealed_fingerprint`]).
     pub fn seal(&mut self) {
         self.fingerprint = String::new();
@@ -432,45 +331,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn suite_report_seals_deterministically() {
-        let mut a = ChurnSuiteReport {
-            n: 8,
-            m: 12,
-            events_per_scenario: 3,
-            m_over_n: 1.5,
-            seed: 1,
-            tree_kind: "mst".into(),
-            scheduler: "synchronous".into(),
-            scenarios: Vec::new(),
-            fingerprint: String::new(),
-        };
-        let mut b = a.clone();
-        a.seal();
-        b.seal();
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.fingerprint.len(), 16);
-        // Sealing is idempotent: resealing an already-sealed report lands on
-        // the same fingerprint (the field is emptied before hashing).
-        let sealed = a.fingerprint.clone();
-        a.seal();
-        assert_eq!(a.fingerprint, sealed);
-        // The fingerprint covers the run parameters, not just the scenarios:
-        // two runs at different density rungs must not collide.
-        let mut denser = b.clone();
-        denser.m = 28;
-        denser.m_over_n = 3.5;
-        denser.seal();
-        assert_ne!(denser.fingerprint, b.fingerprint);
-    }
-
-    #[test]
-    fn density_sweep_report_seals_and_round_trips() {
-        let mut report = DensitySweepReport {
+    fn one_point_report() -> SweepReport {
+        SweepReport {
             seed: 7,
             tree_kind: "mst".into(),
             scheduler: "synchronous".into(),
-            points: vec![DensityPoint {
+            points: vec![SweepPoint {
                 n: 16,
                 m: 120,
                 density: "n/2".into(),
@@ -483,14 +349,37 @@ mod tests {
                 reports: Vec::new(),
             }],
             fingerprint: String::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn suite_report_seals_deterministically() {
+        let mut a = one_point_report();
+        let mut b = a.clone();
+        a.seal();
+        b.seal();
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.fingerprint.len(), 16);
+        // Sealing is idempotent: resealing an already-sealed report lands on
+        // the same fingerprint (the field is emptied before hashing).
+        let sealed = a.fingerprint.clone();
+        a.seal();
+        assert_eq!(a.fingerprint, sealed);
+        // The fingerprint covers the run parameters, not just the results:
+        // two runs at different edge counts must not collide.
+        let mut sparser = b.clone();
+        sparser.points[0].m = 28;
+        sparser.points[0].m_over_n = 1.75;
+        sparser.seal();
+        assert_ne!(sparser.fingerprint, b.fingerprint);
+    }
+
+    #[test]
+    fn density_sweep_report_seals_and_round_trips() {
+        let mut report = one_point_report();
         report.seal();
-        assert_eq!(report.fingerprint.len(), 16);
-        let sealed = report.fingerprint.clone();
-        report.seal();
-        assert_eq!(report.fingerprint, sealed, "sealing is idempotent");
         let text = serde_json::to_string(&report).unwrap();
-        let back: DensitySweepReport = serde_json::from_str(&text).unwrap();
+        let back: SweepReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.points[0].report_for("nope"), None);
         // A different rung label alone moves the fingerprint.

@@ -1,5 +1,6 @@
-//! Ready-made scenario suites: generate the standard battery, replay it
-//! under every applicable policy, and seal a comparison report.
+//! Suite parameters, the density ladder, and the sweep runner: every
+//! single-seed experiment grid is cells × scenarios × policies, replayed
+//! here and sealed into one [`SweepReport`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,8 +10,9 @@ use kkt_core::TreeKind;
 use kkt_graphs::{generators, Graph};
 
 use crate::replay::{MaintenancePolicy, ReplayConfig, ReplayError, ReplayHarness};
-use crate::report::{scheduler_label, ChurnSuiteReport, ScenarioComparison};
-use crate::scenarios::standard_suite;
+use crate::report::{m_over_n, scheduler_label, tree_kind_label, SweepPoint, SweepReport};
+use crate::scenarios::{standard_suite, Scenario};
+use crate::workload::{Workload, WorkloadStats};
 
 /// A rung of the dynamic density ladder: the target edge budget expressed
 /// as a ratio `m/n`. The interesting sweep axis of the o(m) claims — sparse
@@ -169,74 +171,241 @@ impl SuiteParams {
     }
 }
 
-/// Generates the standard scenario battery over the params' base graph and
-/// replays every scenario under every policy applicable to `params.kind`.
-///
-/// # Errors
-///
-/// Propagates the first replay failure (including oracle mismatches — a
-/// suite report is only produced when every checkpoint verified).
-pub fn run_churn_suite(params: &SuiteParams) -> Result<ChurnSuiteReport, ReplayError> {
-    let base = params.base_graph();
-    let harness = ReplayHarness::new(ReplayConfig {
-        kind: params.kind,
-        scheduler: params.scheduler,
-        verify_every: params.verify_every,
-        seed: params.seed,
-        ..ReplayConfig::default()
-    });
-    let mut scenarios = Vec::new();
-    for scenario in standard_suite(params.max_weight) {
-        let workload = scenario.generate(&base, params.events, params.seed);
-        let stats = workload.validate(&base).map_err(ReplayError::InvalidTrace)?;
-        let mut reports = Vec::new();
-        for policy in MaintenancePolicy::all_for(params.kind) {
-            reports.push(harness.replay(&base, &workload, policy)?);
-        }
-        scenarios.push(ScenarioComparison {
-            scenario: workload.scenario.clone(),
-            workload_fingerprint: workload.fingerprint(),
-            stats,
-            reports,
-        });
+/// One cell of a sweep: a density rung, which labels the cell in reports,
+/// and the suite parameters it runs at (`params.m` is the rung's target).
+#[derive(Debug, Clone, Copy)]
+pub struct SweepCell {
+    /// The density rung of the cell.
+    pub density: Density,
+    /// Everything else: size, events, seed, tree kind, scheduler, checkpoints.
+    pub params: SuiteParams,
+}
+
+impl SweepCell {
+    /// The [`SuiteParams::density_preset`] cell at `(n, density)` under
+    /// `seed`.
+    pub fn preset(n: usize, density: Density, seed: u64) -> Self {
+        SweepCell { density, params: SuiteParams::density_preset(n, density).with_seed(seed) }
     }
-    let mut report = ChurnSuiteReport {
-        n: base.node_count(),
-        m: base.edge_count(),
-        events_per_scenario: params.events,
-        m_over_n: crate::report::m_over_n(&base),
-        seed: params.seed,
-        tree_kind: match params.kind {
-            TreeKind::Mst => "mst".to_string(),
-            TreeKind::St => "st".to_string(),
-        },
-        scheduler: scheduler_label(params.scheduler),
-        scenarios,
-        fingerprint: String::new(),
-    };
-    report.seal();
-    Ok(report)
+
+    /// Builds the cell's base graph and replay harness.
+    ///
+    /// # Panics
+    ///
+    /// If `params.m` is not the rung's target: a report must never label a
+    /// cell with the wrong density.
+    pub fn setup(self) -> CellSetup {
+        let p = self.params;
+        assert_eq!(
+            p.m,
+            self.density.target_edges(p.n),
+            "m is not the {:?} rung's target",
+            self.density
+        );
+        let harness = ReplayHarness::new(ReplayConfig {
+            kind: p.kind,
+            scheduler: p.scheduler,
+            verify_every: p.verify_every,
+            seed: p.seed,
+            ..ReplayConfig::default()
+        });
+        CellSetup { cell: self, base: p.base_graph(), harness }
+    }
+}
+
+/// A cell's base graph and harness, built once and shared by every trace
+/// and policy replayed in the cell.
+#[derive(Debug, Clone)]
+pub struct CellSetup {
+    /// The cell these were built for.
+    pub cell: SweepCell,
+    /// The base graph every trace of the cell starts from.
+    pub base: Graph,
+    /// The harness every replay of the cell runs under.
+    pub harness: ReplayHarness,
+}
+
+impl CellSetup {
+    /// Generates `scenario`'s trace over the base graph and validates it.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::InvalidTrace`] if an event does not apply in order.
+    pub fn trace(&self, scenario: &dyn Scenario) -> Result<(Workload, WorkloadStats), ReplayError> {
+        let p = self.cell.params;
+        let workload = scenario.generate(&self.base, p.events, p.seed);
+        let stats = workload.validate(&self.base).map_err(ReplayError::InvalidTrace)?;
+        Ok((workload, stats))
+    }
+}
+
+/// A single-seed experiment grid: every scenario's trace in every cell,
+/// replayed under every policy, each list in report order.
+pub struct Sweep {
+    /// The cells; they share the seed, tree kind and scheduler of the report.
+    pub cells: Vec<SweepCell>,
+    /// The trace generators.
+    pub scenarios: Vec<Box<dyn Scenario>>,
+    /// The maintenance policies.
+    pub policies: Vec<MaintenancePolicy>,
+}
+
+impl Sweep {
+    /// The standard battery ([`standard_suite`]) in one cell, under every
+    /// policy applicable to the cell's tree kind.
+    pub fn battery(cell: SweepCell) -> Self {
+        Sweep {
+            scenarios: standard_suite(cell.params.max_weight),
+            policies: MaintenancePolicy::all_for(cell.params.kind),
+            cells: vec![cell],
+        }
+    }
+
+    /// Runs the grid through `replay`: each cell's base graph and harness
+    /// are built once, each trace is generated and validated once, and
+    /// `replay` runs once per policy. Returns one point per (cell, scenario)
+    /// trace, with empty `reports`, beside that trace's per-policy results.
+    ///
+    /// # Errors
+    ///
+    /// The first invalid trace or failed replay.
+    pub fn replay_each<R>(
+        &self,
+        mut replay: impl FnMut(&CellSetup, &Workload, MaintenancePolicy) -> Result<R, ReplayError>,
+    ) -> Result<Vec<(SweepPoint, Vec<R>)>, ReplayError> {
+        let mut out = Vec::new();
+        for &cell in &self.cells {
+            let setup = cell.setup();
+            for scenario in &self.scenarios {
+                let (workload, stats) = setup.trace(scenario.as_ref())?;
+                let results = self
+                    .policies
+                    .iter()
+                    .map(|&policy| replay(&setup, &workload, policy))
+                    .collect::<Result<_, _>>()?;
+                let point = SweepPoint {
+                    n: setup.base.node_count(),
+                    m: setup.base.edge_count(),
+                    density: cell.density.label(),
+                    m_over_n: m_over_n(&setup.base),
+                    events: workload.len(),
+                    verify_every: cell.params.verify_every,
+                    scenario: workload.scenario.clone(),
+                    workload_fingerprint: workload.fingerprint(),
+                    stats,
+                    reports: Vec::new(),
+                };
+                out.push((point, results));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Replays the grid and seals every replay report into a
+    /// [`SweepReport`], headed by the first cell's seed, tree kind and
+    /// scheduler.
+    ///
+    /// # Errors
+    ///
+    /// The first failure, oracle mismatches included: a report exists only
+    /// when every checkpoint verified.
+    ///
+    /// # Panics
+    ///
+    /// If the sweep has no cell.
+    pub fn run(&self) -> Result<SweepReport, ReplayError> {
+        let points = self
+            .replay_each(|setup, workload, policy| {
+                setup.harness.replay(&setup.base, workload, policy)
+            })?
+            .into_iter()
+            .map(|(point, reports)| SweepPoint { reports, ..point })
+            .collect();
+        let first = self.cells[0].params;
+        let mut report = SweepReport {
+            seed: first.seed,
+            tree_kind: tree_kind_label(first.kind),
+            scheduler: scheduler_label(first.scheduler),
+            points,
+            fingerprint: String::new(),
+        };
+        report.seal();
+        Ok(report)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> SuiteParams {
-        SuiteParams { n: 16, m: 40, events: 4, verify_every: 2, ..SuiteParams::default() }
+    /// The battery at n = 16, m/n = 2, with a short trace.
+    fn tiny(seed: u64) -> Sweep {
+        let cell = SweepCell::preset(16, Density::Ratio(2), seed);
+        Sweep::battery(SweepCell {
+            params: SuiteParams { events: 4, verify_every: 2, ..cell.params },
+            ..cell
+        })
     }
 
     #[test]
     fn suite_runs_and_seals() {
-        let report = run_churn_suite(&tiny()).unwrap();
-        assert_eq!(report.scenarios.len(), 5);
-        for s in &report.scenarios {
-            assert_eq!(s.reports.len(), 4, "{}", s.scenario);
-            for r in &s.reports {
+        let report = tiny(0xC0DE).run().unwrap();
+        assert_eq!(report.points.len(), 5);
+        for p in &report.points {
+            assert_eq!(p.reports.len(), 4, "{}", p.scenario);
+            assert_eq!((p.n, p.density.as_str()), (16, "2"));
+            for r in &p.reports {
                 assert!(r.checkpoints_verified > 0);
             }
         }
         assert_eq!(report.fingerprint.len(), 16);
+    }
+
+    #[test]
+    fn replay_each_builds_one_trace_per_cell_and_scenario() {
+        let sweep = Sweep {
+            cells: vec![
+                SweepCell::preset(16, Density::Ratio(2), 7),
+                SweepCell::preset(16, Density::NOver2, 7),
+            ],
+            scenarios: standard_suite(1_000).into_iter().take(2).collect(),
+            policies: vec![MaintenancePolicy::Impromptu, MaintenancePolicy::RebuildGhs],
+        };
+        let mut calls = Vec::new();
+        let rows = sweep
+            .replay_each(|setup, workload, policy| {
+                calls.push((setup.cell.density.label(), workload.scenario.clone(), policy));
+                Ok(workload.len())
+            })
+            .unwrap();
+        // Cell-major, then scenario, then policy order; points carry no
+        // reports of their own.
+        assert_eq!(rows.len(), 2 * 2);
+        assert_eq!(calls.len(), 2 * 2 * 2);
+        assert_eq!(calls[0].0, "2");
+        assert_eq!(calls[4].0, "n/2");
+        assert_eq!(calls[0].1, calls[1].1);
+        assert_ne!(calls[0].1, calls[2].1);
+        assert_eq!(calls[1].2, MaintenancePolicy::RebuildGhs);
+        for (point, results) in &rows {
+            assert!(point.reports.is_empty());
+            assert_eq!(results, &vec![point.events; 2]);
+        }
+        // The plain run prices the same traces.
+        let report = sweep.run().unwrap();
+        let fingerprints: Vec<&String> =
+            report.points.iter().map(|p| &p.workload_fingerprint).collect();
+        assert_eq!(
+            fingerprints,
+            rows.iter().map(|(p, _)| &p.workload_fingerprint).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rung's target")]
+    fn a_cell_off_its_rung_is_rejected() {
+        let params = SuiteParams { m: 40, ..SuiteParams::with_n(16) };
+        SweepCell { density: Density::Ratio(2), params }.setup();
     }
 
     #[test]
@@ -369,28 +538,28 @@ mod tests {
             verify_every: 2,
             ..SuiteParams::density_preset(16, Density::NOver2)
         };
-        let report = run_churn_suite(&params).unwrap();
-        assert_eq!(report.m, 16 * 15 / 2, "the n/2 rung is the complete graph");
-        assert!((report.m_over_n - 7.5).abs() < 1e-12);
-        assert_eq!(report.scenarios.len(), 5);
-        for s in &report.scenarios {
-            for r in &s.reports {
-                assert!(r.checkpoints_verified > 0, "{}/{}", s.scenario, r.policy);
+        let report = Sweep::battery(SweepCell { density: Density::NOver2, params }).run().unwrap();
+        assert_eq!(report.points.len(), 5);
+        for p in &report.points {
+            assert_eq!(p.m, 16 * 15 / 2, "the n/2 rung is the complete graph");
+            assert!((p.m_over_n - 7.5).abs() < 1e-12);
+            for r in &p.reports {
+                assert!(r.checkpoints_verified > 0, "{}/{}", p.scenario, r.policy);
             }
         }
     }
 
     #[test]
     fn suite_is_deterministic_across_runs() {
-        let a = run_churn_suite(&tiny()).unwrap();
-        let b = run_churn_suite(&tiny()).unwrap();
+        let a = tiny(0xC0DE).run().unwrap();
+        let b = tiny(0xC0DE).run().unwrap();
         assert_eq!(a, b);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
             "same seed must give byte-identical JSON"
         );
-        let c = run_churn_suite(&SuiteParams { seed: 99, ..tiny() }).unwrap();
+        let c = tiny(99).run().unwrap();
         assert_ne!(a.fingerprint, c.fingerprint);
     }
 }

@@ -14,32 +14,32 @@
 
 use kkt::core::TreeKind;
 use kkt::workloads::{
-    run_churn_suite, ChurnSuiteReport, MaintenancePolicy, MixedPhases, PhaseAccumulator,
-    ReplayConfig, ReplayHarness, Scenario, SuiteParams,
+    Density, MaintenancePolicy, MixedPhases, PhaseAccumulator, SuiteParams, Sweep, SweepCell,
+    SweepReport,
 };
 
-fn summarise(report: &ChurnSuiteReport) {
+fn summarise(params: &SuiteParams, report: &SweepReport) {
     println!(
         "== {} maintenance, {} (n = {}, m = {}, {} events/scenario, fingerprint {})",
         report.tree_kind,
         report.scheduler,
-        report.n,
-        report.m,
-        report.events_per_scenario,
+        report.points[0].n,
+        report.points[0].m,
+        params.events,
         report.fingerprint
     );
-    for scenario in &report.scenarios {
+    for point in &report.points {
         println!(
             "  {} (deletions {}, of which tree {}; insertions {}; weight changes {}; max components {})",
-            scenario.scenario,
-            scenario.stats.deletions,
-            scenario.stats.tree_edge_deletions,
-            scenario.stats.insertions,
-            scenario.stats.weight_changes,
-            scenario.stats.max_components,
+            point.scenario,
+            point.stats.deletions,
+            point.stats.tree_edge_deletions,
+            point.stats.insertions,
+            point.stats.weight_changes,
+            point.stats.max_components,
         );
-        let impromptu_bits = scenario.report_for("impromptu_repair").map_or(0, |r| r.total.bits);
-        for r in &scenario.reports {
+        let impromptu_bits = point.report_for("impromptu_repair").map_or(0, |r| r.total.bits);
+        for r in &point.reports {
             let ratio = if impromptu_bits > 0 {
                 format!("{:.2}x impromptu", r.total.bits as f64 / impromptu_bits as f64)
             } else {
@@ -55,30 +55,25 @@ fn summarise(report: &ChurnSuiteReport) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mst = SuiteParams { n: 48, m: 192, events: 12, verify_every: 3, ..SuiteParams::default() };
-    summarise(&run_churn_suite(&mst)?);
+    let cell = SweepCell { density: Density::Ratio(4), params: mst };
+    summarise(&mst, &Sweep::battery(cell).run()?);
 
     // The same battery on an unweighted spanning tree: repairs use FindAny
     // (expected O(n)) and the rebuild baseline is Θ(m) flooding.
     let st = SuiteParams { kind: TreeKind::St, max_weight: 1, ..mst };
-    summarise(&run_churn_suite(&st)?);
+    summarise(&st, &Sweep::battery(SweepCell { params: st, ..cell }).run()?);
 
     // KKT_TRACE=1: one extra observed replay of the mixed lifecycle per MST
     // policy, decomposing each policy's bits by phase. Attribution is pure —
     // the suites above print the same numbers with or without the flag.
     if std::env::var("KKT_TRACE").is_ok_and(|v| v == "1") {
-        let base = mst.base_graph();
-        let workload = MixedPhases::standard(mst.max_weight).generate(&base, mst.events, mst.seed);
-        let harness = ReplayHarness::new(ReplayConfig {
-            kind: mst.kind,
-            scheduler: mst.scheduler,
-            verify_every: mst.verify_every,
-            seed: mst.seed,
-            ..ReplayConfig::default()
-        });
+        let setup = cell.setup();
+        let (workload, _) = setup.trace(&MixedPhases::standard(mst.max_weight))?;
         println!("\n== phase anatomy of {} (KKT_TRACE=1)", workload.scenario);
         for policy in MaintenancePolicy::all_for(mst.kind) {
             let mut phases = PhaseAccumulator::new();
-            let report = harness.replay_observed(&base, &workload, policy, &mut phases)?;
+            let report =
+                setup.harness.replay_observed(&setup.base, &workload, policy, &mut phases)?;
             println!("-- {}", report.policy);
             println!("{}", report.total.phase_table(&phases.ledger));
         }
