@@ -7,7 +7,8 @@
 //! `cargo run --bin exp11_scale_sweep > report.json` captures valid JSON.
 //!
 //! Scale is controlled by the `KKT_SCALE` environment variable (`large`
-//! sweeps n ∈ {256, 1024, 4096, 16384, 65536}, anything else n ∈ {64, 256}),
+//! sweeps n ∈ {256, 1024, 4096, 16384, 65536}, `quick` or unset n ∈ {64,
+//! 256}),
 //! the seed by `KKT_SEED`, and `KKT_EXP11_N` restricts the sweep to one rung
 //! — CI runs `KKT_SCALE=large KKT_EXP11_N=1024` and `…KKT_EXP11_N=16384`
 //! twice each under a wall-clock budget and asserts the reports are

@@ -10,7 +10,7 @@
 //! what exp9/exp11 record for the same trace).
 //!
 //! Scale is controlled by `KKT_SCALE` (`large` sweeps
-//! n ∈ {256, 1024, 4096, 16384, 65536}, anything else n ∈ {64, 256}), the
+//! n ∈ {256, 1024, 4096, 16384, 65536}, `quick` or unset n ∈ {64, 256}), the
 //! seed by `KKT_SEED`, and `KKT_EXP12_N` restricts the sweep to one rung.
 //! `BENCH_PR4.json` and `BENCH_PR9.json` at the repo root are sealed
 //! snapshots of `KKT_SCALE=large` runs plus the pre-optimization baselines

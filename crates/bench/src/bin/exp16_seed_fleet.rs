@@ -8,7 +8,7 @@
 //!
 //! Scale is controlled by the `KKT_SCALE` environment variable (`large`
 //! sweeps the full density ladder at n = 256 plus the default rung at
-//! n = 1024, anything else the quick n = 48 preset), the base seed by
+//! n = 1024, `quick` or unset the quick n = 48 preset), the base seed by
 //! `KKT_SEED`, the worker count by `KKT_THREADS` (wall-clock only — the
 //! report is byte-identical for any thread count, which is exactly what the
 //! CI `fleet-smoke` job asserts), and `KKT_EXP16_N` restricts the sweep to

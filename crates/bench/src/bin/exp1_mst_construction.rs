@@ -1,8 +1,8 @@
 //! Experiment binary: see `DESIGN.md` §4 and `EXPERIMENTS.md`.
 //!
 //! Scale is controlled by the `KKT_SCALE` environment variable
-//! (`large` for the full sweep, anything else for the quick one) and the
-//! seed by `KKT_SEED`.
+//! (`large` for the full sweep, `quick` or unset for the quick one; any
+//! other value panics) and the seed by `KKT_SEED`.
 
 use kkt_bench::experiments;
 use kkt_bench::Scale;

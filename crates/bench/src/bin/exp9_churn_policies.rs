@@ -5,8 +5,8 @@
 //! `cargo run --bin exp9_churn_policies > report.json` captures valid JSON.
 //!
 //! Scale is controlled by the `KKT_SCALE` environment variable
-//! (`large` for the full sweep, anything else for the quick one) and the
-//! seed by `KKT_SEED`.
+//! (`large` for the full sweep, `quick` or unset for the quick one; any
+//! other value panics) and the seed by `KKT_SEED`.
 
 use kkt_bench::experiments;
 use kkt_bench::Scale;

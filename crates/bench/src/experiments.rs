@@ -16,20 +16,26 @@ use kkt_core::{
     insert_edge_mst, test_out, Budget, DeleteOutcome, KktConfig, WeightInterval,
 };
 use kkt_graphs::{generators, kruskal, Graph};
-use kkt_workloads::report::{scheduler_label, tree_kind_label};
 use kkt_workloads::{
-    AnatomyPoint, CostAnatomyReport, Density, MaintenancePolicy, MixedPhases, MultiEdgeCuts,
-    PhaseAccumulator, ReplayReport, Scenario, SuiteParams, Sweep, SweepCell, SweepPoint,
-    SweepReport,
+    Density, MaintenancePolicy, MixedPhases, MultiEdgeCuts, ReplayReport, Scenario, SuiteParams,
+    Sweep, SweepCell, SweepPoint, SweepReport,
 };
 
 use crate::fleet::FleetScenario;
-use crate::stats::Summary;
+use crate::stats::ExactSummary;
 use crate::table::Table;
 use crate::Scale;
 
 fn fresh_net(g: Graph, seed: u64) -> Network {
     Network::new(g, NetworkConfig { seed, ..NetworkConfig::default() })
+}
+
+/// The mean of an integer sample, for display: the exact `u128` sum over
+/// the count, converted to `f64` once, so it does not depend on the order
+/// of `values`. 0 for an empty sample.
+fn mean(values: &[u64]) -> f64 {
+    let exact = ExactSummary::of_u64(values);
+    exact.sum as f64 / exact.count.max(1) as f64
 }
 
 /// A two-cluster complete graph whose weights force GHS into its Θ(m)
@@ -176,16 +182,14 @@ pub fn exp3_mst_repair(scale: Scale, seed: u64) -> Table {
             let outcome = flood_repair_delete(&mut base, edge.u, edge.v).unwrap();
             flood_deletes.push(outcome.messages);
         }
-        let kd = Summary::of_u64(&kkt_deletes);
-        let fd = Summary::of_u64(&flood_deletes);
-        let ki = Summary::of_u64(&kkt_inserts);
+        let kd = mean(&kkt_deletes);
         table.push_row(vec![
             n.to_string(),
             m.to_string(),
-            format!("{:.0}", kd.mean),
-            format!("{:.0}", fd.mean),
-            format!("{:.0}", ki.mean),
-            format!("{:.1}", kd.mean / n as f64),
+            format!("{kd:.0}"),
+            format!("{:.0}", mean(&flood_deletes)),
+            format!("{:.0}", mean(&kkt_inserts)),
+            format!("{:.1}", kd / n as f64),
         ]);
     }
     table
@@ -217,13 +221,13 @@ pub fn exp4_st_repair(scale: Scale, seed: u64) -> Table {
             costs.push((net.cost() - before).messages);
             kkt_graphs::verify_spanning_forest(net.graph(), &net.marked_forest_snapshot()).unwrap();
         }
-        let s = Summary::of_u64(&costs);
+        let s = mean(&costs);
         table.push_row(vec![
             n.to_string(),
             m.to_string(),
-            format!("{:.0}", s.mean),
-            format!("{:.0}", s.max),
-            format!("{:.2}", s.mean / n as f64),
+            format!("{s:.0}"),
+            costs.iter().copied().max().unwrap_or(0).to_string(),
+            format!("{:.2}", s / n as f64),
         ]);
     }
     table
@@ -323,8 +327,8 @@ pub fn exp6_find_primitives(scale: Scale, seed: u64) -> Table {
         table.push_row(vec![
             n.to_string(),
             format!("{:.2}", successes as f64 / trials as f64),
-            format!("{:.1}", Summary::of_u64(&iterations).mean),
-            format!("{:.1}", Summary::of_u64(&broadcast_echoes).mean),
+            format!("{:.1}", mean(&iterations)),
+            format!("{:.1}", mean(&broadcast_echoes)),
             format!("{:.1}", lg / lg.log2()),
         ]);
     }
@@ -363,8 +367,8 @@ pub fn exp7_superpoly_weights(scale: Scale, seed: u64) -> Table {
         table.push_row(vec![
             n.to_string(),
             weight_bits.to_string(),
-            format!("{:.1}", Summary::of_u64(&iters).mean),
-            format!("{:.1}", Summary::of_u64(&narrowings).mean),
+            format!("{:.1}", mean(&iters)),
+            format!("{:.1}", mean(&narrowings)),
             format!("{:.1}", total_bits / w.log2()),
         ]);
     }
@@ -454,7 +458,7 @@ fn restrict(var: &str, scale: Scale, only_n: Option<usize>, ladder: Vec<usize>) 
 }
 
 /// Every MST policy over the seed fleet's two churn regimes in `cells` (the
-/// grid of E11, E13 and E14): steady background churn (how often does churn
+/// grid of E11 and E13): steady background churn (how often does churn
 /// hit the tree?) and the adversary that severs a tree edge on every
 /// deletion (what does a forced repair cost?).
 fn churn_sweep(cells: Vec<SweepCell>) -> Sweep {
@@ -464,17 +468,6 @@ fn churn_sweep(cells: Vec<SweepCell>) -> Sweep {
         scenarios: FleetScenario::ALL.iter().map(|s| s.generator(max_weight)).collect(),
         policies: MaintenancePolicy::all_for(kkt_core::TreeKind::Mst),
     }
-}
-
-/// The E13/E14 grid: every rung of [`Density::LADDER`] at each grid size.
-fn density_grid(var: &str, scale: Scale, seed: u64, only_n: Option<usize>) -> Sweep {
-    let sizes = restrict(var, scale, only_n, scale.density_grid_sizes());
-    churn_sweep(
-        sizes
-            .into_iter()
-            .flat_map(|n| Density::LADDER.map(|density| SweepCell::preset(n, density, seed)))
-            .collect(),
-    )
 }
 
 /// A sweep report's replays, each beside its point, in report order.
@@ -765,15 +758,22 @@ pub fn exp12_wallclock(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table
 /// densest rung is the complete graph `K_256`) twice inside a wall-clock
 /// budget and asserts byte-identical reports.
 ///
-/// Returns the printable table *and* the sealed deterministic JSON report.
+/// Returns the printable table *and* the sealed deterministic JSON report,
+/// whose replays carry the phase ledgers [`exp14_cost_anatomy`] tabulates.
 pub fn exp13_dynamic_density(
     scale: Scale,
     seed: u64,
     only_n: Option<usize>,
 ) -> (Table, SweepReport) {
-    let report = density_grid("KKT_EXP13_N", scale, seed, only_n)
-        .run()
-        .expect("every checkpoint verifies against the shadow oracle");
+    let sizes = restrict("KKT_EXP13_N", scale, only_n, scale.density_grid_sizes());
+    let report = churn_sweep(
+        sizes
+            .into_iter()
+            .flat_map(|n| Density::LADDER.map(|density| SweepCell::preset(n, density, seed)))
+            .collect(),
+    )
+    .run()
+    .expect("every checkpoint verifies against the shadow oracle");
 
     let table = Table::of_rows(
         "E13: dynamic density sweep — bits per event vs m/n, repair vs rebuild under churn",
@@ -794,108 +794,53 @@ pub fn exp13_dynamic_density(
     (table, report)
 }
 
-/// `phase`'s share of an anatomy point's bits, in percent.
-fn share(point: &AnatomyPoint, phase: Phase) -> String {
-    format!("{:.1}", 100.0 * point.phases.get(phase).bits as f64 / point.total.bits.max(1) as f64)
+/// `phase`'s share of a replay's bits, in percent.
+fn share(r: &ReplayReport, phase: Phase) -> String {
+    format!("{:.1}", 100.0 * r.phases.get(phase).bits as f64 / r.total.bits.max(1) as f64)
 }
 
-/// E14 — the cost anatomy: *where do the bits go?* Every `(n, density)` cell
-/// of the E13 grid is replayed under every MST policy with the
-/// phase-attributing observer installed, decomposing each policy's
-/// bits-per-event into the paper's phases (delivery, broadcast-echo, leader
-/// election, `FindMin` narrowing, `FindAny` sampling, announce, rebuild
-/// sweep). The decomposition *conserves* — phase sums are asserted equal to
-/// the untraced totals bit-for-bit, so E14's rows reconcile exactly against
-/// E13's — and makes the asymptotics legible: repair policies should be
+/// The phase with the most bits in `r` (ties break in ledger order).
+fn dominant_phase(r: &ReplayReport) -> String {
+    r.phases
+        .entries()
+        .max_by_key(|&(phase, cost)| (cost.bits, std::cmp::Reverse(phase)))
+        .map(|(phase, _)| phase.label().to_string())
+        .expect("ledger has a fixed set of phases")
+}
+
+/// E14 — the cost anatomy: *where do the bits go?* Each replay of an E13
+/// report, with its bits per event decomposed into the paper's phases
+/// (delivery, broadcast-echo, leader election, `FindMin` narrowing,
+/// `FindAny` sampling, announce, rebuild sweep). The decomposition
+/// *conserves*: the harness asserts on every replay that the phase ledger
+/// sums to the untraced totals, so E14's rows reconcile exactly against
+/// E13's. It makes the asymptotics legible: repair policies should be
 /// dominated by `FindMin`/`FindAny` searches with a density-independent
 /// announce tail, while the rebuild baselines concentrate in the rebuild
 /// sweep whose bits track `m`.
 ///
-/// `only_n` restricts the sweep to one grid size (the `KKT_EXP14_N`
-/// environment variable in the binary) — CI runs the n = 256 column twice
-/// inside a wall-clock budget and asserts byte-identical reports.
-///
-/// Returns the printable table *and* the sealed deterministic JSON report.
-pub fn exp14_cost_anatomy(
-    scale: Scale,
-    seed: u64,
-    only_n: Option<usize>,
-) -> (Table, CostAnatomyReport) {
-    let sweep = density_grid("KKT_EXP14_N", scale, seed, only_n);
-    let observed = sweep
-        .replay_each(|setup, workload, policy| {
-            let mut acc = PhaseAccumulator::new();
-            let report = setup.harness.replay_observed(&setup.base, workload, policy, &mut acc)?;
-            Ok((report, acc.ledger))
-        })
-        .expect("every checkpoint verifies against the shadow oracle");
-    let mut points = Vec::new();
-    for (point, replays) in observed {
-        for (report, phases) in replays {
-            let total = phases.total();
-            // The tracing layer's contract, re-checked at the report
-            // boundary: attribution never loses (or invents) a bit.
-            assert!(
-                total.messages == report.total.messages
-                    && total.bits == report.total.bits
-                    && total.time == report.total.time
-                    && total.broadcast_echoes == report.total.broadcast_echoes,
-                "phase ledger does not conserve for {} at n={}: {total:?} vs {:?}",
-                report.policy,
-                point.n,
-                report.total,
-            );
-            let dominant_phase = phases
-                .entries()
-                .max_by_key(|&(phase, cost)| (cost.bits, std::cmp::Reverse(phase)))
-                .map(|(phase, _)| phase.label().to_string())
-                .expect("ledger has a fixed set of phases");
-            points.push(AnatomyPoint {
-                n: point.n,
-                m: point.m,
-                density: point.density.clone(),
-                m_over_n: point.m_over_n,
-                scenario: point.scenario.clone(),
-                policy: report.policy,
-                events: point.events,
-                checkpoints_verified: report.checkpoints_verified,
-                workload_fingerprint: point.workload_fingerprint.clone(),
-                phases,
-                total,
-                dominant_phase,
-            });
-        }
-    }
-    let params = sweep.cells[0].params;
-    let mut report = CostAnatomyReport {
-        seed,
-        tree_kind: tree_kind_label(params.kind),
-        scheduler: scheduler_label(params.scheduler),
-        points,
-        fingerprint: String::new(),
-    };
-    report.seal();
-
-    let table = Table::of_rows(
+/// A pure function of the report: the `exp13_dynamic_density` binary prints
+/// this table after E13's.
+pub fn exp14_cost_anatomy(report: &SweepReport) -> Table {
+    Table::of_rows(
         "E14: cost anatomy — bits per event by phase, every policy across the density grid",
-        &report.points,
+        &replays(report),
         &[
-            ("n", |p| p.n.to_string()),
-            ("m/n", |p| p.density.clone()),
-            ("scenario", |p| p.scenario.clone()),
-            ("policy", |p| p.policy.clone()),
-            ("bits/event", |p| format!("{:.0}", p.total.bits as f64 / p.events.max(1) as f64)),
-            ("delivery%", |p| share(p, Phase::Delivery)),
-            ("becho%", |p| share(p, Phase::BroadcastEcho)),
-            ("elect%", |p| share(p, Phase::LeaderElection)),
-            ("findmin%", |p| share(p, Phase::FindMinNarrow)),
-            ("findany%", |p| share(p, Phase::FindAnySample)),
-            ("announce%", |p| share(p, Phase::Announce)),
-            ("rebuild%", |p| share(p, Phase::RebuildSweep)),
-            ("dominant", |p| p.dominant_phase.clone()),
+            ("n", |(p, _)| p.n.to_string()),
+            ("m/n", |(p, _)| p.density.clone()),
+            ("scenario", |(p, _)| p.scenario.clone()),
+            ("policy", |(_, r)| r.policy.clone()),
+            ("bits/event", |(_, r)| per_event(r.total.bits, r)),
+            ("delivery%", |(_, r)| share(r, Phase::Delivery)),
+            ("becho%", |(_, r)| share(r, Phase::BroadcastEcho)),
+            ("elect%", |(_, r)| share(r, Phase::LeaderElection)),
+            ("findmin%", |(_, r)| share(r, Phase::FindMinNarrow)),
+            ("findany%", |(_, r)| share(r, Phase::FindAnySample)),
+            ("announce%", |(_, r)| share(r, Phase::Announce)),
+            ("rebuild%", |(_, r)| share(r, Phase::RebuildSweep)),
+            ("dominant", |(_, r)| dominant_phase(r)),
         ],
-    );
-    (table, report)
+    )
 }
 
 /// E16 — the seed fleet: every headline number re-priced as a
@@ -927,7 +872,7 @@ pub fn exp16_seed_fleet(
     }
     .restrict_to(only_n);
     // An unmatched restriction must fail loudly, not emit an empty report
-    // the CI byte-compare would green-light (same guard as exp11–exp14).
+    // the CI byte-compare would green-light (same guard as exp11–exp13).
     assert!(
         !params.rungs.is_empty(),
         "KKT_EXP16_N={only_n:?} matches no rung of the {scale:?} fleet grid"
@@ -1172,6 +1117,36 @@ mod tests {
             repair.total.bits,
             ghs.total.bits
         );
+        // E14 tabulates the same replays by phase, one row each: the seven
+        // shares cover the replay's bits, and only the GHS rebuild is
+        // dominated by the rebuild sweep.
+        let anatomy = exp14_cost_anatomy(&report);
+        assert_eq!(anatomy.len(), table.len());
+        for ((point, r), row) in replays(&report).into_iter().zip(anatomy.rows()) {
+            assert_eq!((&row[2], &row[3]), (&point.scenario, &r.policy));
+            let shares: f64 = row[5..12].iter().map(|c| c.parse::<f64>().unwrap()).sum();
+            assert!((shares - 100.0).abs() < 0.5, "{}/{}: {shares}", point.density, r.policy);
+            assert_eq!(row[12] == "rebuild_sweep", r.policy == "rebuild_ghs", "{}", r.policy);
+        }
+    }
+
+    #[test]
+    fn mean_is_order_independent() {
+        // The regression the exact sum exists for: a pathological mix of
+        // magnitudes summed in different orders must produce *bit-identical*
+        // means (a per-value f64 accumulation does not).
+        let mut values: Vec<u64> = vec![u64::MAX / 1024; 64];
+        values.extend([1u64, 3, 7, 11, 13, 17].repeat(11));
+        let forward = mean(&values);
+        let mut reversed = values.clone();
+        reversed.reverse();
+        let mut interleaved = values.clone();
+        interleaved.sort_unstable_by_key(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for other in [mean(&reversed), mean(&interleaved)] {
+            assert_eq!(forward.to_bits(), other.to_bits());
+        }
+        assert_eq!(mean(&[2, 4, 4, 4, 5, 5, 7, 9]), 5.0);
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod stats;
 pub mod table;
 
 pub use fleet::{mix_seed, run_fleet, threads_from_env, FleetPanic};
-pub use stats::{ExactSummary, Percentiles, SloSummary, Summary};
+pub use stats::{ExactSummary, Percentiles, SloSummary};
 pub use table::Table;
 
 /// The workspace-wide base seed every experiment falls back to when
@@ -60,12 +60,28 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `KKT_SCALE` environment variable
-    /// (`large`/`full` → [`Scale::Large`], anything else → [`Scale::Quick`]).
+    /// Reads the scale from the `KKT_SCALE` environment variable: unset is
+    /// [`Scale::Quick`], and `quick` or `large` (any ASCII case) selects
+    /// that scale.
+    ///
+    /// # Panics
+    ///
+    /// When the variable is set to anything else, the empty string
+    /// included, naming the variable and the value: a typo must not run the
+    /// quick grid and exit 0.
     pub fn from_env() -> Self {
-        match std::env::var("KKT_SCALE").unwrap_or_default().to_lowercase().as_str() {
-            "large" | "full" => Scale::Large,
-            _ => Scale::Quick,
+        std::env::var_os("KKT_SCALE")
+            .map_or(Scale::Quick, |value| Self::parse(&value.to_string_lossy()))
+    }
+
+    /// The parse step of [`Self::from_env`], apart from the environment.
+    fn parse(value: &str) -> Self {
+        if value.eq_ignore_ascii_case("quick") {
+            Scale::Quick
+        } else if value.eq_ignore_ascii_case("large") {
+            Scale::Large
+        } else {
+            panic!("KKT_SCALE={value:?} is not `quick` or `large`")
         }
     }
 
@@ -148,5 +164,24 @@ mod tests {
             assert!(message.contains(&format!("{value:?}")), "{message}");
         }
         assert_eq!(env_number::<u64>("KKT_TEST_VARIABLE_THAT_IS_NEVER_SET"), None);
+    }
+
+    #[test]
+    fn scale_parses_quick_and_large_or_panics_naming_the_variable_and_value() {
+        for (value, scale) in [
+            ("quick", Scale::Quick),
+            ("QUICK", Scale::Quick),
+            ("large", Scale::Large),
+            ("Large", Scale::Large),
+        ] {
+            assert_eq!(Scale::parse(value), scale, "{value}");
+        }
+        for value in ["larg", "full", "", " large", "1"] {
+            let message = panic_message(|| {
+                Scale::parse(value);
+            });
+            assert!(message.contains("KKT_SCALE"), "{message}");
+            assert!(message.contains(&format!("{value:?}")), "{message}");
+        }
     }
 }

@@ -1,17 +1,11 @@
-//! Summary statistics for experiment outputs.
+//! Summary statistics for experiment outputs, in exact integer arithmetic.
 //!
-//! Two tiers, by contract:
-//!
-//! * **Display-only floats** — [`Summary`] keeps `f64` readouts for table
-//!   formatting. Integer samples still accumulate through the exact integer
-//!   path ([`ExactSummary`]) before the one final conversion, so the result
-//!   is independent of summation order — a merge-order hazard for any
-//!   parallel producer otherwise.
-//! * **Fingerprinted integers** — [`ExactSummary`], [`Percentiles`] and
-//!   [`SloSummary`] are computed in exact integer arithmetic (`u128` sums,
-//!   integer nearest-rank, fixed-point micro-unit readouts) and are the only
-//!   forms allowed into sealed fleet reports: no float ever reaches a
-//!   fingerprinted field.
+//! [`ExactSummary`], [`Percentiles`] and [`SloSummary`] use `u128` sums,
+//! integer nearest-rank and fixed-point micro-unit readouts, so every
+//! statistic is a pure function of the sample multiset: no float ever
+//! reaches a fingerprinted field, and no accumulation or merge order can
+//! change a result. Tables that print a float mean convert the exact sum
+//! once, at the end.
 
 use serde::{Deserialize, Serialize};
 
@@ -126,65 +120,6 @@ impl ExactSummary {
         // isqrt(n · 10¹²) = √n · 10⁶ to integer precision.
         let sqrt_n_micro = isqrt_u128(u128::from(self.count) * MICRO * MICRO);
         (u128::from(self.stddev_micro()) * 196 * MICRO / (100 * sqrt_n_micro)) as u64
-    }
-}
-
-/// Mean / standard deviation / min / max of a sample — the display tier
-/// (`f64` readouts for table formatting; never fingerprinted).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (n − 1 denominator; 0 for singletons).
-    pub stddev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Sample size.
-    pub count: usize,
-}
-
-impl Summary {
-    /// Summarises a float sample. Returns zeros for an empty sample.
-    pub fn of(values: &[f64]) -> Self {
-        if values.is_empty() {
-            return Summary { mean: 0.0, stddev: 0.0, min: 0.0, max: 0.0, count: 0 };
-        }
-        let count = values.len();
-        let mean = values.iter().sum::<f64>() / count as f64;
-        let var = if count > 1 {
-            values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (count - 1) as f64
-        } else {
-            0.0
-        };
-        Summary {
-            mean,
-            stddev: var.sqrt(),
-            min: values.iter().copied().fold(f64::INFINITY, f64::min),
-            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            count,
-        }
-    }
-
-    /// Summarises integer samples through the exact integer path: sums are
-    /// accumulated in `u128` and converted to `f64` once at the end, so the
-    /// result does not depend on the order of `values` (the old per-value
-    /// float accumulation did — a merge-order hazard for parallel producers).
-    pub fn of_u64(values: &[u64]) -> Self {
-        let exact = ExactSummary::of_u64(values);
-        if exact.count == 0 {
-            return Self::of(&[]);
-        }
-        let n = exact.count as f64;
-        let mean = exact.sum as f64 / n;
-        let stddev = if exact.count > 1 {
-            let num = u128::from(exact.count) * exact.sum_sq - exact.sum * exact.sum;
-            (num as f64 / (n * (n - 1.0))).sqrt()
-        } else {
-            0.0
-        };
-        Summary { mean, stddev, min: exact.min as f64, max: exact.max as f64, count: values.len() }
     }
 }
 
@@ -360,42 +295,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_of_known_sample() {
-        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.stddev - 2.138089935).abs() < 1e-6);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert_eq!(s.count, 8);
-    }
-
-    #[test]
-    fn summary_of_u64_matches_float_path_on_known_sample() {
-        let s = Summary::of_u64(&[2, 4, 4, 4, 5, 5, 7, 9]);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.stddev - 2.138089935).abs() < 1e-6);
-        assert_eq!((s.min, s.max, s.count), (2.0, 9.0, 8));
-    }
-
-    #[test]
-    fn summary_of_u64_is_order_independent() {
-        // The regression the exact path exists for: a pathological mix of
-        // magnitudes summed in different orders must produce *bit-identical*
-        // results (the old per-value f64 accumulation did not).
-        let mut values: Vec<u64> = vec![u64::MAX / 1024; 64];
-        values.extend([1u64, 3, 7, 11, 13, 17].repeat(11));
-        let forward = Summary::of_u64(&values);
-        let mut reversed = values.clone();
-        reversed.reverse();
-        let mut interleaved = values.clone();
-        interleaved.sort_unstable_by_key(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for other in [Summary::of_u64(&reversed), Summary::of_u64(&interleaved)] {
-            assert!(forward.mean.to_bits() == other.mean.to_bits());
-            assert!(forward.stddev.to_bits() == other.stddev.to_bits());
-        }
-    }
-
-    #[test]
     fn exact_summary_moments_and_readouts() {
         let e = ExactSummary::of_u64(&[2, 4, 4, 4, 5, 5, 7, 9]);
         assert_eq!((e.count, e.sum, e.sum_sq, e.min, e.max), (8, 40, 232, 2, 9));
@@ -533,17 +432,5 @@ mod tests {
         assert_eq!(format_micro(1_234_567), "1.23");
         assert_eq!(format_micro(1_235_000), "1.24", "half-centi rounds up");
         assert_eq!(format_micro(1_999_996), "2.00", "carry into the whole part");
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        let e = Summary::of(&[]);
-        assert_eq!(e.count, 0);
-        assert_eq!(e.mean, 0.0);
-        let s = Summary::of_u64(&[7]);
-        assert_eq!(s.mean, 7.0);
-        assert_eq!(s.stddev, 0.0);
-        let u = Summary::of_u64(&[]);
-        assert_eq!((u.count, u.mean, u.min, u.max), (0, 0.0, 0.0, 0.0));
     }
 }

@@ -15,6 +15,15 @@ pub const TESTOUT_SUCCESS_PROBABILITY: f64 = 0.125;
 /// Per-attempt success probability of `FindAny`'s isolation step (Lemma 4).
 pub const FINDANY_SUCCESS_PROBABILITY: f64 = 1.0 / 16.0;
 
+/// Independent odd hash functions per `FindMin` sub-interval (the "parallel
+/// repetitions" amplification of §2.2). `buckets × repeats` is clamped to 64
+/// so the echo stays one word.
+pub(crate) const TESTOUT_REPEATS: u32 = 4;
+
+/// Cap on the whole-construction phase count as a multiple of `lg n`: the
+/// paper's `(40c/C)·lg n`.
+const PHASE_FACTOR: f64 = 40.0;
+
 /// Tunable parameters of the King–Kutten–Thorup algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KktConfig {
@@ -24,18 +33,11 @@ pub struct KktConfig {
     /// broadcast-and-echo in `FindMin`. `None` derives `Θ(log n)` from the
     /// network size at run time.
     pub word_width: Option<u32>,
-    /// Independent odd hash functions per sub-interval (the "parallel
-    /// repetitions" amplification of §2.2). `buckets × repeats` is clamped to
-    /// 64 so the echo stays one word.
-    pub testout_repeats: u32,
-    /// Cap on the whole-construction phase count as a multiple of `lg n`.
-    /// The paper uses `(40c/C)·lg n`; the default mirrors that.
-    pub phase_factor: f64,
 }
 
 impl Default for KktConfig {
     fn default() -> Self {
-        KktConfig { c: 1.0, word_width: None, testout_repeats: 4, phase_factor: 40.0 }
+        KktConfig { c: 1.0, word_width: None }
     }
 }
 
@@ -85,11 +87,11 @@ impl KktConfig {
         ((16.0 * (1.0 / self.epsilon(n)).ln()).ceil() as u32).max(4)
     }
 
-    /// Phase cap of the construction algorithms: `(phase_factor·c/C)·⌈lg n⌉`
+    /// Phase cap of the construction algorithms: `(PHASE_FACTOR·c/C)·⌈lg n⌉`
     /// with `C` the per-fragment success constant.
     pub fn phase_cap(&self, n: usize) -> u32 {
         let c_success = 0.5; // conservative lower bound on FindMin-C / FindAny-C success
-        ((self.phase_factor * self.c / c_success) * Self::lg_n(n).ceil()).ceil() as u32
+        ((PHASE_FACTOR * self.c / c_success) * Self::lg_n(n).ceil()).ceil() as u32
     }
 }
 

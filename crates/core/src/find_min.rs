@@ -24,7 +24,7 @@ use kkt_congest::{Histogram, Network, Phase};
 use kkt_graphs::NodeId;
 use rand::Rng;
 
-use crate::config::KktConfig;
+use crate::config::{KktConfig, TESTOUT_REPEATS};
 use crate::error::CoreError;
 use crate::find_any::VerifyDown;
 use crate::hp_test_out::HpDown;
@@ -81,7 +81,7 @@ impl MinSearch {
         config: &KktConfig,
     ) -> MinSearch {
         let n = net.node_count();
-        let repeats = config.testout_repeats.clamp(1, 64);
+        let repeats = TESTOUT_REPEATS;
         let bits = weight_bits(net);
         let budget = match budget {
             Budget::Whp => config.findmin_budget(n, bits),

@@ -18,8 +18,9 @@
 //! * **Traces** — an [`Observer`] receives one [`TraceRecord`] per workload
 //!   event from the replay harness; [`JsonlObserver`] renders records as
 //!   deterministic JSON lines with a rolling flush (memory-bounded on
-//!   million-event horizons), [`PhaseAccumulator`] folds them into a single
-//!   ledger, and [`MetricsObserver`] feeds the per-event histograms.
+//!   million-event horizons), and [`MetricsObserver`] feeds the per-event
+//!   histograms. A replay's whole-run ledger needs no observer: the
+//!   harness sums the per-event ledgers into the replay report itself.
 //!
 //! # Trace record schema
 //!
@@ -56,4 +57,4 @@ pub mod trace;
 
 pub use metrics::{Histogram, MetricsRegistry};
 pub use phase::{Phase, PhaseCost, PhaseLedger};
-pub use trace::{JsonlObserver, MetricsObserver, Observer, PhaseAccumulator, TraceRecord};
+pub use trace::{JsonlObserver, MetricsObserver, Observer, TraceRecord};

@@ -94,30 +94,6 @@ impl<W: Write> Observer for JsonlObserver<W> {
     }
 }
 
-/// Folds the per-event phase deltas into one ledger — the cheap way to ask
-/// "where did this replay's bits go" without keeping any per-event state.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseAccumulator {
-    /// Sum of every event's per-phase delta.
-    pub ledger: PhaseLedger,
-    /// Events observed.
-    pub events: usize,
-}
-
-impl PhaseAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Observer for PhaseAccumulator {
-    fn on_event(&mut self, record: &TraceRecord) {
-        self.ledger += record.phases;
-        self.events += 1;
-    }
-}
-
 /// Feeds per-event totals into a [`MetricsRegistry`]: `bits_per_event` and
 /// `rounds_per_event` histograms on powers-of-two buckets, plus an `events`
 /// counter — the tail-latency ("p99 bits") leg of the registry.
@@ -190,16 +166,6 @@ mod tests {
             let back: TraceRecord = serde_json::from_str(line).unwrap();
             assert_eq!(back.total, back.phases.total(), "records conserve");
         }
-    }
-
-    #[test]
-    fn phase_accumulator_folds_events() {
-        let mut acc = PhaseAccumulator::new();
-        acc.on_event(&record(0, 10));
-        acc.on_event(&record(1, 30));
-        assert_eq!(acc.events, 2);
-        assert_eq!(acc.ledger.get(Phase::FindMinNarrow).bits, 40);
-        assert_eq!(acc.ledger.total().broadcast_echoes, 2);
     }
 
     #[test]

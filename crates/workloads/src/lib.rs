@@ -25,10 +25,11 @@
 //!   with its [`SuiteParams`]) × scenarios × policies. For each cell the
 //!   runner builds the base graph, the harness and each validated trace
 //!   once, then replays every policy ([`Sweep::replay_each`]).
-//! * **Reports** — per-event and cumulative [`ReplayReport`]s; the
-//!   [`SweepReport`] of a plain sweep, which the `exp9`, `exp10`, `exp11`
-//!   and `exp13` binaries serialise as deterministic JSON; and the phase
-//!   decomposition [`CostAnatomyReport`] of `exp14`.
+//! * **Reports** — per-event and cumulative [`ReplayReport`]s, each with
+//!   its cost split by protocol phase ([`ReplayReport::phases`]), and the
+//!   [`SweepReport`] of a sweep, which the `exp9`, `exp10`, `exp11` and
+//!   `exp13` binaries serialise as deterministic JSON (`exp13` also prints
+//!   E14's phase table from it).
 //! * **Density axis** — [`SuiteParams::density_preset`] instantiates any
 //!   suite at a rung of the [`Density`] ladder
 //!   (`m/n ∈ {2, 4, 8, 16, n/8, n/2}`, where `n/2` is the complete graph):
@@ -82,11 +83,9 @@ pub mod workload;
 
 pub use event::WorkloadEvent;
 pub use fingerprint::{fingerprint_hex, fnv1a64};
-pub use kkt_obs::{JsonlObserver, MetricsObserver, Observer, PhaseAccumulator, TraceRecord};
+pub use kkt_obs::{JsonlObserver, MetricsObserver, Observer, TraceRecord};
 pub use replay::{MaintenancePolicy, ReplayConfig, ReplayError, ReplayHarness};
-pub use report::{
-    AnatomyPoint, CostAnatomyReport, EventCost, ReplayReport, SweepPoint, SweepReport,
-};
+pub use report::{EventCost, ReplayReport, SweepPoint, SweepReport};
 pub use scenarios::{
     standard_suite, AdversarialTreeCut, MixedPhases, MultiEdgeCuts, PartitionHeal, PoissonChurn,
     Scenario, WeightDrift,

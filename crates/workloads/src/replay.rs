@@ -238,10 +238,13 @@ impl ReplayHarness {
 
     /// Like [`Self::replay`], but additionally emits one [`TraceRecord`] per
     /// top-level event to `observer` (and a final [`Observer::on_finish`]).
+    /// The report's [`ReplayReport::phases`] already holds the run's phase
+    /// split, so an observer is for the per-event view.
     ///
     /// Observation is pure: the returned report is bit-identical to the one
-    /// [`Self::replay`] produces, and every record's per-phase ledger sums to
-    /// its total cost delta exactly (asserted per event).
+    /// [`Self::replay`] produces, every record's per-phase ledger sums to
+    /// its total cost delta exactly (asserted per event), and the records'
+    /// ledgers sum to the report's `phases`.
     ///
     /// # Errors
     ///
@@ -253,8 +256,7 @@ impl ReplayHarness {
         policy: MaintenancePolicy,
         observer: &mut dyn Observer,
     ) -> Result<ReplayReport, ReplayError> {
-        let report = self.replay_with(base, workload, policy, Some(observer))?;
-        Ok(report)
+        self.replay_with(base, workload, policy, Some(observer))
     }
 
     fn replay_with(
@@ -299,6 +301,7 @@ impl ReplayHarness {
             build: CostReport::default(),
             per_event: Vec::new(),
             total: CostReport::default(),
+            phases: PhaseLedger::default(),
             mean_messages_per_event: 0.0,
             max_messages_per_event: 0,
             checkpoints_verified: 0,
@@ -370,14 +373,14 @@ impl ReplayHarness {
                 _ => forest.apply_batch(&updates)?,
             };
             let delta = forest.cost() - before;
-            report.push_event(i, event.kind(), delta);
+            let phases = forest.phase_ledger() - ledger_before;
+            report.push_event(i, event.kind(), delta, phases);
             let verified = self.checkpoint_due(i, total);
             if verified {
                 self.verify_checkpoint(&oracle, &forest.snapshot(), i)?;
                 report.checkpoints_verified += 1;
             }
             if let Some(obs) = observer.as_deref_mut() {
-                let phases = forest.phase_ledger() - ledger_before;
                 emit_record(
                     obs,
                     i,
@@ -474,24 +477,17 @@ impl ReplayHarness {
                 primitives_as_updates(event, &mut oracle).map_err(ReplayError::InvalidTrace)?;
             mirror_updates(&mut scratch, &updates)?;
             let cost = self.rebuild_in(&mut scratch, policy, i)?;
-            report.push_event(i, event.kind(), cost);
+            // `Network::reset` zeroed the ledger with the counters, so the
+            // scratch ledger *is* this event's attribution.
+            let phases = scratch.phase_ledger();
+            report.push_event(i, event.kind(), cost, phases);
             let verified = self.checkpoint_due(i, total);
             if verified {
                 self.verify_checkpoint(&oracle, &scratch.marked_forest_snapshot(), i)?;
                 report.checkpoints_verified += 1;
             }
             if let Some(obs) = observer.as_deref_mut() {
-                // `Network::reset` zeroed the ledger with the counters, so
-                // the scratch ledger *is* this event's attribution.
-                emit_record(
-                    obs,
-                    i,
-                    event.kind(),
-                    "rebuilt".to_string(),
-                    verified,
-                    scratch.phase_ledger(),
-                    cost,
-                );
+                emit_record(obs, i, event.kind(), "rebuilt".to_string(), verified, phases, cost);
             }
         }
         report.finalize();

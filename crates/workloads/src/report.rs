@@ -1,9 +1,9 @@
-//! Cost reports: per-event records, per-run reports, and the sweep and
-//! anatomy documents the experiment suite serialises.
+//! Cost reports: per-event records, per-run reports, and the sweep document
+//! the experiment suite serialises.
 
 use serde::{Deserialize, Serialize};
 
-use kkt_congest::{CostReport, PhaseCost, PhaseLedger, Scheduler};
+use kkt_congest::{CostReport, PhaseLedger, Scheduler};
 use kkt_core::TreeKind;
 use kkt_graphs::Graph;
 
@@ -15,13 +15,6 @@ use crate::workload::WorkloadStats;
 /// this is not always the ladder's nominal ratio).
 pub fn m_over_n(g: &Graph) -> f64 {
     g.edge_count() as f64 / g.node_count().max(1) as f64
-}
-
-/// The shared sealing discipline of the suite documents: fingerprint the
-/// whole serialised report with its fingerprint field emptied (so sealing
-/// is idempotent and covers the run parameters, not just the result body).
-fn sealed_fingerprint<T: Serialize>(doc: &T) -> String {
-    fingerprint_hex(&serde_json::to_string(doc).expect("report serialises"))
 }
 
 /// Stable text label of a scheduler, used in reports.
@@ -103,6 +96,10 @@ pub struct ReplayReport {
     pub per_event: Vec<EventCost>,
     /// Sum of the per-event costs.
     pub total: CostReport,
+    /// `total` split by protocol phase: the sum of the per-event phase
+    /// deltas, asserted to conserve against `total` when the report is
+    /// finalized.
+    pub phases: PhaseLedger,
     /// `total.messages / top_level_events`.
     pub mean_messages_per_event: f64,
     /// Largest single-event message count.
@@ -112,17 +109,40 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Records one event's cost. The full [`CostReport`] delta feeds the
-    /// totals (so `broadcast_echoes` and `max_message_bits` are preserved);
-    /// the per-event record keeps the compact three-field form.
-    pub fn push_event(&mut self, index: usize, kind: String, delta: CostReport) {
+    /// Records one event's cost and its split by phase. The full
+    /// [`CostReport`] delta feeds the totals (so `broadcast_echoes` and
+    /// `max_message_bits` are preserved); the per-event record keeps the
+    /// compact three-field form.
+    pub fn push_event(
+        &mut self,
+        index: usize,
+        kind: String,
+        delta: CostReport,
+        phases: PhaseLedger,
+    ) {
         self.total = add_costs(self.total, delta);
+        self.phases += phases;
         self.max_messages_per_event = self.max_messages_per_event.max(delta.messages);
         self.per_event.push(EventCost::new(index, kind, delta));
     }
 
     /// Computes the derived summary fields; call once after the last event.
+    ///
+    /// # Panics
+    ///
+    /// If `phases` does not sum to `total` on messages, bits, time and
+    /// broadcast-and-echoes: attribution must never lose or invent a bit.
     pub fn finalize(&mut self) {
+        let sum = self.phases.total();
+        assert!(
+            sum.messages == self.total.messages
+                && sum.bits == self.total.bits
+                && sum.time == self.total.time
+                && sum.broadcast_echoes == self.total.broadcast_echoes,
+            "phase ledger does not conserve for {}: phase sum {sum:?} vs totals {:?}",
+            self.policy,
+            self.total
+        );
         let events = self.per_event.len().max(1);
         self.mean_messages_per_event = self.total.messages as f64 / events as f64;
     }
@@ -188,75 +208,20 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
+    /// Seals the report: fingerprints the whole serialised document with
+    /// its fingerprint field emptied, so sealing is idempotent and covers the
+    /// run parameters, not just the result body.
     pub fn seal(&mut self) {
         self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
-    }
-}
-
-/// One grid cell of the E14 cost anatomy: one `(n, density, scenario,
-/// policy)` replay with its cost decomposed by phase (summed over the whole
-/// trace, build excluded — the anatomy prices *maintenance*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AnatomyPoint {
-    /// Nodes of this point's base graph.
-    pub n: usize,
-    /// Live edges of this point's base graph.
-    pub m: usize,
-    /// Ladder label of the density rung.
-    pub density: String,
-    /// Achieved density ratio `m / n`.
-    pub m_over_n: f64,
-    /// Scenario identifier.
-    pub scenario: String,
-    /// Policy label.
-    pub policy: String,
-    /// Top-level events of the trace.
-    pub events: usize,
-    /// Oracle checkpoints that verified.
-    pub checkpoints_verified: usize,
-    /// Fingerprint of the generated trace.
-    pub workload_fingerprint: String,
-    /// Per-phase cost over all events.
-    pub phases: PhaseLedger,
-    /// The phase sums — conservation-checked against the replay's event
-    /// totals before the point is recorded.
-    pub total: PhaseCost,
-    /// Label of the phase with the most bits (ties break in ledger order).
-    pub dominant_phase: String,
-}
-
-/// The document `exp14_cost_anatomy` emits: where do the bits go? Every
-/// `(n, density)` cell of the E13 grid replayed under every MST policy with
-/// the phase-attributing observer installed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostAnatomyReport {
-    /// Master seed.
-    pub seed: u64,
-    /// `mst` or `st`.
-    pub tree_kind: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// One entry per `(n, density, scenario, policy)`, `n`-major then ladder
-    /// then scenario then policy order.
-    pub points: Vec<AnatomyPoint>,
-    /// FNV-1a fingerprint over the whole serialised document (with this
-    /// field emptied).
-    pub fingerprint: String,
-}
-
-impl CostAnatomyReport {
-    /// Seals the report (see [`sealed_fingerprint`]).
-    pub fn seal(&mut self) {
-        self.fingerprint = String::new();
-        self.fingerprint = sealed_fingerprint(self);
+        self.fingerprint =
+            fingerprint_hex(&serde_json::to_string(self).expect("report serialises"));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kkt_congest::Phase;
 
     fn cost(messages: u64, bits: u64, time: u64) -> CostReport {
         CostReport { messages, bits, time, broadcast_echoes: 0, max_message_bits: 0 }
@@ -276,9 +241,21 @@ mod tests {
         assert_eq!(c.max_message_bits, 7);
     }
 
-    #[test]
-    fn report_accumulates_and_finalizes() {
-        let mut r = ReplayReport {
+    /// A ledger that charges all of `delta` to `phase`.
+    fn ledger(phase: Phase, delta: CostReport) -> PhaseLedger {
+        let mut ledger = PhaseLedger::new();
+        for i in 0..delta.messages {
+            ledger.charge_message(phase, if i == 0 { delta.bits } else { 0 });
+        }
+        ledger.charge_time(phase, delta.time);
+        for _ in 0..delta.broadcast_echoes {
+            ledger.charge_broadcast_echo(phase);
+        }
+        ledger
+    }
+
+    fn empty_report() -> ReplayReport {
+        ReplayReport {
             scenario: "s".into(),
             workload_name: "w".into(),
             workload_fingerprint: "f".into(),
@@ -292,22 +269,26 @@ mod tests {
             build: CostReport::default(),
             per_event: Vec::new(),
             total: CostReport::default(),
+            phases: PhaseLedger::default(),
             mean_messages_per_event: 0.0,
             max_messages_per_event: 0,
             checkpoints_verified: 0,
+        }
+    }
+
+    #[test]
+    fn report_accumulates_and_finalizes() {
+        let mut r = empty_report();
+        let delete = CostReport {
+            messages: 10,
+            bits: 100,
+            time: 2,
+            broadcast_echoes: 3,
+            max_message_bits: 9,
         };
-        r.push_event(
-            0,
-            "delete".into(),
-            CostReport {
-                messages: 10,
-                bits: 100,
-                time: 2,
-                broadcast_echoes: 3,
-                max_message_bits: 9,
-            },
-        );
-        r.push_event(1, "insert".into(), cost(4, 40, 1));
+        r.push_event(0, "delete".into(), delete, ledger(Phase::FindMinNarrow, delete));
+        let insert = cost(4, 40, 1);
+        r.push_event(1, "insert".into(), insert, ledger(Phase::Announce, insert));
         r.finalize();
         assert_eq!(r.total.messages, 14);
         assert_eq!(r.max_messages_per_event, 10);
@@ -315,11 +296,23 @@ mod tests {
         assert_eq!(r.total.broadcast_echoes, 3);
         assert_eq!(r.total.max_message_bits, 9);
         assert!((r.mean_messages_per_event - 7.0).abs() < 1e-9);
+        // The ledger keeps each event's phase apart.
+        assert_eq!(r.phases.get(Phase::FindMinNarrow).bits, 100);
+        assert_eq!(r.phases.get(Phase::Announce).messages, 4);
         // JSON round-trip preserves the report exactly.
         let text = serde_json::to_string(&r).unwrap();
         let back: ReplayReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.fingerprint(), r.fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "phase ledger does not conserve")]
+    fn finalize_rejects_a_ledger_that_loses_bits() {
+        let mut r = empty_report();
+        let delta = cost(4, 40, 1);
+        r.push_event(0, "delete".into(), delta, ledger(Phase::Announce, cost(4, 39, 1)));
+        r.finalize();
     }
 
     #[test]

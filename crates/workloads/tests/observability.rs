@@ -6,16 +6,17 @@
 //!   (and its fingerprint) is equal with and without one, for every policy.
 //! * **Conservation** — the per-phase ledger sums to the untraced
 //!   `CostTracker` totals bit-for-bit, on every event of a 64-case seeded
-//!   sweep over scenarios × policies × kinds × schedulers.
+//!   sweep over scenarios × policies × kinds × schedulers, and the events'
+//!   ledgers sum to the report's `phases`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use kkt_congest::Scheduler;
+use kkt_congest::{PhaseLedger, Scheduler};
 use kkt_core::TreeKind;
 use kkt_graphs::{generators, Graph};
 use kkt_workloads::{
-    JsonlObserver, MaintenancePolicy, MixedPhases, Observer, PhaseAccumulator, PoissonChurn,
+    JsonlObserver, MaintenancePolicy, MetricsObserver, MixedPhases, Observer, PoissonChurn,
     ReplayConfig, ReplayHarness, Scenario, TraceRecord, Workload,
 };
 
@@ -61,26 +62,27 @@ fn observation_is_pure_reports_and_fingerprints_match() {
     let harness = ReplayHarness::default();
     for policy in MaintenancePolicy::all_for(TreeKind::Mst) {
         let plain = harness.replay(&g, &w, policy).unwrap();
-        let mut acc = PhaseAccumulator::new();
-        let observed = harness.replay_observed(&g, &w, policy, &mut acc).unwrap();
+        let mut metrics = MetricsObserver::new();
+        let observed = harness.replay_observed(&g, &w, policy, &mut metrics).unwrap();
         assert_eq!(plain, observed, "{}: observer must not perturb the replay", policy.label());
         assert_eq!(plain.fingerprint(), observed.fingerprint());
-        assert_eq!(acc.events, w.len());
+        assert_eq!(metrics.registry.counter("events"), w.len() as u64);
     }
 }
 
 /// An observer that re-checks conservation on every single event (the
 /// harness asserts it too — this keeps the check alive even if the harness
-/// assert is ever relaxed) and accumulates for the run-level comparison.
+/// assert is ever relaxed) and sums the events' ledgers for the run-level
+/// comparison.
 #[derive(Default)]
 struct ConservationCheck {
-    acc: PhaseAccumulator,
+    ledger: PhaseLedger,
 }
 
 impl Observer for ConservationCheck {
     fn on_event(&mut self, record: &TraceRecord) {
         assert_eq!(record.total, record.phases.total(), "event {} conserves", record.index);
-        self.acc.on_event(record);
+        self.ledger += record.phases;
     }
 }
 
@@ -106,7 +108,8 @@ fn phase_ledger_conserves_across_the_64_case_sweep() {
                     for policy in MaintenancePolicy::all_for(kind) {
                         let mut check = ConservationCheck::default();
                         let report = harness.replay_observed(&g, &w, policy, &mut check).unwrap();
-                        let sum = check.acc.ledger.total();
+                        assert_eq!(check.ledger, report.phases, "{}", policy.label());
+                        let sum = report.phases.total();
                         assert_eq!(sum.messages, report.total.messages);
                         assert_eq!(sum.bits, report.total.bits);
                         assert_eq!(sum.time, report.total.time);

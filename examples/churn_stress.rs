@@ -13,10 +13,7 @@
 //! ```
 
 use kkt::core::TreeKind;
-use kkt::workloads::{
-    Density, MaintenancePolicy, MixedPhases, PhaseAccumulator, SuiteParams, Sweep, SweepCell,
-    SweepReport,
-};
+use kkt::workloads::{Density, MixedPhases, Scenario, SuiteParams, Sweep, SweepCell, SweepReport};
 
 fn summarise(params: &SuiteParams, report: &SweepReport) {
     println!(
@@ -56,26 +53,28 @@ fn summarise(params: &SuiteParams, report: &SweepReport) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mst = SuiteParams { n: 48, m: 192, events: 12, verify_every: 3, ..SuiteParams::default() };
     let cell = SweepCell { density: Density::Ratio(4), params: mst };
-    summarise(&mst, &Sweep::battery(cell).run()?);
+    let mst_report = Sweep::battery(cell).run()?;
+    summarise(&mst, &mst_report);
 
     // The same battery on an unweighted spanning tree: repairs use FindAny
     // (expected O(n)) and the rebuild baseline is Θ(m) flooding.
     let st = SuiteParams { kind: TreeKind::St, max_weight: 1, ..mst };
     summarise(&st, &Sweep::battery(SweepCell { params: st, ..cell }).run()?);
 
-    // KKT_TRACE=1: one extra observed replay of the mixed lifecycle per MST
-    // policy, decomposing each policy's bits by phase. Attribution is pure —
-    // the suites above print the same numbers with or without the flag.
+    // KKT_TRACE=1: each MST policy's bits on the mixed lifecycle, by phase.
+    // Every replay report carries its phase split, so this reads the MST
+    // battery above and replays nothing.
     if std::env::var("KKT_TRACE").is_ok_and(|v| v == "1") {
-        let setup = cell.setup();
-        let (workload, _) = setup.trace(&MixedPhases::standard(mst.max_weight))?;
-        println!("\n== phase anatomy of {} (KKT_TRACE=1)", workload.scenario);
-        for policy in MaintenancePolicy::all_for(mst.kind) {
-            let mut phases = PhaseAccumulator::new();
-            let report =
-                setup.harness.replay_observed(&setup.base, &workload, policy, &mut phases)?;
+        let mixed = MixedPhases::standard(mst.max_weight).id();
+        let point = mst_report
+            .points
+            .iter()
+            .find(|p| p.scenario == mixed)
+            .expect("the battery replays the mixed lifecycle");
+        println!("\n== phase anatomy of {} (KKT_TRACE=1)", point.scenario);
+        for report in &point.reports {
             println!("-- {}", report.policy);
-            println!("{}", report.total.phase_table(&phases.ledger));
+            println!("{}", report.total.phase_table(&report.phases));
         }
     }
     Ok(())

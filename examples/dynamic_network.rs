@@ -12,7 +12,7 @@
 //! ```
 
 use kkt::graphs::generators;
-use kkt::workloads::{MaintenancePolicy, PhaseAccumulator, PoissonChurn, ReplayHarness, Scenario};
+use kkt::workloads::{MaintenancePolicy, PoissonChurn, ReplayHarness, Scenario};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,17 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.fingerprint()
     );
 
-    // KKT_TRACE=1 installs the phase-attributing observer; costs, verdicts
-    // and fingerprints are bit-identical either way — only the extra phase
-    // table below differs.
-    let trace = std::env::var("KKT_TRACE").is_ok_and(|v| v == "1");
     let harness = ReplayHarness::default();
-    let mut phases = PhaseAccumulator::new();
-    let report = if trace {
-        harness.replay_observed(&graph, &workload, MaintenancePolicy::Impromptu, &mut phases)?
-    } else {
-        harness.replay(&graph, &workload, MaintenancePolicy::Impromptu)?
-    };
+    let report = harness.replay(&graph, &workload, MaintenancePolicy::Impromptu)?;
 
     println!("initial MST: {} messages", report.build.messages);
     println!(
@@ -57,9 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "for reference, re-flooding after every update would cost ≈ {} messages per update",
         2 * m
     );
-    if trace {
+    // KKT_TRACE=1 adds the report's phase split of the total; everything
+    // above prints the same either way.
+    if std::env::var("KKT_TRACE").is_ok_and(|v| v == "1") {
         println!("\nwhere the bits went (KKT_TRACE=1):");
-        println!("{}", report.total.phase_table(&phases.ledger));
+        println!("{}", report.total.phase_table(&report.phases));
     }
     Ok(())
 }

@@ -1,6 +1,7 @@
 //! Golden fingerprints: the quick exp9, exp10 and exp11 presets and the
-//! quick n = 48 column of exp13 and exp14, at the default seed, reproduce
-//! their sealed reports exactly.
+//! quick n = 48 column of exp13, at the default seed, reproduce their
+//! sealed reports exactly. exp13's report carries the phase ledgers E14
+//! tabulates, so its whole-report golden pins the cost anatomy too.
 //!
 //! Simulated cost (bits, messages, rounds) is the paper's quantity, and a
 //! refactor must never move it. Each report's fingerprint seals every cost
@@ -15,19 +16,32 @@
 
 use kkt_bench::{experiments, Scale, DEFAULT_SEED};
 use kkt_workloads::{fingerprint_hex, ReplayReport};
+use serde_json::Value;
 
-/// The cost golden: one fingerprint over every replay's own fingerprint,
-/// comma-joined in report order. It covers every embedded replay report
-/// but not the layout of the report around them.
+/// The cost golden: one fingerprint over every replay report's own
+/// fingerprint, comma-joined in report order. Each replay is hashed without
+/// its `phases` key, the per-phase split of its `total`, so the goldens
+/// pinned before replay reports carried the split still hold. It covers
+/// every other field of every embedded replay report but not the layout of
+/// the report around them.
 fn cost_fingerprint<'a>(reports: impl IntoIterator<Item = &'a ReplayReport>) -> String {
-    let each: Vec<String> = reports.into_iter().map(ReplayReport::fingerprint).collect();
+    let each: Vec<String> = reports
+        .into_iter()
+        .map(|report| {
+            let Value::Object(mut fields) = serde_json::to_value(report) else {
+                panic!("a replay report serialises to an object");
+            };
+            fields.retain(|(key, _)| key != "phases");
+            fingerprint_hex(&serde_json::to_string(&Value::Object(fields)).unwrap())
+        })
+        .collect();
     fingerprint_hex(&each.join(","))
 }
 
 #[test]
 fn exp9_quick_churn_policies_fingerprint_is_golden() {
     let (_, report) = experiments::exp9_churn_policies(Scale::Quick, DEFAULT_SEED);
-    assert_eq!(report.fingerprint, "e46dc9b9ca1e8105");
+    assert_eq!(report.fingerprint, "f4df2eb9c2969288");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "ce4491ac54423487");
 }
@@ -35,7 +49,7 @@ fn exp9_quick_churn_policies_fingerprint_is_golden() {
 #[test]
 fn exp10_quick_batched_repair_fingerprint_is_golden() {
     let (_, report) = experiments::exp10_batched_repair(Scale::Quick, DEFAULT_SEED);
-    assert_eq!(report.fingerprint, "19cafc15d6d8e759");
+    assert_eq!(report.fingerprint, "0925abb34a74be7f");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "cb62f57508fbc1bf");
 }
@@ -43,7 +57,7 @@ fn exp10_quick_batched_repair_fingerprint_is_golden() {
 #[test]
 fn exp11_quick_scale_sweep_fingerprint_is_golden() {
     let (_, report) = experiments::exp11_scale_sweep(Scale::Quick, DEFAULT_SEED, None);
-    assert_eq!(report.fingerprint, "2b7f522394f653ea");
+    assert_eq!(report.fingerprint, "c642816c8d7ed9f6");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "980f9eb1e9f8ef33");
 }
@@ -51,13 +65,7 @@ fn exp11_quick_scale_sweep_fingerprint_is_golden() {
 #[test]
 fn exp13_quick_n48_density_sweep_fingerprint_is_golden() {
     let (_, report) = experiments::exp13_dynamic_density(Scale::Quick, DEFAULT_SEED, Some(48));
-    assert_eq!(report.fingerprint, "927612490378ad69");
+    assert_eq!(report.fingerprint, "93e2ecd739601de4");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "e14132d8c9c0a21f");
-}
-
-#[test]
-fn exp14_quick_n48_cost_anatomy_fingerprint_is_golden() {
-    let (_, report) = experiments::exp14_cost_anatomy(Scale::Quick, DEFAULT_SEED, Some(48));
-    assert_eq!(report.fingerprint, "2bf6925d0cd56c40");
 }
