@@ -811,10 +811,9 @@ fn dominant_phase(r: &ReplayReport) -> String {
 /// E14 — the cost anatomy: *where do the bits go?* Each replay of an E13
 /// report, with its bits per event decomposed into the paper's phases
 /// (delivery, broadcast-echo, leader election, `FindMin` narrowing,
-/// `FindAny` sampling, announce, rebuild sweep). The decomposition
-/// *conserves*: the harness asserts on every replay that the phase ledger
-/// sums to the untraced totals, so E14's rows reconcile exactly against
-/// E13's. It makes the asymptotics legible: repair policies should be
+/// `FindAny` sampling, announce, rebuild sweep). Each replay's totals are
+/// its ledger's sums, so E14's rows reconcile exactly against E13's. It
+/// makes the asymptotics legible: repair policies should be
 /// dominated by `FindMin`/`FindAny` searches with a density-independent
 /// announce tail, while the rebuild baselines concentrate in the rebuild
 /// sweep whose bits track `m`.

@@ -131,9 +131,9 @@ fn nearest_rank(p: u64, n: u64) -> u64 {
     (p * n).div_ceil(100).clamp(1, n)
 }
 
-/// Quantile readout of an integer sample or a metrics histogram: the tail
-/// view (`p50 / p99 / max`) the registry's fixed-bucket histograms support
-/// exactly, without retaining the sample.
+/// Quantile readout of an integer sample or a [`Histogram`]: the tail view
+/// (`p50 / p99 / max`) fixed-bucket histograms support exactly, without
+/// retaining the sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Percentiles {
     /// Sample size.
@@ -170,8 +170,7 @@ impl Percentiles {
         Percentiles { count: n, p50: at(50), p99: at(99), max: sorted[sorted.len() - 1] }
     }
 
-    /// Bucketed percentiles of a metrics-registry histogram (upper bucket
-    /// bounds, exact max).
+    /// Bucketed percentiles of a histogram (upper bucket bounds, exact max).
     pub fn of_histogram(h: &Histogram) -> Self {
         Percentiles { count: h.count(), p50: h.p50(), p99: h.p99(), max: h.max() }
     }

@@ -2,8 +2,8 @@
 //!
 //! The delivery engine never moves owned message values through its event
 //! queue: a staged payload is interned here at [`crate::engine::Outbox::send`]
-//! time and travels as a `u32` handle ([`PayloadArena::insert`]), then is
-//! taken back out exactly once at delivery ([`PayloadArena::take`]). Freed
+//! time and travels as a `u32` handle (`PayloadArena::insert`), then is
+//! taken back out exactly once at delivery (`PayloadArena::take`). Freed
 //! slots go onto a free list and are reused LIFO, so once the in-flight
 //! high-water mark of a run is reached the arena performs **zero heap
 //! allocation per message** — the engine's steady-state delivery loop only

@@ -6,10 +6,10 @@
 //! [`crate::Network`]; [`CostReport`] is a snapshot used for deltas
 //! ("how much did this FindMin cost?").
 //!
-//! Alongside the totals the tracker keeps a per-phase [`PhaseLedger`]: every
-//! `record_*` call charges the totals *and* exactly one [`Phase`] slot (the
-//! one set by the innermost enclosing [`crate::Network::span`]), so the
-//! ledger's sums equal the totals bit-for-bit, always, with nothing opted in.
+//! The tracker stores its counts in one place, a per-phase [`PhaseLedger`]:
+//! every `record_*` call charges exactly one [`Phase`] slot (the one set by
+//! the innermost enclosing [`crate::Network::span`]), and
+//! [`CostTracker::report`] reads the totals as the ledger's sums.
 
 use kkt_obs::{Phase, PhaseLedger};
 use serde::{Deserialize, Serialize};
@@ -17,23 +17,13 @@ use std::fmt;
 use std::ops::Sub;
 
 /// Cumulative communication costs of a network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostTracker {
-    /// Total messages sent over edges.
-    pub messages: u64,
-    /// Total bits sent (semantic sizes, see [`crate::BitSized`]).
-    pub bits: u64,
-    /// Total simulated time units. Under the synchronous scheduler this is the
-    /// number of rounds; under an asynchronous scheduler it is the makespan.
-    pub time: u64,
-    /// Number of broadcast-and-echo invocations (the unit the paper's
-    /// `O(log n / log log n)` factors count).
-    pub broadcast_echoes: u64,
-    /// Largest single message observed, in bits.
-    pub max_message_bits: u64,
-    /// Per-phase decomposition of the counters above (`max_message_bits`
-    /// excepted — a maximum has no per-phase sum).
+    /// Messages, bits, time and broadcast-and-echo invocations, per phase.
     ledger: PhaseLedger,
+    /// Largest single message observed, in bits (a maximum has no per-phase
+    /// sum, so it lives beside the ledger).
+    max_message_bits: u64,
     /// The phase currently charged; [`Phase::Delivery`] outside any span.
     phase: Phase,
 }
@@ -44,12 +34,10 @@ impl CostTracker {
         Self::default()
     }
 
-    /// Records one message of the given size.
+    /// Records one message of the given size (bits are semantic sizes, see
+    /// [`crate::BitSized`]).
     pub fn record_message(&mut self, bits: u64) {
-        self.messages += 1;
-        self.bits += bits;
-        self.max_message_bits = self.max_message_bits.max(bits);
-        self.ledger.charge_message(self.phase, bits);
+        self.record_message_in(self.phase, bits);
     }
 
     /// Records one message of the given size under an explicit phase,
@@ -57,25 +45,23 @@ impl CostTracker {
     /// messages (Add-Edge notifications, decision forwards) where a span
     /// closure would be noise.
     pub fn record_message_in(&mut self, phase: Phase, bits: u64) {
-        self.messages += 1;
-        self.bits += bits;
         self.max_message_bits = self.max_message_bits.max(bits);
         self.ledger.charge_message(phase, bits);
     }
 
-    /// Records elapsed time. Accumulates (`time += elapsed`): each engine run
-    /// reports its own makespan once, and a network's total time is the sum
-    /// over the sequentially composed runs — concurrency *within* a run is
-    /// already folded into that run's makespan, so summing across runs never
-    /// double-counts.
+    /// Records elapsed simulated time. Under the synchronous scheduler this
+    /// is rounds; under an asynchronous one it is the makespan. Accumulates
+    /// (`time += elapsed`): each engine run reports its own makespan once,
+    /// and a network's total time is the sum over the sequentially composed
+    /// runs — concurrency *within* a run is already folded into that run's
+    /// makespan, so summing across runs never double-counts.
     pub fn record_time(&mut self, elapsed: u64) {
-        self.time += elapsed;
         self.ledger.charge_time(self.phase, elapsed);
     }
 
-    /// Records one broadcast-and-echo invocation.
+    /// Records one broadcast-and-echo invocation (the unit the paper's
+    /// `O(log n / log log n)` factors count).
     pub fn record_broadcast_echo(&mut self) {
-        self.broadcast_echoes += 1;
         self.ledger.charge_broadcast_echo(self.phase);
     }
 
@@ -90,21 +76,15 @@ impl CostTracker {
         self.phase
     }
 
-    /// The per-phase ledger. Its [`PhaseLedger::total`] equals this tracker's
-    /// totals on `messages`, `bits`, `time` and `broadcast_echoes` — always.
+    /// The per-phase ledger.
     pub fn ledger(&self) -> PhaseLedger {
         self.ledger
     }
 
-    /// Snapshot of the current totals.
+    /// Snapshot of the current totals: the ledger's sums plus the largest
+    /// message.
     pub fn report(&self) -> CostReport {
-        CostReport {
-            messages: self.messages,
-            bits: self.bits,
-            time: self.time,
-            broadcast_echoes: self.broadcast_echoes,
-            max_message_bits: self.max_message_bits,
-        }
+        CostReport::from_ledger(&self.ledger, self.max_message_bits)
     }
 }
 
@@ -148,63 +128,17 @@ impl fmt::Display for CostReport {
 }
 
 impl CostReport {
-    /// Pairs this snapshot with a phase ledger for human-readable display:
-    /// one row per phase that charged anything, plus a totals row. The
-    /// `KKT_TRACE=1` output of the examples.
-    pub fn phase_table(self, ledger: &PhaseLedger) -> PhaseTable {
-        PhaseTable { ledger: *ledger, total: self }
-    }
-}
-
-/// A [`CostReport`] with its per-phase breakdown, rendered as an aligned
-/// text table by `Display`.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseTable {
-    /// The per-phase shares.
-    pub ledger: PhaseLedger,
-    /// The totals the shares sum to.
-    pub total: CostReport,
-}
-
-impl fmt::Display for PhaseTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<16} {:>10} {:>14} {:>10} {:>8}",
-            "phase", "msgs", "bits", "time", "b-echo"
-        )?;
-        for (phase, cost) in self.ledger.entries() {
-            if cost == Default::default() {
-                continue;
-            }
-            writeln!(
-                f,
-                "{:<16} {:>10} {:>14} {:>10} {:>8}",
-                phase.label(),
-                cost.messages,
-                cost.bits,
-                cost.time,
-                cost.broadcast_echoes
-            )?;
+    /// The totals of `ledger`, with `max_message_bits` as the largest
+    /// message.
+    pub fn from_ledger(ledger: &PhaseLedger, max_message_bits: u64) -> Self {
+        let sum = ledger.total();
+        CostReport {
+            messages: sum.messages,
+            bits: sum.bits,
+            time: sum.time,
+            broadcast_echoes: sum.broadcast_echoes,
+            max_message_bits,
         }
-        writeln!(
-            f,
-            "{:<16} {:>10} {:>14} {:>10} {:>8}",
-            "total",
-            self.total.messages,
-            self.total.bits,
-            self.total.time,
-            self.total.broadcast_echoes
-        )?;
-        let sums = self.ledger.total();
-        if sums.messages != self.total.messages
-            || sums.bits != self.total.bits
-            || sums.time != self.total.time
-            || sums.broadcast_echoes != self.total.broadcast_echoes
-        {
-            writeln!(f, "(!) phase ledger does not conserve: phase sums {sums:?}")?;
-        }
-        Ok(())
     }
 }
 
@@ -219,11 +153,12 @@ mod tests {
         c.record_message(3);
         c.record_time(7);
         c.record_broadcast_echo();
-        assert_eq!(c.messages, 2);
-        assert_eq!(c.bits, 13);
-        assert_eq!(c.time, 7);
-        assert_eq!(c.broadcast_echoes, 1);
-        assert_eq!(c.max_message_bits, 10);
+        let r = c.report();
+        assert_eq!(r.messages, 2);
+        assert_eq!(r.bits, 13);
+        assert_eq!(r.time, 7);
+        assert_eq!(r.broadcast_echoes, 1);
+        assert_eq!(r.max_message_bits, 10);
     }
 
     #[test]
@@ -264,8 +199,8 @@ mod tests {
         c.record_time(5);
         c.record_time(3);
         c.record_time(5);
-        assert_eq!(c.time, 13, "three runs of makespans 5, 3, 5 total 13");
-        assert_ne!(c.time, 5, "a max would have stalled at the largest makespan");
+        assert_eq!(c.report().time, 13, "three runs of makespans 5, 3, 5 total 13");
+        assert_ne!(c.report().time, 5, "a max would have stalled at the largest makespan");
     }
 
     #[test]
@@ -288,12 +223,9 @@ mod tests {
         assert_eq!(ledger.get(Phase::FindMinNarrow).broadcast_echoes, 1);
         assert_eq!(ledger.get(Phase::FindMinNarrow).time, 2);
         assert_eq!(ledger.get(Phase::Announce).bits, 6);
-        // Conservation: the ledger sums to the totals exactly.
-        let sums = ledger.total();
-        assert_eq!(sums.messages, c.messages);
-        assert_eq!(sums.bits, c.bits);
-        assert_eq!(sums.time, c.time);
-        assert_eq!(sums.broadcast_echoes, c.broadcast_echoes);
+        // The totals are the ledger's sums; the largest message sits beside.
+        assert_eq!(c.report(), CostReport::from_ledger(&ledger, 10));
+        assert_eq!(c.report().messages, 3);
     }
 
     #[test]
@@ -301,16 +233,18 @@ mod tests {
         let mut c = CostTracker::new();
         c.enter_phase(Phase::Announce);
         c.record_message(7);
+        c.record_time(2);
         c.enter_phase(Phase::Delivery);
         c.record_message(3);
-        let table = c.report().phase_table(&c.ledger()).to_string();
-        assert!(table.contains("announce"), "{table}");
-        assert!(table.contains("delivery"), "{table}");
-        assert!(table.contains("total"), "{table}");
-        assert!(!table.contains("rebuild_sweep"), "all-zero phases are suppressed: {table}");
-        assert!(!table.contains("(!)"), "a conserving ledger never warns: {table}");
-        // A mismatched pairing is called out rather than silently rendered.
-        let broken = CostReport { messages: 99, ..c.report() }.phase_table(&c.ledger()).to_string();
-        assert!(broken.contains("(!)"), "{broken}");
+        // The ledger's `Display`: all-zero phases are suppressed, and the
+        // totals row is the tracker's report.
+        assert_eq!(
+            c.ledger().to_string(),
+            "phase                  msgs           bits       time   b-echo\n\
+             delivery                  1              3          0        0\n\
+             announce                  1              7          2        0\n\
+             total                     2             10          2        0\n"
+        );
+        assert_eq!((c.report().messages, c.report().bits, c.report().time), (2, 10, 2));
     }
 }

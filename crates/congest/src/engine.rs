@@ -22,10 +22,10 @@
 //! (both schedulers bound delays by a small integer, so a `max_delay + 1`
 //! tick wheel replaces the old `BinaryHeap` bit-for-bit — see that module's
 //! order-equivalence argument). Message payloads never move through the
-//! queue: they are interned in the run's [`crate::arena::PayloadArena`] at
+//! queue: they are interned in the run's `PayloadArena` at
 //! send time and travel as `u32` handles, and the queue, tick buffer,
 //! staging buffer and program-slot table are pooled in the network's
-//! [`EngineScratch`] across runs — steady-state delivery performs **zero
+//! `EngineScratch` across runs — steady-state delivery performs **zero
 //! heap allocation per message** (pinned by `tests/alloc_guard.rs`).
 //! Same-tick deliveries to the same node are batched into one program step
 //! (one program/view lookup amortized across the batch) while `on_message`
@@ -112,11 +112,6 @@ impl<M: BitSized> Outbox<M> {
         let payload = self.arena.insert(msg);
         self.staged.push(StagedMsg { to: to as u32, payload, bits });
     }
-
-    /// Number of messages staged so far in this activation.
-    pub fn staged_count(&self) -> usize {
-        self.staged.len()
-    }
 }
 
 /// A per-node state machine run by the engine.
@@ -169,7 +164,7 @@ pub struct RunStats {
 ///
 /// Index-addressed replacement for the old `HashMap<NodeId, P>` routing
 /// state. During the run the engine routes through the pooled `u32` slot
-/// table in [`EngineScratch`] (two array indexations per delivery, no hash,
+/// table in `EngineScratch` (two array indexations per delivery, no hash,
 /// no per-run `memset` — the table is repaired O(touched) at run end); the
 /// returned map carries the activation-ordered entries plus a small
 /// node-sorted index, so [`ProgramMap::get`] stays O(log touched) without

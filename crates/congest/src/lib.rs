@@ -9,7 +9,7 @@
 //!   currently *marked* (tree edges of the maintained forest), and `n`. Nothing
 //!   else — node programs only ever see a [`NodeView`].
 //! * **CONGEST bandwidth.** Every message is charged its size in bits and the
-//!   engine can enforce a `O(log(n + u))`-bit cap ([`Network::bandwidth_limit`]).
+//!   engine can enforce a `O(log(n + u))`-bit cap ([`NetworkConfig::bandwidth_limit`]).
 //! * **Synchrony and asynchrony.** One event-driven [`engine::Engine`] covers
 //!   both: the [`engine::Scheduler::Synchronous`] scheduler delivers every
 //!   message exactly one time unit after it is sent (a global round clock),
@@ -18,11 +18,12 @@
 //! * **Exact accounting.** [`cost::CostTracker`] records messages, bits,
 //!   completion time and broadcast-and-echo invocations; the experiment suite
 //!   reads these counters, never wall-clock time.
-//! * **Phase attribution.** Every recorded cost also lands in a per-phase
-//!   [`PhaseLedger`] slot named by the innermost enclosing [`Network::span`]
-//!   (default: [`Phase::Delivery`]), so phase sums equal the totals
-//!   bit-for-bit by construction. Attribution never changes a counter value,
-//!   an RNG draw, or a report byte — it only says *where* the bits went.
+//! * **Phase attribution.** The tracker keeps those counts in one per-phase
+//!   [`PhaseLedger`]: each charge lands in the slot named by the innermost
+//!   enclosing [`Network::span`] (default: [`Phase::Delivery`]), and
+//!   [`Network::cost`] reads the totals as the ledger's sums. Spans never
+//!   change a total, an RNG draw, or a report byte — they only say *where*
+//!   the bits went.
 //!
 //! On top of the raw engine the crate provides the three communication
 //! patterns the paper composes everything from: generic
@@ -59,11 +60,11 @@ pub mod message;
 pub mod model;
 pub mod queue;
 
-pub use cost::{CostReport, CostTracker, PhaseTable};
+pub use cost::{CostReport, CostTracker};
 pub use engine::{Engine, Protocol, RunStats, Scheduler};
 pub use error::CongestError;
 pub use forest::MarkedForest;
-pub use kkt_obs::{Histogram, MetricsRegistry, Phase, PhaseCost, PhaseLedger};
+pub use kkt_obs::{Histogram, Phase, PhaseCost, PhaseLedger};
 pub use message::{bits_for_value, BitSized};
 pub use model::{IncidentEdge, Network, NetworkConfig, NodeView};
 pub use queue::DeliveryQueueKind;

@@ -30,7 +30,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use kkt_graphs::{EdgeId, EdgeNumber, Graph, NodeId, UniqueWeight, Weight};
-use kkt_obs::{MetricsRegistry, Phase, PhaseLedger};
+use kkt_obs::{Phase, PhaseLedger};
 
 use crate::cost::{CostReport, CostTracker};
 use crate::engine::{EngineScratch, Scheduler};
@@ -185,11 +185,6 @@ impl NodeView {
     pub fn incident_keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.incident.iter().map(|e| e.edge_number.as_u64_key())
     }
-
-    /// True if this node is a leaf of its marked tree (exactly one tree edge).
-    pub fn is_tree_leaf(&self) -> bool {
-        self.tree_degree() == 1
-    }
 }
 
 /// Persistent per-node cache of KT1 views (see the module docs). Taken out
@@ -245,16 +240,22 @@ pub struct Network {
     /// Pooled engine buffers (delivery queue, tick/staging buffers, program
     /// slot table), reused across runs like the view cache.
     scratch: EngineScratch,
-    /// Opt-in metrics registry (None ⇒ zero overhead, nothing recorded).
-    metrics: Option<Box<MetricsRegistry>>,
 }
 
 impl Network {
     /// Wraps a graph in a network with no marked edges.
+    ///
+    /// # Panics
+    ///
+    /// If a node identifier is 2³² or larger (see [`Network::id_bits`]).
     pub fn new(graph: Graph, config: NetworkConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let max_id = graph.nodes().map(|x| graph.id_of(x)).max().unwrap_or(1);
-        let id_bits = (bits_for_value(max_id) as u32).min(32);
+        assert!(
+            max_id <= u64::from(u32::MAX),
+            "node identifier {max_id} does not fit in 32 bits: edge keys pack two IDs into 64 bits"
+        );
+        let id_bits = bits_for_value(max_id) as u32;
         let views = ViewCache::with_nodes(graph.node_count());
         Network {
             graph,
@@ -265,13 +266,14 @@ impl Network {
             id_bits,
             views,
             scratch: EngineScratch::default(),
-            metrics: None,
         }
     }
 
-    /// Number of bits of the identifier space (capped at 32 so an edge number
-    /// fits in 64 bits; larger ID spaces are first compressed with Karp–Rabin
-    /// fingerprinting as the paper prescribes).
+    /// Number of bits of the identifier space: the bit length of the largest
+    /// node ID, at most 32 because [`Network::new`] rejects larger IDs, so
+    /// two IDs pack into one 64-bit edge key. The paper would first compress
+    /// a larger ID space with Karp–Rabin fingerprints; the simulator does
+    /// not.
     pub fn id_bits(&self) -> u32 {
         self.id_bits
     }
@@ -286,7 +288,7 @@ impl Network {
         &self.forest
     }
 
-    /// The accumulated communication costs.
+    /// The accumulated communication costs (the ledger's sums).
     pub fn cost(&self) -> CostReport {
         self.cost.report()
     }
@@ -299,8 +301,8 @@ impl Network {
 
     /// Runs `f` with every recorded cost attributed to `phase`, restoring the
     /// previous phase afterwards (spans nest; the innermost wins). Pure
-    /// attribution: counter values, RNG draws and behaviour are unchanged,
-    /// only the per-phase ledger slot the costs land in.
+    /// attribution: totals, RNG draws and behaviour are unchanged, only the
+    /// per-phase ledger slot the costs land in.
     pub fn span<T>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> T) -> T {
         let prev = self.cost.enter_phase(phase);
         let out = f(self);
@@ -308,34 +310,9 @@ impl Network {
         out
     }
 
-    /// The per-phase cost ledger. Conserves against [`Network::cost`]:
-    /// `phase_ledger().total()` equals the report's `messages`, `bits`,
-    /// `time` and `broadcast_echoes` exactly, at every instant.
+    /// The per-phase cost ledger; [`Network::cost`] is its sums.
     pub fn phase_ledger(&self) -> PhaseLedger {
         self.cost.ledger()
-    }
-
-    /// Installs (or replaces with) an empty metrics registry; algorithm code
-    /// records narrowing iterations, Borůvka rounds, etc. only while one is
-    /// installed.
-    pub fn enable_metrics(&mut self) {
-        self.metrics = Some(Box::new(MetricsRegistry::new()));
-    }
-
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.metrics.as_deref()
-    }
-
-    /// Mutable access for recording sites; `None` (the default) means record
-    /// nothing — the zero-cost path is a single branch.
-    pub fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
-        self.metrics.as_deref_mut()
-    }
-
-    /// Removes and returns the metrics registry.
-    pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        self.metrics.take().map(|b| *b)
     }
 
     /// The simulation configuration.
@@ -593,6 +570,16 @@ mod tests {
         net.mark_all(edges);
         net.cost_mut().record_message(123);
         net.cost_mut().record_time(9);
+    }
+
+    #[test]
+    #[should_panic(expected = "node identifier 4294967297 does not fit in 32 bits")]
+    fn ids_beyond_32_bits_are_rejected() {
+        // Edge keys keep only the low 32 bits of each ID, so {1, 5} and
+        // {1, 2^32 + 5} would share an augmented weight.
+        let mut g = Graph::with_ids(vec![1, 5, (1 << 32) + 1]);
+        g.add_edge(0, 1, 1).unwrap();
+        Network::new(g, NetworkConfig::default());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   point the slot's bucket has been swapped out empty.
 //!
 //! A run with `max_delay + 1 > MAX_WHEEL_TICKS` (far beyond both schedulers'
-//! presets) transparently falls back to the reference [`EventHeap`]; the
+//! presets) transparently falls back to the reference `EventHeap`; the
 //! differential test in `crates/congest/tests/queue_differential.rs` sweeps
 //! both implementations against each other across schedulers and seeds.
 //!

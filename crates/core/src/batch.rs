@@ -49,7 +49,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use kkt_congest::broadcast_echo::{run_broadcast_echoes, TreeStats};
-use kkt_congest::{BitSized, Histogram, Network, Phase};
+use kkt_congest::{BitSized, Network, Phase};
 use kkt_graphs::generators::Update;
 use kkt_graphs::NodeId;
 
@@ -532,10 +532,6 @@ fn flush<R: Rng>(
     for &rep in &announced {
         announce(net, groups.root_node[rep], groups.digest[rep])?;
         stats.announces += 1;
-    }
-    if let Some(metrics) = net.metrics_mut() {
-        let bounds = Histogram::pow2_bounds(10);
-        metrics.observe("boruvka_rounds_per_batch", &bounds, u64::from(stats.rounds));
     }
 
     // -- Patch the deferred outcomes ----------------------------------------

@@ -20,7 +20,7 @@
 //! runs it alone or in concurrent waves.
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeStats, TreeStatsOutput};
-use kkt_congest::{Histogram, Network, Phase};
+use kkt_congest::{Network, Phase};
 use kkt_graphs::NodeId;
 use rand::Rng;
 
@@ -202,11 +202,6 @@ pub fn find_min<R: Rng + ?Sized>(
         let stats = run_broadcast_echo(net, root, TreeStats)?;
         let mut search = MinSearch::new(net, &stats, budget, config);
         let outcome = drive(net, root, &mut search, rng)?;
-        if let Some(metrics) = net.metrics_mut() {
-            let bounds = Histogram::pow2_bounds(10);
-            let iterations = u64::from(search.trace.iterations);
-            metrics.observe("findmin_narrowing_iterations", &bounds, iterations);
-        }
         Ok((outcome, search.trace))
     })
 }

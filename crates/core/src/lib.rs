@@ -17,17 +17,18 @@
 //!
 //! ## Layout
 //!
-//! * Primitives: [`test_out`] (constant-probability cut detection),
-//!   [`hp_test_out`] (w.h.p. cut detection via polynomial identity testing).
-//! * Searches: [`find_any`] (some outgoing edge, expected O(1)
-//!   broadcast-and-echoes) and [`find_min`] (the minimum outgoing edge,
-//!   `O(log n / log log n)` broadcast-and-echoes). Each is one state machine
-//!   that [`search`] drives either alone, one broadcast-and-echo at a time,
-//!   or many at once in concurrent waves. A [`Budget`] picks the w.h.p.
-//!   search or its capped `-C` variant; a [`SearchOutcome`] reports the
-//!   edge, an empty cut, or a give-up.
-//! * Construction: [`build_mst`], [`build_st`] (Borůvka phases driven by the
-//!   searches).
+//! * Primitives: [`test_out`](mod@test_out) (constant-probability cut
+//!   detection), [`hp_test_out`](mod@hp_test_out) (w.h.p. cut detection via
+//!   polynomial identity testing).
+//! * Searches: [`find_any`](mod@find_any) (some outgoing edge, expected O(1)
+//!   broadcast-and-echoes) and [`find_min`](mod@find_min) (the minimum
+//!   outgoing edge, `O(log n / log log n)` broadcast-and-echoes). Each is one
+//!   state machine that [`search`] drives either alone, one
+//!   broadcast-and-echo at a time, or many at once in concurrent waves. A
+//!   [`Budget`] picks the w.h.p. search or its capped `-C` variant; a
+//!   [`SearchOutcome`] reports the edge, an empty cut, or a give-up.
+//! * Construction: [`build_mst`](mod@build_mst), [`build_st`](mod@build_st)
+//!   (Borůvka phases driven by the searches).
 //! * Dynamics: [`repair`] (impromptu delete/insert/weight-change repairs) and
 //!   [`batch`] (bursts of cuts mended in one pipelined pass).
 //! * Public API: [`MaintainedForest`] wraps all of the above behind a

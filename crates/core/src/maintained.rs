@@ -57,9 +57,9 @@ pub enum TreeKind {
 pub struct MaintainOptions {
     /// Algorithm parameters (confidence, word width, …).
     pub config: KktConfig,
-    /// Construction-time scheduler (the paper's construction is synchronous).
-    pub build_scheduler: Scheduler,
-    /// Repair-time scheduler (the paper's repairs are asynchronous).
+    /// Repair-time scheduler (the paper's repairs are asynchronous; its
+    /// construction is synchronous, and [`MaintainedForest::build`] always
+    /// builds under [`Scheduler::Synchronous`]).
     pub repair_scheduler: Scheduler,
     /// Seed for all randomness (protocol coins and delivery delays).
     pub seed: u64,
@@ -72,7 +72,6 @@ impl Default for MaintainOptions {
     fn default() -> Self {
         MaintainOptions {
             config: KktConfig::default(),
-            build_scheduler: Scheduler::Synchronous,
             repair_scheduler: Scheduler::RandomAsync { max_delay: 8 },
             seed: 0x5EED,
             queue: DeliveryQueueKind::Auto,
@@ -104,7 +103,8 @@ pub struct MaintainedForest {
 }
 
 impl MaintainedForest {
-    /// Builds the forest from scratch on the given graph (Theorem 1.1).
+    /// Builds the forest from scratch on the given graph (Theorem 1.1), under
+    /// the synchronous scheduler the paper's construction assumes.
     ///
     /// # Errors
     ///
@@ -115,7 +115,7 @@ impl MaintainedForest {
         options: MaintainOptions,
     ) -> Result<Self, CoreError> {
         let net_config = NetworkConfig {
-            scheduler: options.build_scheduler,
+            scheduler: Scheduler::Synchronous,
             seed: options.seed,
             queue: options.queue,
             ..NetworkConfig::default()
@@ -214,21 +214,9 @@ impl MaintainedForest {
         &self.net
     }
 
-    /// Per-phase attribution of the cost so far; sums to [`Self::cost`]
-    /// bit-for-bit.
+    /// Per-phase attribution of the cost so far; [`Self::cost`] is its sums.
     pub fn phase_ledger(&self) -> kkt_congest::PhaseLedger {
         self.net.phase_ledger()
-    }
-
-    /// Turns on the metrics registry of the underlying network (off by
-    /// default; counters are deterministic, never wall-clock).
-    pub fn enable_metrics(&mut self) {
-        self.net.enable_metrics();
-    }
-
-    /// The metrics registry, if [`Self::enable_metrics`] was called.
-    pub fn metrics(&self) -> Option<&kkt_congest::MetricsRegistry> {
-        self.net.metrics()
     }
 
     /// Deletes edge `{u, v}` and repairs the forest if needed (Theorem 1.2).

@@ -10,7 +10,7 @@
 //! The structure is tuned for the replay hot path, where every simulated
 //! message delivery reads adjacency and every churn event mutates it:
 //!
-//! * Adjacency is a **CSR-style slab arena** ([`AdjArena`]): one contiguous
+//! * Adjacency is a **CSR-style slab arena** (`AdjArena`): one contiguous
 //!   entry buffer, per-node slabs in power-of-two capacities, and a free list
 //!   that recycles outgrown slabs, so sustained churn reuses memory instead
 //!   of reallocating per node. Entries carry `(neighbor, edge)` pairs, so an
@@ -18,7 +18,7 @@
 //!   endpoint. Within a slab, entries keep **insertion order** — the same
 //!   order the old `Vec<Vec<EdgeId>>` exposed — because view iteration order
 //!   feeds the async scheduler's delay RNG and must stay bit-stable.
-//! * Presence is a **hashed pair table** ([`PairTable`]): open addressing
+//! * Presence is a **hashed pair table** (`PairTable`): open addressing
 //!   over `(min, max) → EdgeId` with a fixed multiplicative hash, making
 //!   `edge_between`/duplicate checks O(1) amortized and fully deterministic
 //!   (no per-process hasher seeds).

@@ -7,20 +7,16 @@
 //! threads through `kkt_congest::Network`:
 //!
 //! * **Phases** — [`Phase`] names the algorithmic activity a cost belongs
-//!   to; [`PhaseLedger`] is a fixed-size per-phase mirror of the cost
-//!   counters that *conserves*: charging always writes both the totals and
-//!   exactly one phase, so the ledger's sums equal the totals bit-for-bit,
-//!   by construction, with no observer installed.
-//! * **Metrics** — [`MetricsRegistry`] holds named counters and fixed-bucket
-//!   [`Histogram`]s (repair rounds per event, bits per event, Borůvka rounds
-//!   per batch, FindMin narrowing iterations) with deterministic iteration
-//!   order and p50/p99/max readouts.
+//!   to; [`PhaseLedger`] holds one [`PhaseCost`] per phase. The ledger is
+//!   the only store a network's cost tracker keeps: every charge lands in
+//!   exactly one phase, and the network's totals are the ledger's sums.
+//! * **Histograms** — [`Histogram`] buckets samples on fixed bounds, with
+//!   deterministic p50/p99/max readouts and an order-independent merge.
 //! * **Traces** — an [`Observer`] receives one [`TraceRecord`] per workload
 //!   event from the replay harness; [`JsonlObserver`] renders records as
 //!   deterministic JSON lines with a rolling flush (memory-bounded on
-//!   million-event horizons), and [`MetricsObserver`] feeds the per-event
-//!   histograms. A replay's whole-run ledger needs no observer: the
-//!   harness sums the per-event ledgers into the replay report itself.
+//!   million-event horizons). A replay's whole-run ledger needs no observer:
+//!   the harness sums the per-event ledgers into the replay report itself.
 //!
 //! # Trace record schema
 //!
@@ -46,15 +42,13 @@
 //! }
 //! ```
 //!
-//! `total` is the sum of the `phases` rows and equals the `CostTracker`
-//! delta of the event (conservation is asserted by the harness on every
-//! record). Two replays of the same seeded workload produce byte-identical
-//! streams.
+//! `total` is the sum of the `phases` rows: the event's whole cost. Two
+//! replays of the same seeded workload produce byte-identical streams.
 
 pub mod metrics;
 pub mod phase;
 pub mod trace;
 
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::Histogram;
 pub use phase::{Phase, PhaseCost, PhaseLedger};
-pub use trace::{JsonlObserver, MetricsObserver, Observer, TraceRecord};
+pub use trace::{JsonlObserver, Observer, TraceRecord};

@@ -1,7 +1,6 @@
-//! Named counters and fixed-bucket histograms with deterministic readouts.
+//! Fixed-bucket histograms with deterministic readouts.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A fixed-bucket histogram over `u64` samples. Bucket `i` counts samples
@@ -134,121 +133,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A registry of named counters and histograms. Backed by `BTreeMap` so
-/// iteration (and any serialised readout) is deterministic regardless of
-/// registration order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-// The serde shim has no BTreeMap impls; maps serialise as ordered objects.
-impl Serialize for MetricsRegistry {
-    fn to_value(&self) -> serde::Value {
-        let object = |pairs: Vec<(String, serde::Value)>| serde::Value::Object(pairs);
-        serde::Value::Object(vec![
-            (
-                "counters".to_string(),
-                object(self.counters.iter().map(|(k, v)| (k.clone(), v.to_value())).collect()),
-            ),
-            (
-                "histograms".to_string(),
-                object(self.histograms.iter().map(|(k, v)| (k.clone(), v.to_value())).collect()),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for MetricsRegistry {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let entries = |name: &str| -> Result<Vec<(String, serde::Value)>, serde::DeError> {
-            match value.get(name) {
-                Some(serde::Value::Object(pairs)) => Ok(pairs.clone()),
-                _ => Err(serde::DeError::new(format!("MetricsRegistry missing `{name}` object"))),
-            }
-        };
-        let mut registry = MetricsRegistry::new();
-        for (name, v) in entries("counters")? {
-            registry.counters.insert(name, u64::from_value(&v)?);
-        }
-        for (name, v) in entries("histograms")? {
-            registry.histograms.insert(name, Histogram::from_value(&v)?);
-        }
-        Ok(registry)
-    }
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `by` to the named counter (created at 0 on first use).
-    pub fn add(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Increments the named counter by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// The named counter's value (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a sample into the named histogram, creating it with `bounds`
-    /// on first use (later calls keep the original bounds).
-    pub fn observe(&mut self, name: &str, bounds: &[u64], value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
-            .record(value);
-    }
-
-    /// The named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Every counter, name-ascending.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Every histogram, name-ascending.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Folds another registry into this one: counters add, histograms merge
-    /// (histograms present on only one side are cloned in; shared names must
-    /// use identical bounds, as in [`Histogram::merge`]). With the per-name
-    /// `BTreeMap` backing, folding per-worker registries in any order yields
-    /// identical state — the cross-seed aggregation path of the fleet runner.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, &v) in other.counters.iter() {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, h) in other.histograms.iter() {
-            match self.histograms.entry(name.clone()) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h.clone());
-                }
-            }
-        }
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,35 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_and_histograms() {
-        let mut m = MetricsRegistry::new();
-        assert!(m.is_empty());
-        m.inc("events");
-        m.add("events", 2);
-        m.observe("bits_per_event", &[10, 100, 1000], 42);
-        m.observe("bits_per_event", &[10, 100, 1000], 7);
-        assert_eq!(m.counter("events"), 3);
-        assert_eq!(m.counter("missing"), 0);
-        let h = m.histogram("bits_per_event").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 42);
-        assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn registry_iteration_is_name_ordered() {
-        let mut m = MetricsRegistry::new();
-        m.inc("zeta");
-        m.inc("alpha");
-        m.observe("outer", &[1], 1);
-        m.observe("inner", &[1], 1);
-        let counter_names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(counter_names, ["alpha", "zeta"]);
-        let histogram_names: Vec<&str> = m.histograms().map(|(k, _)| k).collect();
-        assert_eq!(histogram_names, ["inner", "outer"]);
-    }
-
-    #[test]
     fn histogram_merge_equals_single_stream() {
         // A sample stream split across two producers and merged must be
         // bit-identical to the same stream recorded into one histogram —
@@ -349,35 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_folds_counters_and_histograms() {
-        let bounds = [10u64, 100];
-        let mut a = MetricsRegistry::new();
-        a.add("events", 3);
-        a.observe("bits", &bounds, 7);
-        a.observe("only_a", &bounds, 1);
-        let mut b = MetricsRegistry::new();
-        b.add("events", 2);
-        b.inc("only_b");
-        b.observe("bits", &bounds, 70);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "registry merge is order-independent");
-        assert_eq!(ab.counter("events"), 5);
-        assert_eq!(ab.counter("only_b"), 1);
-        assert_eq!(ab.histogram("bits").unwrap().count(), 2);
-        assert_eq!(ab.histogram("bits").unwrap().max(), 70);
-        assert_eq!(ab.histogram("only_a").unwrap().count(), 1);
-    }
-
-    #[test]
     fn identical_sample_streams_give_identical_state() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
+        let mut a = Histogram::with_bounds(&[4, 64, 1024]);
+        let mut b = Histogram::with_bounds(&[4, 64, 1024]);
         for v in [3u64, 17, 200, 5] {
-            a.observe("x", &[4, 64, 1024], v);
-            b.observe("x", &[4, 64, 1024], v);
+            a.record(v);
+            b.record(v);
         }
         assert_eq!(a, b);
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());

@@ -5,9 +5,8 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// The algorithmic phase a message/bit/round is charged to. Every cost
-/// recorded by a `CostTracker` lands in exactly one phase — the one named by
-/// the innermost enclosing `Network::span` — so the per-phase ledger always
-/// sums to the totals.
+/// recorded by a `CostTracker` lands in exactly one phase: the one named by
+/// the innermost enclosing `Network::span`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Unattributed engine traffic: costs recorded outside any span (ad-hoc
@@ -93,7 +92,7 @@ impl Deserialize for Phase {
     }
 }
 
-/// One phase's share of the cost counters. Mirrors the conserved fields of
+/// One phase's share of the cost counters: the summed fields of
 /// `CostReport` (`max_message_bits` is a maximum, not a sum, so it has no
 /// per-phase decomposition).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,8 +140,9 @@ impl Sub for PhaseCost {
 }
 
 /// The per-phase cost ledger: a fixed array with one [`PhaseCost`] slot per
-/// [`Phase`]. `Copy` so a `CostTracker` carrying one stays `Copy`, and so
-/// before/after snapshots are free.
+/// [`Phase`]. It is a `CostTracker`'s only store of counts, so a network's
+/// totals are its [`PhaseLedger::total`]. `Copy`, so before/after snapshots
+/// are free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseLedger {
     by_phase: [PhaseCost; Phase::COUNT],
@@ -187,8 +187,7 @@ impl PhaseLedger {
         Phase::ALL.into_iter().map(|p| (p, self.by_phase[p.index()]))
     }
 
-    /// The sum over all phases. Conservation means this equals the owning
-    /// tracker's totals exactly.
+    /// The sum over all phases.
     pub fn total(&self) -> PhaseCost {
         self.by_phase.iter().fold(PhaseCost::default(), |acc, &c| acc + c)
     }
@@ -196,6 +195,27 @@ impl PhaseLedger {
     /// True when nothing has been charged.
     pub fn is_empty(&self) -> bool {
         self.total() == PhaseCost::default()
+    }
+}
+
+/// An aligned text table: one row per phase that charged anything, then a
+/// `total` row of [`PhaseLedger::total`] (the examples' `KKT_TRACE=1`
+/// output).
+impl fmt::Display for PhaseLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let row = |f: &mut fmt::Formatter<'_>, label: &str, c: PhaseCost| {
+            let (msgs, bits, time, echoes) = (c.messages, c.bits, c.time, c.broadcast_echoes);
+            writeln!(f, "{label:<16} {msgs:>10} {bits:>14} {time:>10} {echoes:>8}")
+        };
+        writeln!(
+            f,
+            "{:<16} {:>10} {:>14} {:>10} {:>8}",
+            "phase", "msgs", "bits", "time", "b-echo"
+        )?;
+        for (phase, cost) in self.entries().filter(|&(_, c)| c != PhaseCost::default()) {
+            row(f, phase.label(), cost)?;
+        }
+        row(f, "total", self.total())
     }
 }
 

@@ -4,7 +4,6 @@
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 
-use crate::metrics::{Histogram, MetricsRegistry};
 use crate::phase::{PhaseCost, PhaseLedger};
 
 /// One replayed workload event, as seen by an [`Observer`]. The serialised
@@ -25,8 +24,7 @@ pub struct TraceRecord {
     pub checkpoint: String,
     /// Per-phase cost delta of this event.
     pub phases: PhaseLedger,
-    /// Sum over the phases — equals the `CostTracker` delta of the event
-    /// (conservation is asserted by the harness).
+    /// Sum over the phases: the event's whole cost.
     pub total: PhaseCost,
 }
 
@@ -94,31 +92,6 @@ impl<W: Write> Observer for JsonlObserver<W> {
     }
 }
 
-/// Feeds per-event totals into a [`MetricsRegistry`]: `bits_per_event` and
-/// `rounds_per_event` histograms on powers-of-two buckets, plus an `events`
-/// counter — the tail-latency ("p99 bits") leg of the registry.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsObserver {
-    /// The registry being fed.
-    pub registry: MetricsRegistry,
-}
-
-impl MetricsObserver {
-    /// An observer over a fresh registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Observer for MetricsObserver {
-    fn on_event(&mut self, record: &TraceRecord) {
-        let bounds = Histogram::pow2_bounds(40);
-        self.registry.inc("events");
-        self.registry.observe("bits_per_event", &bounds, record.total.bits);
-        self.registry.observe("rounds_per_event", &bounds, record.total.time);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,21 +139,5 @@ mod tests {
             let back: TraceRecord = serde_json::from_str(line).unwrap();
             assert_eq!(back.total, back.phases.total(), "records conserve");
         }
-    }
-
-    #[test]
-    fn metrics_observer_builds_tail_readouts() {
-        let mut obs = MetricsObserver::new();
-        for bits in [100u64, 120, 90, 4000] {
-            let mut r = record(0, bits);
-            r.total.time = 3;
-            obs.on_event(&r);
-        }
-        assert_eq!(obs.registry.counter("events"), 4);
-        let h = obs.registry.histogram("bits_per_event").unwrap();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 4000);
-        assert!(h.p50() <= 128, "median bucket bound covers the cluster at ~100");
-        assert_eq!(obs.registry.histogram("rounds_per_event").unwrap().max(), 3);
     }
 }

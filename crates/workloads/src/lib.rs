@@ -83,7 +83,7 @@ pub mod workload;
 
 pub use event::WorkloadEvent;
 pub use fingerprint::{fingerprint_hex, fnv1a64};
-pub use kkt_obs::{JsonlObserver, MetricsObserver, Observer, TraceRecord};
+pub use kkt_obs::{JsonlObserver, Observer, TraceRecord};
 pub use replay::{MaintenancePolicy, ReplayConfig, ReplayError, ReplayHarness};
 pub use report::{EventCost, ReplayReport, SweepPoint, SweepReport};
 pub use scenarios::{

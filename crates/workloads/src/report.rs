@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use kkt_congest::{CostReport, PhaseLedger, Scheduler};
+use kkt_congest::{CostReport, Phase, PhaseCost, PhaseLedger, Scheduler};
 use kkt_core::TreeKind;
 use kkt_graphs::Graph;
 
@@ -34,17 +34,6 @@ pub fn tree_kind_label(kind: TreeKind) -> String {
     }
 }
 
-/// Adds two cost snapshots field-wise (`max_message_bits` takes the max).
-pub fn add_costs(a: CostReport, b: CostReport) -> CostReport {
-    CostReport {
-        messages: a.messages + b.messages,
-        bits: a.bits + b.bits,
-        time: a.time + b.time,
-        broadcast_echoes: a.broadcast_echoes + b.broadcast_echoes,
-        max_message_bits: a.max_message_bits.max(b.max_message_bits),
-    }
-}
-
 /// The communication cost of one top-level event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventCost {
@@ -58,13 +47,6 @@ pub struct EventCost {
     pub bits: u64,
     /// Simulated time spent (rounds / makespan).
     pub time: u64,
-}
-
-impl EventCost {
-    /// Builds a record from a cost delta.
-    pub fn new(index: usize, kind: String, delta: CostReport) -> Self {
-        EventCost { index, kind, messages: delta.messages, bits: delta.bits, time: delta.time }
-    }
 }
 
 /// The full cost accounting of one (workload, policy, scheduler) replay.
@@ -94,11 +76,11 @@ pub struct ReplayReport {
     pub build: CostReport,
     /// Per-event costs, in trace order.
     pub per_event: Vec<EventCost>,
-    /// Sum of the per-event costs.
+    /// Sum of the per-event costs: the sums of `phases`, with the largest
+    /// message size the replay reported.
     pub total: CostReport,
     /// `total` split by protocol phase: the sum of the per-event phase
-    /// deltas, asserted to conserve against `total` when the report is
-    /// finalized.
+    /// deltas.
     pub phases: PhaseLedger,
     /// `total.messages / top_level_events`.
     pub mean_messages_per_event: f64,
@@ -109,39 +91,38 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Records one event's cost and its split by phase. The full
-    /// [`CostReport`] delta feeds the totals (so `broadcast_echoes` and
-    /// `max_message_bits` are preserved); the per-event record keeps the
-    /// compact three-field form.
+    /// Records one event: its cost split by phase, and the largest message
+    /// size `max_message_bits` seen by then. `total` is re-read from the
+    /// summed ledger, so it and `phases` cannot disagree; the per-event
+    /// record keeps the compact three-field form.
     pub fn push_event(
         &mut self,
         index: usize,
         kind: String,
-        delta: CostReport,
         phases: PhaseLedger,
+        max_message_bits: u64,
     ) {
-        self.total = add_costs(self.total, delta);
         self.phases += phases;
-        self.max_messages_per_event = self.max_messages_per_event.max(delta.messages);
-        self.per_event.push(EventCost::new(index, kind, delta));
+        let max_message_bits = self.total.max_message_bits.max(max_message_bits);
+        self.total = CostReport::from_ledger(&self.phases, max_message_bits);
+        let PhaseCost { messages, bits, time, .. } = phases.total();
+        self.max_messages_per_event = self.max_messages_per_event.max(messages);
+        self.per_event.push(EventCost { index, kind, messages, bits, time });
     }
 
     /// Computes the derived summary fields; call once after the last event.
     ///
     /// # Panics
     ///
-    /// If `phases` does not sum to `total` on messages, bits, time and
-    /// broadcast-and-echoes: attribution must never lose or invent a bit.
+    /// If the replay charged anything to [`Phase::Delivery`], the slot for
+    /// costs recorded outside every `Network::span`: every replayed cost
+    /// must name its protocol phase.
     pub fn finalize(&mut self) {
-        let sum = self.phases.total();
+        let stray = self.phases.get(Phase::Delivery);
         assert!(
-            sum.messages == self.total.messages
-                && sum.bits == self.total.bits
-                && sum.time == self.total.time
-                && sum.broadcast_echoes == self.total.broadcast_echoes,
-            "phase ledger does not conserve for {}: phase sum {sum:?} vs totals {:?}",
-            self.policy,
-            self.total
+            stray == PhaseCost::default(),
+            "{} charged {stray:?} to the delivery phase, outside every span",
+            self.policy
         );
         let events = self.per_event.len().max(1);
         self.mean_messages_per_event = self.total.messages as f64 / events as f64;
@@ -221,38 +202,6 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kkt_congest::Phase;
-
-    fn cost(messages: u64, bits: u64, time: u64) -> CostReport {
-        CostReport { messages, bits, time, broadcast_echoes: 0, max_message_bits: 0 }
-    }
-
-    #[test]
-    fn add_costs_is_fieldwise() {
-        let a =
-            CostReport { messages: 1, bits: 10, time: 3, broadcast_echoes: 2, max_message_bits: 7 };
-        let b =
-            CostReport { messages: 2, bits: 20, time: 4, broadcast_echoes: 1, max_message_bits: 5 };
-        let c = add_costs(a, b);
-        assert_eq!(c.messages, 3);
-        assert_eq!(c.bits, 30);
-        assert_eq!(c.time, 7);
-        assert_eq!(c.broadcast_echoes, 3);
-        assert_eq!(c.max_message_bits, 7);
-    }
-
-    /// A ledger that charges all of `delta` to `phase`.
-    fn ledger(phase: Phase, delta: CostReport) -> PhaseLedger {
-        let mut ledger = PhaseLedger::new();
-        for i in 0..delta.messages {
-            ledger.charge_message(phase, if i == 0 { delta.bits } else { 0 });
-        }
-        ledger.charge_time(phase, delta.time);
-        for _ in 0..delta.broadcast_echoes {
-            ledger.charge_broadcast_echo(phase);
-        }
-        ledger
-    }
 
     fn empty_report() -> ReplayReport {
         ReplayReport {
@@ -279,26 +228,34 @@ mod tests {
     #[test]
     fn report_accumulates_and_finalizes() {
         let mut r = empty_report();
-        let delete = CostReport {
-            messages: 10,
-            bits: 100,
-            time: 2,
-            broadcast_echoes: 3,
-            max_message_bits: 9,
-        };
-        r.push_event(0, "delete".into(), delete, ledger(Phase::FindMinNarrow, delete));
-        let insert = cost(4, 40, 1);
-        r.push_event(1, "insert".into(), insert, ledger(Phase::Announce, insert));
+        let mut delete = PhaseLedger::new();
+        for bits in [9, 1, 90] {
+            delete.charge_message(Phase::FindMinNarrow, bits);
+        }
+        delete.charge_time(Phase::FindMinNarrow, 2);
+        delete.charge_broadcast_echo(Phase::BroadcastEcho);
+        r.push_event(0, "delete".into(), delete, 90);
+        let mut insert = PhaseLedger::new();
+        insert.charge_message(Phase::Announce, 40);
+        insert.charge_time(Phase::Announce, 1);
+        r.push_event(1, "insert".into(), insert, 40);
         r.finalize();
-        assert_eq!(r.total.messages, 14);
-        assert_eq!(r.max_messages_per_event, 10);
-        // The full delta reaches the totals, not just the three-field record.
-        assert_eq!(r.total.broadcast_echoes, 3);
-        assert_eq!(r.total.max_message_bits, 9);
-        assert!((r.mean_messages_per_event - 7.0).abs() < 1e-9);
+        assert_eq!(r.total.messages, 4);
+        assert_eq!(r.total.bits, 140);
+        assert_eq!(r.total.time, 3);
+        assert_eq!(r.max_messages_per_event, 3);
+        assert_eq!(
+            r.per_event[1],
+            EventCost { index: 1, kind: "insert".into(), messages: 1, bits: 40, time: 1 }
+        );
+        // The whole ledger reaches the totals, not just the three-field
+        // record; the largest message is a maximum, not a sum.
+        assert_eq!(r.total.broadcast_echoes, 1);
+        assert_eq!(r.total.max_message_bits, 90);
+        assert!((r.mean_messages_per_event - 2.0).abs() < 1e-9);
         // The ledger keeps each event's phase apart.
         assert_eq!(r.phases.get(Phase::FindMinNarrow).bits, 100);
-        assert_eq!(r.phases.get(Phase::Announce).messages, 4);
+        assert_eq!(r.phases.get(Phase::Announce).messages, 1);
         // JSON round-trip preserves the report exactly.
         let text = serde_json::to_string(&r).unwrap();
         let back: ReplayReport = serde_json::from_str(&text).unwrap();
@@ -307,11 +264,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "phase ledger does not conserve")]
-    fn finalize_rejects_a_ledger_that_loses_bits() {
+    #[should_panic(expected = "charged PhaseCost { messages: 1, bits: 7")]
+    fn finalize_rejects_a_replay_that_charged_delivery() {
+        // A charge outside every span still sums to the totals, so only this
+        // check can see it.
         let mut r = empty_report();
-        let delta = cost(4, 40, 1);
-        r.push_event(0, "delete".into(), delta, ledger(Phase::Announce, cost(4, 39, 1)));
+        let mut stray = PhaseLedger::new();
+        stray.charge_message(Phase::Announce, 3);
+        stray.charge_message(Phase::Delivery, 7);
+        r.push_event(0, "delete".into(), stray, 7);
         r.finalize();
     }
 

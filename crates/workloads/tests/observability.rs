@@ -4,20 +4,20 @@
 //!   byte-identical JSONL trace streams.
 //! * **Purity** — installing an observer changes nothing: the replay report
 //!   (and its fingerprint) is equal with and without one, for every policy.
-//! * **Conservation** — the per-phase ledger sums to the untraced
-//!   `CostTracker` totals bit-for-bit, on every event of a 64-case seeded
-//!   sweep over scenarios × policies × kinds × schedulers, and the events'
-//!   ledgers sum to the report's `phases`.
+//! * **Conservation** — on a 64-case seeded sweep over scenarios × policies
+//!   × kinds × schedulers, the events' trace ledgers sum to the report's
+//!   `phases`, whose sums are the report's `total`, and no event charges the
+//!   unattributed delivery phase.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use kkt_congest::{PhaseLedger, Scheduler};
+use kkt_congest::{Phase, PhaseCost, PhaseLedger, Scheduler};
 use kkt_core::TreeKind;
 use kkt_graphs::{generators, Graph};
 use kkt_workloads::{
-    JsonlObserver, MaintenancePolicy, MetricsObserver, MixedPhases, Observer, PoissonChurn,
-    ReplayConfig, ReplayHarness, Scenario, TraceRecord, Workload,
+    JsonlObserver, MaintenancePolicy, MixedPhases, Observer, PoissonChurn, ReplayConfig,
+    ReplayHarness, Scenario, TraceRecord, Workload,
 };
 
 fn base(n: usize, seed: u64) -> Graph {
@@ -62,27 +62,30 @@ fn observation_is_pure_reports_and_fingerprints_match() {
     let harness = ReplayHarness::default();
     for policy in MaintenancePolicy::all_for(TreeKind::Mst) {
         let plain = harness.replay(&g, &w, policy).unwrap();
-        let mut metrics = MetricsObserver::new();
-        let observed = harness.replay_observed(&g, &w, policy, &mut metrics).unwrap();
+        let mut check = ConservationCheck::default();
+        let observed = harness.replay_observed(&g, &w, policy, &mut check).unwrap();
         assert_eq!(plain, observed, "{}: observer must not perturb the replay", policy.label());
         assert_eq!(plain.fingerprint(), observed.fingerprint());
-        assert_eq!(metrics.registry.counter("events"), w.len() as u64);
+        assert_eq!(check.events, w.len(), "{}: one record per event", policy.label());
     }
 }
 
-/// An observer that re-checks conservation on every single event (the
-/// harness asserts it too — this keeps the check alive even if the harness
-/// assert is ever relaxed) and sums the events' ledgers for the run-level
-/// comparison.
+/// An observer that checks every event's record (its total is its ledger's
+/// sum, and nothing lands in the unattributed delivery phase) and sums the
+/// events' ledgers for the run-level comparison.
 #[derive(Default)]
 struct ConservationCheck {
     ledger: PhaseLedger,
+    events: usize,
 }
 
 impl Observer for ConservationCheck {
     fn on_event(&mut self, record: &TraceRecord) {
         assert_eq!(record.total, record.phases.total(), "event {} conserves", record.index);
+        let stray = record.phases.get(Phase::Delivery);
+        assert_eq!(stray, PhaseCost::default(), "event {} is unattributed", record.index);
         self.ledger += record.phases;
+        self.events += 1;
     }
 }
 

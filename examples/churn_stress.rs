@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\n== phase anatomy of {} (KKT_TRACE=1)", point.scenario);
         for report in &point.reports {
             println!("-- {}", report.policy);
-            println!("{}", report.total.phase_table(&report.phases));
+            println!("{}", report.phases);
         }
     }
     Ok(())

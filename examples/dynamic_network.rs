@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // above prints the same either way.
     if std::env::var("KKT_TRACE").is_ok_and(|v| v == "1") {
         println!("\nwhere the bits went (KKT_TRACE=1):");
-        println!("{}", report.total.phase_table(&report.phases));
+        println!("{}", report.phases);
     }
     Ok(())
 }

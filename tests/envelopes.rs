@@ -1,56 +1,57 @@
-//! Envelopes: the paper's construction bounds as executable checks.
+//! Envelopes: the paper's message bounds as executable checks.
 //!
 //! The golden fingerprints catch any cost change, but cannot say whether a
-//! changed cost still matches the paper. Each envelope here builds on
-//! `connected_with_edges(n, 4n, ·)` graphs at n ∈ {64, 128, 256} with two
-//! seeds, divides the messages sent by the shape of the claimed bound, and
-//! checks two things:
+//! changed cost still matches the paper. Each envelope here measures one
+//! operation on `connected_with_edges(n, 4n, ·)` graphs at n ∈ {64, 128, 256}
+//! with two seeds, divides the messages it sent by the shape of the claimed
+//! bound, and checks two things:
 //!
 //! * every ratio stays below a committed ceiling (the bound's constant);
 //! * the n = 256 ratio, averaged over the seeds, stays below a committed
 //!   multiple of the n = 64 one (the bound's shape: a ratio that climbs
 //!   along the ladder means the cost grows faster than the bound).
 //!
-//! The constants were fitted on the code that introduced this file, with
-//! about 40% headroom over the largest ratio seen. A change that moves
-//! construction cost must stay inside them or justify new ones.
+//! The operations are the two constructions (Theorem 1.1, Lemmas 3 and 6)
+//! and the impromptu repairs of Theorem 1.2: tree-edge deletions from a
+//! Kruskal forest under `RandomAsync { max_delay: 8 }`, each deleted edge
+//! re-inserted, as exp3 and exp4 measure them. A last check pins the o(m)
+//! separation itself: Build MST's messages barely move when the edges grow
+//! eightfold.
+//!
+//! The constants were fitted on the code that introduced each envelope, with
+//! about 40% headroom over the largest ratio seen. A change that moves these
+//! costs must stay inside them or justify new ones.
 
-use kkt::congest::{Network, NetworkConfig};
+use kkt::congest::{Network, NetworkConfig, Scheduler};
 use kkt::core::{build_mst, build_st, BuildOutcome, CoreError, KktConfig};
-use kkt::graphs::generators;
+use kkt::graphs::{generators, kruskal, Graph};
+use kkt::{MaintainOptions, MaintainedForest, TreeKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SIZES: [usize; 3] = [64, 128, 256];
 const SEEDS: [u64; 2] = [0xE1, 0xE2];
+/// Tree edges cut (and re-inserted) per repair measurement.
+const CUTS: usize = 8;
 
 type Build = fn(&mut Network, &KktConfig, &mut StdRng) -> Result<BuildOutcome, CoreError>;
 
-/// One bound: a construction, the weight range of its graphs, the shape of
-/// its message bound in `n`, and the committed constants.
+/// One bound: the messages of an operation at `(n, seed)`, the shape of its
+/// bound in `n`, and the committed constants.
 struct Envelope {
     name: &'static str,
-    build: Build,
-    max_weight: u64,
+    messages: fn(usize, u64) -> f64,
     shape: fn(f64) -> f64,
     ceiling: f64,
     growth: f64,
 }
 
 impl Envelope {
-    /// Messages over `shape(n)` for one build at `(n, seed)`.
-    fn ratio(&self, n: usize, seed: u64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = generators::connected_with_edges(n, 4 * n, self.max_weight, &mut rng);
-        let mut net = Network::new(graph, NetworkConfig { seed: seed ^ 1, ..Default::default() });
-        let mut coins = StdRng::seed_from_u64(seed ^ 2);
-        (self.build)(&mut net, &KktConfig::default(), &mut coins).expect("the build converges");
-        net.cost().messages as f64 / (self.shape)(n as f64)
-    }
-
     fn check(&self) {
-        let ratios: Vec<[f64; 2]> =
-            SIZES.iter().map(|&n| SEEDS.map(|seed| self.ratio(n, seed))).collect();
+        let ratios: Vec<[f64; 2]> = SIZES
+            .iter()
+            .map(|&n| SEEDS.map(|seed| (self.messages)(n, seed) / (self.shape)(n as f64)))
+            .collect();
         let table =
             format!("{}: ratios per n {SIZES:?} and seed {SEEDS:x?}: {ratios:.2?}", self.name);
         for ratio in ratios.iter().flatten() {
@@ -62,13 +63,56 @@ impl Envelope {
     }
 }
 
+/// The seeded base graph: `m` edges on `n` nodes, weights up to `max_weight`.
+fn graph(n: usize, m: usize, max_weight: u64, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    generators::connected_with_edges(n, m, max_weight, &mut rng)
+}
+
+/// Messages of one synchronous build on `graph`.
+fn build_messages(build: Build, graph: Graph, seed: u64) -> f64 {
+    let mut net = Network::new(graph, NetworkConfig { seed: seed ^ 1, ..Default::default() });
+    let mut coins = StdRng::seed_from_u64(seed ^ 2);
+    build(&mut net, &KktConfig::default(), &mut coins).expect("the build converges");
+    net.cost().messages as f64
+}
+
+/// Mean messages per tree-edge deletion and per re-insertion of the deleted
+/// edge, over `CUTS` cuts of a Kruskal forest on the `m = 4n` graph.
+fn repair_messages(kind: TreeKind, n: usize, seed: u64) -> (f64, f64) {
+    let max_weight = if kind == TreeKind::Mst { 1_000 } else { 1 };
+    let graph = graph(n, 4 * n, max_weight, seed);
+    let tree = kruskal(&graph).edges;
+    let options = MaintainOptions {
+        repair_scheduler: Scheduler::RandomAsync { max_delay: 8 },
+        seed: seed ^ 1,
+        ..MaintainOptions::default()
+    };
+    let mut forest =
+        MaintainedForest::adopt(graph, kind, &tree, options).expect("a Kruskal forest is valid");
+    let (mut deletes, mut inserts) = (0, 0);
+    for cut in 0..CUTS {
+        let edges = forest.tree_edges();
+        let edge = edges[(cut * 7919) % edges.len()];
+        let (u, v) = forest.endpoints(edge);
+        let weight = forest.network().graph().edge(edge).weight;
+        let before = forest.cost().messages;
+        forest.delete_edge(u, v).expect("the repair converges");
+        let repaired = forest.cost().messages;
+        forest.insert_edge(u, v, weight).expect("the deleted edge is absent");
+        deletes += repaired - before;
+        inserts += forest.cost().messages - repaired;
+    }
+    forest.verify().expect("the repairs keep the forest valid");
+    (deletes as f64 / CUTS as f64, inserts as f64 / CUTS as f64)
+}
+
 #[test]
 fn build_mst_messages_stay_within_n_lg2n_over_lglgn() {
     // Lemma 3 and Theorem 1.1: O(n log²n / log log n) messages.
     Envelope {
         name: "Build MST messages / (n lg²n / lg lg n)",
-        build: build_mst,
-        max_weight: 1_000,
+        messages: |n, seed| build_messages(build_mst, graph(n, 4 * n, 1_000, seed), seed),
         shape: |n| n * n.log2().powi(2) / n.log2().log2(),
         // Fitted: 7.77 to 10.06, growing 1.06x.
         ceiling: 14.0,
@@ -82,12 +126,72 @@ fn build_st_messages_stay_within_n_lgn() {
     // Lemma 6: O(n log n) messages.
     Envelope {
         name: "Build ST messages / (n lg n)",
-        build: build_st,
-        max_weight: 1,
+        messages: |n, seed| build_messages(build_st, graph(n, 4 * n, 1, seed), seed),
         shape: |n| n * n.log2(),
         // Fitted: 4.89 to 9.66, growing 1.07x.
         ceiling: 13.5,
         growth: 1.5,
     }
     .check();
+}
+
+#[test]
+fn mst_deletion_messages_stay_within_n_lgn_over_lglgn() {
+    // Theorem 1.2: O(n log n / log log n) expected messages per MST
+    // tree-edge deletion.
+    Envelope {
+        name: "messages per MST deletion / (n lg n / lg lg n)",
+        messages: |n, seed| repair_messages(TreeKind::Mst, n, seed).0,
+        shape: |n| n * n.log2() / n.log2().log2(),
+        // Fitted: 7.51 to 19.60, growing 0.85x.
+        ceiling: 27.5,
+        growth: 1.5,
+    }
+    .check();
+}
+
+#[test]
+fn st_deletion_messages_stay_within_n() {
+    // Theorem 1.2: O(n) expected messages per ST tree-edge deletion.
+    Envelope {
+        name: "messages per ST deletion / n",
+        messages: |n, seed| repair_messages(TreeKind::St, n, seed).0,
+        shape: |n| n,
+        // Fitted: 5.80 to 13.29, growing 1.12x.
+        ceiling: 18.5,
+        growth: 1.5,
+    }
+    .check();
+}
+
+#[test]
+fn st_insertion_messages_stay_within_n() {
+    // Theorem 1.2: O(n) messages per ST insertion (one path query through
+    // the inserting endpoint's tree).
+    Envelope {
+        name: "messages per ST insertion / n",
+        messages: |n, seed| repair_messages(TreeKind::St, n, seed).1,
+        shape: |n| n,
+        // Fitted: 1.97 to 1.99, growing 1.01x.
+        ceiling: 2.8,
+        growth: 1.5,
+    }
+    .check();
+}
+
+#[test]
+fn build_mst_messages_do_not_grow_with_m() {
+    // The o(m) separation: at n = 128, m = n²/8 has 4x the edges of m = 4n,
+    // so a Θ(m) construction would send about 4x the messages. (n = 256
+    // would separate 8x, but its dense builds take about 1 s in a debug
+    // build.)
+    let n = 128;
+    let ratios = SEEDS.map(|seed| {
+        let dense = build_messages(build_mst, graph(n, n * n / 8, 1_000, seed), seed);
+        dense / build_messages(build_mst, graph(n, 4 * n, 1_000, seed), seed)
+    });
+    // Fitted: 0.66 and 0.94.
+    let ceiling = 1.3;
+    let table = format!("Build MST messages, m = n²/8 over m = 4n at n = {n}: {ratios:.2?}");
+    assert!(ratios.iter().all(|&r| r < ceiling), "{table} exceed {ceiling}");
 }
