@@ -6,7 +6,8 @@ use rand::SeedableRng;
 
 use kkt_baselines::flood_repair_delete;
 use kkt_congest::{Network, NetworkConfig};
-use kkt_core::{delete_edge_mst, delete_edge_st, insert_edge_mst, KktConfig};
+use kkt_core::{apply_update, KktConfig, TreeKind};
+use kkt_graphs::generators::Update;
 use kkt_graphs::{generators, kruskal, Graph, SpanningForest};
 
 fn workload(n: usize, seed: u64) -> (Graph, SpanningForest) {
@@ -25,13 +26,15 @@ fn bench_repair(c: &mut Criterion) {
     for &n in &[128usize, 256] {
         let (g, mst) = workload(n, 11);
         let victim = *g.edge(mst.edges[n / 2]);
+        let delete = Update::Delete { u: victim.u, v: victim.v };
+        let insert = Update::Insert { u: victim.u, v: victim.v, weight: victim.weight };
 
         group.bench_with_input(BenchmarkId::new("kkt_delete_mst", n), &g, |b, g| {
             b.iter(|| {
                 let mut net = Network::new(g.clone(), NetworkConfig::asynchronous(1, 8));
                 net.mark_all(&mst.edges);
                 let mut rng = StdRng::seed_from_u64(2);
-                delete_edge_mst(&mut net, victim.u, victim.v, &config, &mut rng).unwrap()
+                apply_update(&mut net, TreeKind::Mst, &delete, &config, &mut rng).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("kkt_delete_st", n), &g, |b, g| {
@@ -39,7 +42,7 @@ fn bench_repair(c: &mut Criterion) {
                 let mut net = Network::new(g.clone(), NetworkConfig::asynchronous(3, 8));
                 net.mark_all(&mst.edges);
                 let mut rng = StdRng::seed_from_u64(4);
-                delete_edge_st(&mut net, victim.u, victim.v, &config, &mut rng).unwrap()
+                apply_update(&mut net, TreeKind::St, &delete, &config, &mut rng).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("kkt_insert_mst", n), &g, |b, g| {
@@ -47,7 +50,9 @@ fn bench_repair(c: &mut Criterion) {
                 let mut net = Network::new(g.clone(), NetworkConfig::asynchronous(5, 8));
                 net.mark_all(&mst.edges);
                 net.delete_edge(victim.u, victim.v);
-                insert_edge_mst(&mut net, victim.u, victim.v, victim.weight).unwrap()
+                // An insertion draws no coins.
+                let mut rng = StdRng::seed_from_u64(6);
+                apply_update(&mut net, TreeKind::Mst, &insert, &config, &mut rng).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("flood_repair_delete", n), &g, |b, g| {

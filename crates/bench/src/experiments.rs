@@ -12,9 +12,10 @@ use serde::{Deserialize, Serialize};
 use kkt_baselines::{build_mst_ghs, build_st_by_flooding, flood_repair_delete};
 use kkt_congest::{Network, NetworkConfig, Phase};
 use kkt_core::{
-    build_mst, build_st, delete_edge_mst, delete_edge_st, find_any, find_min, hp_test_out,
-    insert_edge_mst, test_out, Budget, DeleteOutcome, KktConfig, WeightInterval,
+    apply_update, build_mst, build_st, find_any, find_min, hp_test_out, test_out, Budget,
+    DeleteOutcome, KktConfig, TreeKind, UpdateOutcome, WeightInterval,
 };
+use kkt_graphs::generators::Update;
 use kkt_graphs::{generators, kruskal, Graph};
 use kkt_workloads::{
     Density, MaintenancePolicy, MixedPhases, MultiEdgeCuts, ReplayReport, Scenario, SuiteParams,
@@ -167,12 +168,14 @@ pub fn exp3_mst_repair(scale: Scale, seed: u64) -> Table {
             let victim = mst.edges[(t * 7919) % mst.edges.len()];
             let edge = *net.graph().edge(victim);
             let before = net.cost();
-            let outcome = delete_edge_mst(&mut net, edge.u, edge.v, &config, &mut r).unwrap();
-            assert!(!matches!(outcome, DeleteOutcome::NotATreeEdge));
+            let delete = Update::Delete { u: edge.u, v: edge.v };
+            let outcome = apply_update(&mut net, TreeKind::Mst, &delete, &config, &mut r).unwrap();
+            assert_ne!(outcome, UpdateOutcome::Deleted(DeleteOutcome::NotATreeEdge));
             kkt_deletes.push((net.cost() - before).messages);
 
             let before = net.cost();
-            insert_edge_mst(&mut net, edge.u, edge.v, edge.weight).unwrap();
+            let insert = Update::Insert { u: edge.u, v: edge.v, weight: edge.weight };
+            apply_update(&mut net, TreeKind::Mst, &insert, &config, &mut r).unwrap();
             kkt_inserts.push((net.cost() - before).messages);
             kkt_graphs::verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
 
@@ -217,7 +220,8 @@ pub fn exp4_st_repair(scale: Scale, seed: u64) -> Table {
             let victim = st.edges[(t * 104729) % st.edges.len()];
             let edge = *net.graph().edge(victim);
             let before = net.cost();
-            delete_edge_st(&mut net, edge.u, edge.v, &config, &mut r).unwrap();
+            let delete = Update::Delete { u: edge.u, v: edge.v };
+            apply_update(&mut net, TreeKind::St, &delete, &config, &mut r).unwrap();
             costs.push((net.cost() - before).messages);
             kkt_graphs::verify_spanning_forest(net.graph(), &net.marked_forest_snapshot()).unwrap();
         }

@@ -9,13 +9,13 @@
 //! it. This module instead repairs the burst the way `Build MST` builds
 //! (Borůvka phases over vertex-disjoint fragments, §3.3):
 //!
-//! 1. **Classify & stage.** Walking the batch in order, non-tree deletions
-//!    and weight changes that cannot affect the tree are applied on the spot
-//!    (they are free, exactly as in the sequential path); deletions and
-//!    weight increases of *tree* edges are applied to the graph but their
-//!    repairs are deferred; insertions and non-tree weight decreases need an
-//!    intact tree for their path query, so they first force a flush of the
-//!    deferred cuts and then run the ordinary sequential routine.
+//! 1. **Classify & stage.** Walking the batch in order, each update gets the
+//!    sequential path's local / cut / link classification ([`crate::repair`]).
+//!    A cut is applied to the graph but its repair is deferred; a link first
+//!    forces a flush of the deferred cuts (its path query needs an intact
+//!    tree); then every non-deferred update runs the sequential
+//!    [`apply_update`]. Deferring nothing gives
+//!    [`crate::MaintainedForest::apply_batch_sequential`].
 //! 2. **Flush = pipelined Borůvka.** The fragment partition induced by all
 //!    severed edges is computed once. Each round opens with a concurrent
 //!    `TreeStats` census over the unresolved fragments, which pays for
@@ -58,9 +58,7 @@ use crate::error::CoreError;
 use crate::find_any::AnySearch;
 use crate::find_min::MinSearch;
 use crate::maintained::{TreeKind, UpdateOutcome};
-use crate::repair::{
-    announce, decrease_weight_mst, insert_edge_mst, insert_edge_st, DeleteOutcome,
-};
+use crate::repair::{announce, apply_update, classify, edit, DeleteOutcome, Effect};
 use crate::search::{drive_waves, Budget, Reply, Search, SearchOutcome, Slot, Step};
 
 // ---------------------------------------------------------------------------
@@ -198,24 +196,34 @@ impl Search for FragmentSearch {
 // The batched application
 // ---------------------------------------------------------------------------
 
-/// Applies a batch of updates, repairing all severed tree edges in pipelined
-/// passes. See the module docs for the algorithm and [`BatchError`] for the
-/// partial-failure contract.
-pub(crate) fn apply_batch_pipelined<R: Rng>(
+/// Applies a batch of updates. With `defer_cuts`, severed tree edges are
+/// repaired together in pipelined passes; without it, each cut is mended as
+/// soon as it is staged, one update after another. See the module docs for
+/// the algorithm and [`BatchError`] for the partial-failure contract.
+pub(crate) fn apply_batch<R: Rng>(
     net: &mut Network,
     kind: TreeKind,
     config: &KktConfig,
     rng: &mut R,
     updates: &[Update],
+    defer_cuts: bool,
 ) -> Result<(Vec<UpdateOutcome>, BatchStats), BatchError> {
     let mut outcomes = Vec::with_capacity(updates.len());
     let mut pending: Vec<PendingCut> = Vec::new();
     let mut stats = BatchStats::default();
 
     for (i, update) in updates.iter().enumerate() {
-        if let Err(source) =
-            stage(net, kind, config, rng, update, &mut pending, &mut outcomes, &mut stats)
-        {
+        if let Err(source) = stage(
+            net,
+            kind,
+            config,
+            rng,
+            update,
+            defer_cuts,
+            &mut pending,
+            &mut outcomes,
+            &mut stats,
+        ) {
             // Mend what the applied prefix severed before reporting, so the
             // caller observes a consistent forest for exactly `applied`.
             // (If this flush itself fails — probability n^{-c} — the original
@@ -238,10 +246,11 @@ pub(crate) fn apply_batch_pipelined<R: Rng>(
     Ok((outcomes, stats))
 }
 
-/// Applies one update, deferring tree-cut repairs and flushing before any
-/// operation that needs an intact tree. Pushes exactly one outcome on
+/// Applies one update with [`apply_update`], unless cuts are deferred: then
+/// a cut waits for the next flush, and a link first flushes the deferred
+/// cuts (its path query needs an intact tree). Pushes exactly one outcome on
 /// success; on error the batch state is untouched by this update (except for
-/// the flush a tree-dependent operation may already have forced).
+/// the flush a link may already have forced).
 #[allow(clippy::too_many_arguments)]
 fn stage<R: Rng>(
     net: &mut Network,
@@ -249,57 +258,38 @@ fn stage<R: Rng>(
     config: &KktConfig,
     rng: &mut R,
     update: &Update,
+    defer_cuts: bool,
     pending: &mut Vec<PendingCut>,
     outcomes: &mut Vec<UpdateOutcome>,
     stats: &mut BatchStats,
 ) -> Result<(), CoreError> {
-    match *update {
-        Update::Delete { u, v } => {
-            let (_, was_marked) = net.delete_edge(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
-            if was_marked {
-                stats.severed += 1;
-                pending.push(PendingCut { index: outcomes.len(), from_delete: true, u, v });
-                // Placeholder patched by the flush (Bridge ⇒ stayed split).
-                outcomes.push(UpdateOutcome::Deleted(DeleteOutcome::Bridge));
+    if defer_cuts {
+        let effect = classify(net, kind, update)?;
+        if effect == Effect::Cut {
+            edit(net, update, effect)?;
+            let (Update::Delete { u, v }
+            | Update::Insert { u, v, .. }
+            | Update::ChangeWeight { u, v, .. }) = *update;
+            let from_delete = matches!(update, Update::Delete { .. });
+            stats.severed += 1;
+            pending.push(PendingCut { index: outcomes.len(), from_delete, u, v });
+            // A deletion's placeholder is patched by the flush (Bridge ⇒
+            // stayed split); a weight change reports Reweighted either way.
+            outcomes.push(if from_delete {
+                UpdateOutcome::Deleted(DeleteOutcome::Bridge)
             } else {
-                outcomes.push(UpdateOutcome::Deleted(DeleteOutcome::NotATreeEdge));
-            }
+                UpdateOutcome::Reweighted
+            });
+            return Ok(());
         }
-        Update::Insert { u, v, weight } => {
+        if effect == Effect::Link {
+            // The flush may mark this very edge (a lighter non-tree edge that
+            // was the lightest across a deferred cut), so `apply_update`
+            // classifies the update again after it.
             flush(net, kind, config, rng, pending, outcomes, stats)?;
-            let outcome = match kind {
-                TreeKind::Mst => insert_edge_mst(net, u, v, weight)?,
-                TreeKind::St => insert_edge_st(net, u, v, weight)?,
-            };
-            outcomes.push(UpdateOutcome::Inserted(outcome));
-        }
-        Update::IncreaseWeight { u, v, weight } | Update::DecreaseWeight { u, v, weight } => {
-            // Like the sequential path, the direction is decided against the
-            // *current* weight, so stale trace labels cannot corrupt the tree.
-            let edge = net.graph().edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
-            let old = net.graph().edge(edge).weight;
-            let marked = net.forest().is_marked(edge);
-            if weight == old {
-                // No-op: nothing to communicate.
-            } else if kind == TreeKind::St || (marked && weight < old) {
-                // An ST ignores weights; a tree edge getting lighter stays.
-                net.change_weight(u, v, weight);
-            } else if weight > old {
-                net.change_weight(u, v, weight);
-                if marked {
-                    net.unmark(edge);
-                    stats.severed += 1;
-                    pending.push(PendingCut { index: outcomes.len(), from_delete: false, u, v });
-                }
-            } else {
-                // A non-tree edge getting lighter may swap into the tree:
-                // that is a path query, which needs the tree intact.
-                flush(net, kind, config, rng, pending, outcomes, stats)?;
-                decrease_weight_mst(net, u, v, weight)?;
-            }
-            outcomes.push(UpdateOutcome::Reweighted);
         }
     }
+    outcomes.push(apply_update(net, kind, update, config, rng)?);
     Ok(())
 }
 
@@ -704,6 +694,43 @@ mod tests {
     }
 
     #[test]
+    fn lowering_an_edge_the_flush_just_marked_costs_nothing() {
+        // A burst cuts tree edge e and lowers by 1 the weight of f, the
+        // lightest edge across e's cut. Before the burst f is a non-tree
+        // edge, so its weight drop is a link, which needs an intact tree and
+        // flushes the cut first — and the flush marks f. Classified again,
+        // the drop is a tree edge getting lighter, which is free: the burst
+        // must cost exactly what the cut alone does.
+        let mut rng = StdRng::seed_from_u64(29);
+        let g = generators::connected_gnp(30, 0.3, 500, &mut rng);
+        let cost_of = |updates: &[Update]| {
+            let mut forest =
+                MaintainedForest::build(g.clone(), TreeKind::Mst, options(30)).unwrap();
+            let before = forest.cost();
+            let (_, stats) = forest.apply_batch_detailed(updates).unwrap();
+            forest.verify().unwrap();
+            assert_eq!(stats.flushes, 1, "{updates:?}");
+            forest.cost() - before
+        };
+        let forest = MaintainedForest::build(g.clone(), TreeKind::Mst, options(30)).unwrap();
+        let cut = independent_cuts(&forest, 1).remove(0);
+        let Update::Delete { u, v } = cut else { unreachable!("cuts are deletions") };
+        // f is the edge the MST of the graph without e gains.
+        let mut without_e = g.clone();
+        without_e.remove_edge(u, v);
+        let tree = forest.tree_edges();
+        let f = kkt_graphs::kruskal(&without_e)
+            .edges
+            .into_iter()
+            .find(|f| !tree.contains(f))
+            .expect("e is not a bridge");
+        let f = *g.edge(f);
+        assert!(f.weight > 1, "f's weight can drop");
+        let drop = Update::ChangeWeight { u: f.u, v: f.v, weight: f.weight - 1 };
+        assert_eq!(cost_of(&[cut.clone(), drop]), cost_of(&[cut]));
+    }
+
+    #[test]
     fn batched_weight_increases_re_justify_tree_edges() {
         let mut rng = StdRng::seed_from_u64(15);
         let g = generators::connected_gnp(26, 0.3, 200, &mut rng);
@@ -712,7 +739,7 @@ mod tests {
             .iter()
             .map(|&e| {
                 let (u, v) = forest.endpoints(e);
-                Update::IncreaseWeight { u, v, weight: 900_000 }
+                Update::ChangeWeight { u, v, weight: 900_000 }
             })
             .collect();
         let (outcomes, stats) = forest.apply_batch_detailed(&updates).unwrap();

@@ -17,9 +17,8 @@
 //! a predetermined prime when the word size is known to all nodes), so the
 //! error is at most `B/2^61` — far below any ε(n) the algorithms request —
 //! and step 0 (computing `maxEdgeNum` and `B` to pick `p`) is unnecessary.
-//! Edge numbers are folded to 64-bit keys before reduction mod `p`; the
-//! additional collision probability is ≤ B²/2^61 (Karp–Rabin argument, §1 of
-//! the paper), absorbed into the same ε(n).
+//! Edge numbers enter as their 64-bit keys
+//! ([`kkt_graphs::EdgeNumber::as_u64_key`]) reduced mod `p`.
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
 use kkt_congest::{BitSized, Network, NodeView};

@@ -29,8 +29,11 @@
 //!   [`SearchOutcome`] reports the edge, an empty cut, or a give-up.
 //! * Construction: [`build_mst`](mod@build_mst), [`build_st`](mod@build_st)
 //!   (Borůvka phases driven by the searches).
-//! * Dynamics: [`repair`] (impromptu delete/insert/weight-change repairs) and
-//!   [`batch`] (bursts of cuts mended in one pipelined pass).
+//! * Dynamics: [`repair`] reads each update as a free *local* change, a
+//!   *cut* (a tree edge leaves the forest; `FindMin` / `FindAny` mends it)
+//!   or a *link* (an edge may join; one path query decides), and
+//!   [`apply_update`] handles it at once. [`batch`] runs the same
+//!   classifier over a burst but mends its cuts in one pipelined pass.
 //! * Public API: [`MaintainedForest`] wraps all of the above behind a
 //!   build / update / verify interface.
 //!
@@ -76,10 +79,7 @@ pub use find_any::find_any;
 pub use find_min::{find_min, FindMinTrace};
 pub use hp_test_out::hp_test_out;
 pub use maintained::{MaintainOptions, MaintainedForest, TreeKind, UpdateOutcome};
-pub use repair::{
-    decrease_weight_mst, delete_edge_mst, delete_edge_st, increase_weight_mst, insert_edge_mst,
-    insert_edge_st, DeleteOutcome, InsertOutcome,
-};
+pub use repair::{apply_update, DeleteOutcome, InsertOutcome};
 pub use search::{Budget, SearchOutcome};
 pub use test_out::{test_out, wide_test_out, WideTestOut};
 pub use weights::{FoundEdge, WeightInterval};

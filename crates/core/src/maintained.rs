@@ -5,6 +5,10 @@
 //! MST/ST, applies dynamic updates with the paper's impromptu repair
 //! algorithms, and exposes the communication cost counters.
 //!
+//! Every update takes one path, [`crate::repair::apply_update`], which reads
+//! it as a free *local* change, a *cut* or a *link*; the batch methods share
+//! that reading and differ only in whether cuts wait to be mended together.
+//!
 //! ```rust
 //! use kkt_core::{MaintainedForest, MaintainOptions, TreeKind};
 //! use kkt_graphs::generators;
@@ -33,15 +37,12 @@ use kkt_congest::{CostReport, DeliveryQueueKind, Network, NetworkConfig, Schedul
 use kkt_graphs::generators::Update;
 use kkt_graphs::{EdgeId, Graph, NodeId, SpanningForest, Weight};
 
-use crate::batch::{apply_batch_pipelined, BatchError, BatchStats};
+use crate::batch::{apply_batch, BatchError, BatchStats};
 use crate::build_mst::{build_mst, BuildOutcome};
 use crate::build_st::build_st;
 use crate::config::KktConfig;
 use crate::error::CoreError;
-use crate::repair::{
-    decrease_weight_mst, delete_edge_mst, delete_edge_st, increase_weight_mst, insert_edge_mst,
-    insert_edge_st, DeleteOutcome, InsertOutcome,
-};
+use crate::repair::{apply_update, DeleteOutcome, InsertOutcome};
 
 /// Which structure is being maintained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -219,96 +220,56 @@ impl MaintainedForest {
         self.net.phase_ledger()
     }
 
-    /// Deletes edge `{u, v}` and repairs the forest if needed (Theorem 1.2).
+    /// Deletes edge `{u, v}` and repairs the forest if needed (Theorem 1.2):
+    /// [`MaintainedForest::apply_update`] of an [`Update::Delete`].
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<DeleteOutcome, CoreError> {
-        match self.kind {
-            TreeKind::Mst => {
-                delete_edge_mst(&mut self.net, u, v, &self.options.config, &mut self.rng)
-            }
-            TreeKind::St => {
-                delete_edge_st(&mut self.net, u, v, &self.options.config, &mut self.rng)
-            }
+        match self.apply_update(&Update::Delete { u, v })? {
+            UpdateOutcome::Deleted(outcome) => Ok(outcome),
+            other => unreachable!("a deletion reported {other:?}"),
         }
     }
 
     /// Inserts edge `{u, v}` with the given weight and repairs the forest if
-    /// needed.
+    /// needed: [`MaintainedForest::apply_update`] of an [`Update::Insert`].
     pub fn insert_edge(
         &mut self,
         u: NodeId,
         v: NodeId,
         weight: Weight,
     ) -> Result<InsertOutcome, CoreError> {
-        match self.kind {
-            TreeKind::Mst => insert_edge_mst(&mut self.net, u, v, weight),
-            TreeKind::St => insert_edge_st(&mut self.net, u, v, weight),
+        match self.apply_update(&Update::Insert { u, v, weight })? {
+            UpdateOutcome::Inserted(outcome) => Ok(outcome),
+            other => unreachable!("an insertion reported {other:?}"),
         }
     }
 
-    /// Changes the weight of edge `{u, v}`.
-    ///
-    /// For an MST, increases of tree-edge weights re-justify the edge with a
-    /// `FindMin` repair and decreases of non-tree weights run a path query;
-    /// every other case — including *every* case for an ST, whose shape does
-    /// not depend on weights — only updates the endpoints' local knowledge,
-    /// which is free in the CONGEST cost model (the same zero charge the MST
-    /// path applies to its own no-op cases). An unchanged weight is a no-op
-    /// for both kinds: nothing needs to be communicated or re-justified.
+    /// Changes the weight of edge `{u, v}`:
+    /// [`MaintainedForest::apply_update`] of an [`Update::ChangeWeight`].
+    /// Only an MST tree edge getting heavier (a cut) or an MST non-tree edge
+    /// getting lighter (a link) costs messages.
     pub fn change_weight(
         &mut self,
         u: NodeId,
         v: NodeId,
         new_weight: Weight,
     ) -> Result<(), CoreError> {
-        let edge = self.net.graph().edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
-        let old = self.net.graph().edge(edge).weight;
-        if new_weight == old {
-            return Ok(());
-        }
-        match self.kind {
-            TreeKind::St => {
-                self.net.change_weight(u, v, new_weight);
-                Ok(())
-            }
-            TreeKind::Mst if new_weight > old => increase_weight_mst(
-                &mut self.net,
-                u,
-                v,
-                new_weight,
-                &self.options.config,
-                &mut self.rng,
-            )
-            .map(|_| ()),
-            TreeKind::Mst => decrease_weight_mst(&mut self.net, u, v, new_weight).map(|_| ()),
-        }
+        self.apply_update(&Update::ChangeWeight { u, v, weight: new_weight }).map(|_| ())
     }
 
-    /// Applies one dynamic update, dispatching on its kind.
-    ///
-    /// This is the hinge the scenario-replay subsystem (`kkt-workloads`)
-    /// drives: a [`Update`] names the operation, the forest picks the right
-    /// impromptu repair. Both weight-change variants route through
-    /// [`MaintainedForest::change_weight`], which itself distinguishes
-    /// increases from decreases against the *current* weight — so a stale
-    /// variant label in a pre-generated trace cannot corrupt the tree.
+    /// Applies one dynamic update with the paper's impromptu repair: a free
+    /// local change, a cut mended by `FindMin` / `FindAny`, or a link decided
+    /// by one path query (see [`crate::repair`]). This is the hinge the
+    /// scenario-replay subsystem (`kkt-workloads`) drives.
     pub fn apply_update(&mut self, update: &Update) -> Result<UpdateOutcome, CoreError> {
-        match *update {
-            Update::Delete { u, v } => self.delete_edge(u, v).map(UpdateOutcome::Deleted),
-            Update::Insert { u, v, weight } => {
-                self.insert_edge(u, v, weight).map(UpdateOutcome::Inserted)
-            }
-            Update::IncreaseWeight { u, v, weight } | Update::DecreaseWeight { u, v, weight } => {
-                self.change_weight(u, v, weight).map(|()| UpdateOutcome::Reweighted)
-            }
-        }
+        apply_update(&mut self.net, self.kind, update, &self.options.config, &mut self.rng)
     }
 
     /// Applies a batch of updates with the *batched repair pipeline* (see
-    /// [`crate::batch`]): the burst is classified once, cheap non-tree
-    /// operations apply immediately, and all severed tree edges are repaired
-    /// together — the fragment partition is computed a single time, the
-    /// per-fragment `FindMin`/`FindAny` searches run concurrently under the
-    /// congest scheduler, and fragments merge Borůvka-style so announce
+    /// [`crate::batch`]): local updates and links apply at once (a link
+    /// after the cuts before it are mended), and all severed tree edges are
+    /// repaired together — the fragment partition is computed a single time,
+    /// the per-fragment `FindMin`/`FindAny` searches run concurrently under
+    /// the congest scheduler, and fragments merge Borůvka-style so announce
     /// broadcasts are amortized across the batch instead of paid per cut.
     ///
     /// The final forest is the same (unique) MST / a valid spanning forest,
@@ -333,19 +294,14 @@ impl MaintainedForest {
         &mut self,
         updates: &[Update],
     ) -> Result<(Vec<UpdateOutcome>, BatchStats), BatchError> {
-        apply_batch_pipelined(
-            &mut self.net,
-            self.kind,
-            &self.options.config,
-            &mut self.rng,
-            updates,
-        )
+        // `true`: cuts wait for the pipelined flushes.
+        apply_batch(&mut self.net, self.kind, &self.options.config, &mut self.rng, updates, true)
     }
 
     /// Applies a batch of updates back-to-back with the *sequential* repairs
     /// of [`MaintainedForest::apply_update`] — one full repair per update, no
     /// batching. This is the baseline [`MaintainedForest::apply_batch`] is
-    /// measured against.
+    /// measured against: the same loop with no cut deferred.
     ///
     /// # Errors
     ///
@@ -355,16 +311,9 @@ impl MaintainedForest {
         &mut self,
         updates: &[Update],
     ) -> Result<Vec<UpdateOutcome>, BatchError> {
-        let mut outcomes = Vec::with_capacity(updates.len());
-        for (i, update) in updates.iter().enumerate() {
-            match self.apply_update(update) {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(source) => {
-                    return Err(BatchError { applied: outcomes, failed_index: i, source })
-                }
-            }
-        }
-        Ok(outcomes)
+        // `false`: each cut is mended as soon as it is staged.
+        apply_batch(&mut self.net, self.kind, &self.options.config, &mut self.rng, updates, false)
+            .map(|(outcomes, _)| outcomes)
     }
 
     /// Verifies the maintained forest against the sequential oracle: it must
@@ -518,39 +467,9 @@ mod tests {
             UpdateOutcome::Inserted(_)
         ));
         assert!(matches!(
-            forest.apply_update(&Update::IncreaseWeight { u, v, weight: w + 1 }).unwrap(),
+            forest.apply_update(&Update::ChangeWeight { u, v, weight: w + 1 }).unwrap(),
             UpdateOutcome::Reweighted
         ));
-        forest.verify().unwrap();
-    }
-
-    #[test]
-    fn stale_weight_variant_labels_still_repair_to_a_valid_mst() {
-        // A pre-generated trace can carry an `IncreaseWeight` label recorded
-        // when the weight was lower (or a `DecreaseWeight` recorded when it
-        // was higher); the dispatch compares against the *current* weight, so
-        // a stale label must take the other path and still land on the MST.
-        let mut rng = StdRng::seed_from_u64(31);
-        let g = generators::connected_gnp(24, 0.3, 200, &mut rng);
-        let mut forest = MaintainedForest::build(g, TreeKind::Mst, options(32)).unwrap();
-        let e = forest.tree_edges()[2];
-        let (u, v) = forest.endpoints(e);
-        let w = forest.network().graph().edge(e).weight;
-        // "Increase" to below the current weight: must behave as a decrease.
-        assert!(w > 1, "generator weights start at 1");
-        forest.apply_update(&Update::IncreaseWeight { u, v, weight: w - 1 }).unwrap();
-        forest.verify().unwrap();
-        // "Decrease" to above the current weight: must behave as an increase
-        // (a full re-justification of the tree edge).
-        forest.apply_update(&Update::DecreaseWeight { u, v, weight: w + 500 }).unwrap();
-        forest.verify().unwrap();
-        // Stale labels inside a *batch* go through the same dispatch.
-        forest
-            .apply_batch(&[
-                Update::IncreaseWeight { u, v, weight: 2 },
-                Update::DecreaseWeight { u, v, weight: 400 },
-            ])
-            .unwrap();
         forest.verify().unwrap();
     }
 
@@ -595,7 +514,7 @@ mod tests {
         let (nu, nv) = st.endpoints(non_tree);
         let before = st.cost();
         for (u, v, w) in [(tu, tv, 777), (nu, nv, 888)] {
-            let outcome = st.apply_update(&Update::IncreaseWeight { u, v, weight: w }).unwrap();
+            let outcome = st.apply_update(&Update::ChangeWeight { u, v, weight: w }).unwrap();
             assert_eq!(outcome, UpdateOutcome::Reweighted);
         }
         assert_eq!(st.cost(), before, "ST weight changes must be free");
@@ -610,7 +529,7 @@ mod tests {
         let w = mst.network().graph().edge(mst_non_tree).weight;
         let before = mst.cost();
         let outcome =
-            mst.apply_update(&Update::IncreaseWeight { u: mu, v: mv, weight: w + 9 }).unwrap();
+            mst.apply_update(&Update::ChangeWeight { u: mu, v: mv, weight: w + 9 }).unwrap();
         assert_eq!(outcome, UpdateOutcome::Reweighted);
         assert_eq!(mst.cost(), before);
     }

@@ -7,32 +7,46 @@
 //! these routines work purely from the maintained marking plus the messages
 //! they send while processing the update.
 //!
-//! * **Delete / weight increase of a tree edge** — the initiating endpoint
-//!   runs `FindMin` (MST) or `FindAny` (ST) on its half of the split tree and
-//!   announces the replacement, for `O(n log n / log log n)` resp. `O(n)`
-//!   expected messages. Deleting a non-tree edge costs nothing.
-//! * **Insert / weight decrease** — the initiating endpoint checks, with one
-//!   broadcast-and-echo, whether the other endpoint lies in its tree and (for
-//!   the MST) which tree-path edge is heaviest; it then swaps edges if the new
-//!   edge improves the tree. Deterministic, `O(n)` messages.
+//! Every update is one of three events, read off its edge *before* the
+//! update is applied (is it live, is it marked, does its weight go up or
+//! down?):
+//!
+//! * **Cut** — a tree edge leaves the forest: it is deleted, or an MST tree
+//!   edge gets heavier (then the lightest edge across the cut, possibly the
+//!   same edge, is re-marked). The smaller-ID endpoint runs `FindMin` (MST)
+//!   or `FindAny` (ST) on its half of the split tree and announces the
+//!   replacement: `O(n log n / log log n)` resp. `O(n)` expected messages.
+//! * **Link** — an edge may join the forest: it is inserted, or an MST
+//!   non-tree edge gets lighter. The smaller-ID endpoint asks, with one
+//!   broadcast-and-echo, whether the other endpoint lies in its tree and
+//!   (for the MST) which tree-path edge is heaviest, and swaps edges if the
+//!   new one improves the tree. Deterministic, `O(n)` messages.
+//! * **Local** — anything else only changes the endpoints' local knowledge,
+//!   which is free.
+//!
+//! [`apply_update`] handles one update at once; the batched pipeline
+//! ([`crate::batch`]) uses the same classification but defers a burst's
+//! cuts to mend them together.
 //!
 //! These routines run unchanged under the asynchronous scheduler — they are
 //! sequences of broadcast-and-echoes, which self-synchronise.
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
 use kkt_congest::{BitSized, Network, NodeView, Phase};
-use kkt_graphs::{Edge, EdgeId, EdgeNumber, NodeId, Weight};
+use kkt_graphs::generators::Update;
+use kkt_graphs::{Edge, EdgeId, EdgeNumber, NodeId};
 use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_any::find_any;
 use crate::find_min::find_min;
-use crate::maintained::TreeKind;
+use crate::maintained::{TreeKind, UpdateOutcome};
 use crate::search::{Budget, SearchOutcome};
 use crate::weights::{augmented_weight, pack_weight, resolve_edge, FoundEdge};
 
-/// Outcome of processing an edge deletion (or a weight increase).
+/// Outcome of a deletion: whether it cut the forest, and how the cut was
+/// mended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeleteOutcome {
     /// The deleted edge was not a tree edge: the forest is untouched.
@@ -49,7 +63,7 @@ pub enum DeleteOutcome {
     BatchRepaired,
 }
 
-/// Outcome of processing an edge insertion (or a weight decrease).
+/// Outcome of an insertion: whether the new edge joined the forest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// The endpoints were in different trees: the new edge joins the forest.
@@ -65,7 +79,113 @@ pub enum InsertOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Path queries (used by Insert)
+// The one update path
+// ---------------------------------------------------------------------------
+
+/// What an update does to the maintained forest (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Effect {
+    /// Only the endpoints' local knowledge changes: free.
+    Local,
+    /// A tree edge leaves the forest, and its cut must be mended.
+    Cut,
+    /// An edge may join the forest, which one path query decides.
+    Link,
+}
+
+/// Reads `update`'s effect off the current graph and marking, before the
+/// update is applied. An insertion is always a link ([`edit`] rejects one
+/// whose edge is live); a deletion or weight change of an edge that is not
+/// live is [`CoreError::NoSuchEdge`].
+pub(crate) fn classify(
+    net: &Network,
+    kind: TreeKind,
+    update: &Update,
+) -> Result<Effect, CoreError> {
+    let (u, v, new_weight) = match *update {
+        Update::Insert { .. } => return Ok(Effect::Link),
+        Update::Delete { u, v } => (u, v, None),
+        Update::ChangeWeight { u, v, weight } => (u, v, Some(weight)),
+    };
+    let edge = net.graph().edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
+    let marked = net.forest().is_marked(edge);
+    let old = net.graph().edge(edge).weight;
+    let mst = kind == TreeKind::Mst;
+    Ok(match new_weight {
+        None if marked => Effect::Cut,
+        Some(weight) if mst && marked && weight > old => Effect::Cut,
+        Some(weight) if mst && !marked && weight < old => Effect::Link,
+        _ => Effect::Local,
+    })
+}
+
+/// Applies one dynamic update to a maintained forest: classifies it, then
+/// mends its cut, decides its link or just applies it (see the module docs).
+///
+/// # Errors
+///
+/// [`CoreError::NoSuchEdge`] if a deletion or weight change names an edge
+/// that is not live, [`CoreError::Internal`] if an insertion names one that
+/// is (or is not an edge at all), and any failure of the repair itself.
+pub fn apply_update<R: Rng + ?Sized>(
+    net: &mut Network,
+    kind: TreeKind,
+    update: &Update,
+    config: &KktConfig,
+    rng: &mut R,
+) -> Result<UpdateOutcome, CoreError> {
+    let effect = classify(net, kind, update)?;
+    let edge = edit(net, update, effect)?;
+    let outcome = match effect {
+        // The only local update that is not a weight change is a non-tree
+        // deletion.
+        Effect::Local => UpdateOutcome::Deleted(DeleteOutcome::NotATreeEdge),
+        Effect::Cut => {
+            let Edge { u, v, .. } = *net.graph().edge(edge);
+            UpdateOutcome::Deleted(repair_cut(net, initiator(net, u, v), kind, config, rng)?)
+        }
+        Effect::Link => UpdateOutcome::Inserted(join_or_swap(net, edge, kind)?),
+    };
+    // A weight change reports only that it was applied.
+    Ok(match update {
+        Update::ChangeWeight { .. } => UpdateOutcome::Reweighted,
+        _ => outcome,
+    })
+}
+
+/// Applies `update` to the graph and returns its edge. A tree edge whose
+/// weight went up leaves the forest here, as a deleted one does, so a cut's
+/// two sides are separate trees afterwards. An unchanged weight is not
+/// written.
+pub(crate) fn edit(
+    net: &mut Network,
+    update: &Update,
+    effect: Effect,
+) -> Result<EdgeId, CoreError> {
+    match *update {
+        Update::Delete { u, v } => {
+            net.delete_edge(u, v).map(|(edge, _)| edge).ok_or(CoreError::NoSuchEdge { u, v })
+        }
+        // The message is built even on success: `perfbench/expected.json`
+        // pins the allocation counts that include it.
+        Update::Insert { u, v, weight } => net
+            .insert_edge(u, v, weight)
+            .ok_or(CoreError::Internal(format!("edge ({u},{v}) already exists or is invalid"))),
+        Update::ChangeWeight { u, v, weight } => {
+            let edge = net.graph().edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
+            if net.graph().edge(edge).weight != weight {
+                net.change_weight(u, v, weight);
+            }
+            if effect == Effect::Cut {
+                net.unmark(edge);
+            }
+            Ok(edge)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Path queries (used by links)
 // ---------------------------------------------------------------------------
 
 /// Broadcast payload: the identifier of the node being looked for.
@@ -212,123 +332,15 @@ fn initiator(net: &Network, u: NodeId, v: NodeId) -> NodeId {
 }
 
 /// One decision broadcast through the tree containing `root`, charged at its
-/// true cost of `2(|T| − 1)` messages. The fragment-level entry point the
-/// single-cut repairs below and the batched pipeline (`crate::batch`) share.
+/// true cost of `2(|T| − 1)` messages. The fragment-level entry point that
+/// single-cut repairs and the batched pipeline (`crate::batch`) share.
 pub(crate) fn announce(net: &mut Network, root: NodeId, payload: u128) -> Result<(), CoreError> {
     net.span(Phase::Announce, |net| run_broadcast_echo(net, root, Announce { payload }))?;
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// MST repairs
-// ---------------------------------------------------------------------------
-
-/// Processes the deletion of edge `{u, v}` in a maintained MST.
-///
-/// # Errors
-///
-/// Returns [`CoreError::NoSuchEdge`] if `{u, v}` is not a live edge.
-pub fn delete_edge_mst<R: Rng + ?Sized>(
-    net: &mut Network,
-    u: NodeId,
-    v: NodeId,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<DeleteOutcome, CoreError> {
-    let (_, was_marked) = net.delete_edge(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
-    if !was_marked {
-        return Ok(DeleteOutcome::NotATreeEdge);
-    }
-    repair_cut(net, initiator(net, u, v), TreeKind::Mst, config, rng)
-}
-
-/// Processes an increase of edge `{u, v}`'s weight to `new_weight` in a
-/// maintained MST (treated as "re-justify the edge": the edge is unmarked and
-/// the lightest edge across the resulting cut — possibly the same edge — is
-/// marked).
-pub fn increase_weight_mst<R: Rng + ?Sized>(
-    net: &mut Network,
-    u: NodeId,
-    v: NodeId,
-    new_weight: Weight,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<DeleteOutcome, CoreError> {
-    let edge = net.graph().edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
-    net.change_weight(u, v, new_weight);
-    if !net.forest().is_marked(edge) {
-        return Ok(DeleteOutcome::NotATreeEdge);
-    }
-    net.unmark(edge);
-    repair_cut(net, initiator(net, u, v), TreeKind::Mst, config, rng)
-}
-
-/// Processes the insertion of edge `{u, v}` with weight `weight` into a
-/// maintained MST. Deterministic, `O(|T_u|)` messages.
-pub fn insert_edge_mst(
-    net: &mut Network,
-    u: NodeId,
-    v: NodeId,
-    weight: Weight,
-) -> Result<InsertOutcome, CoreError> {
-    let edge = insert(net, u, v, weight)?;
-    join_or_swap(net, edge, TreeKind::Mst)
-}
-
-/// Processes a decrease of edge `{u, v}`'s weight to `new_weight` in a
-/// maintained MST.
-pub fn decrease_weight_mst(
-    net: &mut Network,
-    u: NodeId,
-    v: NodeId,
-    new_weight: Weight,
-) -> Result<InsertOutcome, CoreError> {
-    let edge = net.graph().edge_between(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
-    net.change_weight(u, v, new_weight);
-    if net.forest().is_marked(edge) {
-        // A tree edge that gets lighter stays in the MST.
-        return Ok(InsertOutcome::NotNeeded);
-    }
-    // A non-tree edge that gets lighter is handled exactly like an insertion,
-    // except the edge already exists in the graph.
-    join_or_swap(net, edge, TreeKind::Mst)
-}
-
-// ---------------------------------------------------------------------------
-// ST repairs
-// ---------------------------------------------------------------------------
-
-/// Processes the deletion of edge `{u, v}` in a maintained spanning forest:
-/// like [`delete_edge_mst`] but with `FindAny`, saving a
-/// `log n / log log n` factor (expected `O(n)` messages).
-pub fn delete_edge_st<R: Rng + ?Sized>(
-    net: &mut Network,
-    u: NodeId,
-    v: NodeId,
-    config: &KktConfig,
-    rng: &mut R,
-) -> Result<DeleteOutcome, CoreError> {
-    let (_, was_marked) = net.delete_edge(u, v).ok_or(CoreError::NoSuchEdge { u, v })?;
-    if !was_marked {
-        return Ok(DeleteOutcome::NotATreeEdge);
-    }
-    repair_cut(net, initiator(net, u, v), TreeKind::St, config, rng)
-}
-
-/// Processes the insertion of edge `{u, v}` into a maintained spanning
-/// forest: the edge is marked iff its endpoints were in different trees.
-pub fn insert_edge_st(
-    net: &mut Network,
-    u: NodeId,
-    v: NodeId,
-    weight: Weight,
-) -> Result<InsertOutcome, CoreError> {
-    let edge = insert(net, u, v, weight)?;
-    join_or_swap(net, edge, TreeKind::St)
-}
-
-// ---------------------------------------------------------------------------
-// Shared steps
+// Mending a cut, deciding a link
 // ---------------------------------------------------------------------------
 
 /// Mends the cut around `root`'s tree: `FindMin` (MST) or `FindAny` (ST)
@@ -359,16 +371,11 @@ fn repair_cut<R: Rng + ?Sized>(
     }
 }
 
-fn insert(net: &mut Network, u: NodeId, v: NodeId, weight: Weight) -> Result<EdgeId, CoreError> {
-    net.insert_edge(u, v, weight)
-        .ok_or(CoreError::Internal(format!("edge ({u},{v}) already exists or is invalid")))
-}
-
-/// The path query of an insertion (or weight decrease): `edge`'s initiating
-/// endpoint asks, with one broadcast-and-echo, whether the other endpoint
-/// lies in its tree. If not, `edge` joins the forest. If it does and `kind`
-/// is an MST, `edge` displaces the heaviest edge on the tree path between
-/// its endpoints when that edge is heavier.
+/// The path query of a link: `edge`'s initiating endpoint asks, with one
+/// broadcast-and-echo, whether the other endpoint lies in its tree. If not,
+/// `edge` joins the forest. If it does and `kind` is an MST, `edge`
+/// displaces the heaviest edge on the tree path between its endpoints when
+/// that edge is heavier.
 fn join_or_swap(
     net: &mut Network,
     edge: EdgeId,
@@ -409,10 +416,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn cfg() -> KktConfig {
-        KktConfig::default()
-    }
-
     fn mst_network(n: usize, p: f64, seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = generators::connected_gnp(n, p, 500, &mut rng);
@@ -420,6 +423,59 @@ mod tests {
         let mut net = Network::new(g, NetworkConfig::default());
         net.mark_all(&mst.edges);
         net
+    }
+
+    /// [`apply_update`] with the default configuration.
+    fn apply(
+        net: &mut Network,
+        kind: TreeKind,
+        update: Update,
+        rng: &mut StdRng,
+    ) -> Result<UpdateOutcome, CoreError> {
+        apply_update(net, kind, &update, &KktConfig::default(), rng)
+    }
+
+    /// The first pair of distinct nodes of `net` with no edge between them.
+    fn absent_pair(net: &Network) -> (NodeId, NodeId) {
+        let n = net.node_count();
+        (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
+            .expect("a sparse graph has absent pairs")
+    }
+
+    #[test]
+    fn classify_reads_the_edge_before_the_update() {
+        let net = mst_network(20, 0.4, 90);
+        let tree = *net.graph().edge(net.forest().edges()[0]);
+        let non_tree = *net
+            .graph()
+            .edge(net.graph().live_edges().find(|&e| !net.forest().is_marked(e)).unwrap());
+        let (a, b) = absent_pair(&net);
+        let change = |e: Edge, weight| Update::ChangeWeight { u: e.u, v: e.v, weight };
+        for (kind, update, effect) in [
+            (TreeKind::Mst, Update::Delete { u: tree.u, v: tree.v }, Effect::Cut),
+            (TreeKind::St, Update::Delete { u: tree.u, v: tree.v }, Effect::Cut),
+            (TreeKind::Mst, Update::Delete { u: non_tree.u, v: non_tree.v }, Effect::Local),
+            (TreeKind::St, Update::Insert { u: a, v: b, weight: 1 }, Effect::Link),
+            (TreeKind::Mst, change(tree, tree.weight + 1), Effect::Cut),
+            (TreeKind::Mst, change(tree, tree.weight - 1), Effect::Local),
+            (TreeKind::Mst, change(tree, tree.weight), Effect::Local),
+            (TreeKind::Mst, change(non_tree, non_tree.weight - 1), Effect::Link),
+            (TreeKind::Mst, change(non_tree, non_tree.weight + 1), Effect::Local),
+            (TreeKind::St, change(tree, tree.weight + 1), Effect::Local),
+            (TreeKind::St, change(non_tree, non_tree.weight - 1), Effect::Local),
+        ] {
+            assert_eq!(classify(&net, kind, &update).unwrap(), effect, "{kind:?} {update:?}");
+        }
+        for update in
+            [Update::Delete { u: a, v: b }, Update::ChangeWeight { u: a, v: b, weight: 1 }]
+        {
+            assert!(matches!(
+                classify(&net, TreeKind::Mst, &update),
+                Err(CoreError::NoSuchEdge { .. })
+            ));
+        }
     }
 
     #[test]
@@ -433,8 +489,10 @@ mod tests {
             .expect("a dense graph has non-tree edges");
         let edge = *net.graph().edge(non_tree);
         let before = net.cost();
-        let outcome = delete_edge_mst(&mut net, edge.u, edge.v, &cfg(), &mut rng).unwrap();
-        assert_eq!(outcome, DeleteOutcome::NotATreeEdge);
+        let outcome =
+            apply(&mut net, TreeKind::Mst, Update::Delete { u: edge.u, v: edge.v }, &mut rng)
+                .unwrap();
+        assert_eq!(outcome, UpdateOutcome::Deleted(DeleteOutcome::NotATreeEdge));
         assert_eq!(net.cost().messages, before.messages, "non-tree deletions cost nothing");
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
     }
@@ -446,8 +504,13 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(100 + seed);
             let tree_edge = net.forest().edges()[(seed as usize * 3) % net.forest().len()];
             let edge = *net.graph().edge(tree_edge);
-            let outcome = delete_edge_mst(&mut net, edge.u, edge.v, &cfg(), &mut rng).unwrap();
-            assert!(matches!(outcome, DeleteOutcome::Replaced(_)), "seed {seed}");
+            let outcome =
+                apply(&mut net, TreeKind::Mst, Update::Delete { u: edge.u, v: edge.v }, &mut rng)
+                    .unwrap();
+            assert!(
+                matches!(outcome, UpdateOutcome::Deleted(DeleteOutcome::Replaced(_))),
+                "seed {seed}"
+            );
             verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
         }
     }
@@ -461,8 +524,10 @@ mod tests {
         let mut net = Network::new(g, NetworkConfig::default());
         net.mark_all(&mst.edges);
         let edge = *net.graph().edge(mst.edges[4]);
-        let outcome = delete_edge_mst(&mut net, edge.u, edge.v, &cfg(), &mut rng).unwrap();
-        assert_eq!(outcome, DeleteOutcome::Bridge);
+        let outcome =
+            apply(&mut net, TreeKind::Mst, Update::Delete { u: edge.u, v: edge.v }, &mut rng)
+                .unwrap();
+        assert_eq!(outcome, UpdateOutcome::Deleted(DeleteOutcome::Bridge));
         assert_eq!(net.graph().component_count(), 2);
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
     }
@@ -471,12 +536,9 @@ mod tests {
     fn delete_missing_edge_errors() {
         let mut net = mst_network(10, 0.2, 4);
         let mut rng = StdRng::seed_from_u64(5);
-        let missing = (0..10)
-            .flat_map(|a| (0..10).map(move |b| (a, b)))
-            .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
-            .unwrap();
+        let (u, v) = absent_pair(&net);
         assert!(matches!(
-            delete_edge_mst(&mut net, missing.0, missing.1, &cfg(), &mut rng),
+            apply(&mut net, TreeKind::Mst, Update::Delete { u, v }, &mut rng),
             Err(CoreError::NoSuchEdge { .. })
         ));
     }
@@ -485,27 +547,28 @@ mod tests {
     fn insert_useless_edge_changes_nothing() {
         let mut net = mst_network(20, 0.15, 6);
         let mut rng = StdRng::seed_from_u64(7);
-        // Find a pair of nodes with no edge; give the new edge a huge weight.
-        let (a, b) = (0..20)
-            .flat_map(|a| (0..20).map(move |b| (a, b)))
-            .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
-            .unwrap();
-        let outcome = insert_edge_mst(&mut net, a, b, 100_000).unwrap();
-        assert_eq!(outcome, InsertOutcome::NotNeeded);
+        // An absent pair gets an edge heavier than every other.
+        let (u, v) = absent_pair(&net);
+        let outcome =
+            apply(&mut net, TreeKind::Mst, Update::Insert { u, v, weight: 100_000 }, &mut rng)
+                .unwrap();
+        assert_eq!(outcome, UpdateOutcome::Inserted(InsertOutcome::NotNeeded));
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
-        let _ = &mut rng;
     }
 
     #[test]
     fn insert_light_edge_swaps_out_the_heaviest_path_edge() {
         let mut net = mst_network(20, 0.15, 8);
-        // Weight 0 edges beat everything, so the insertion must enter the MST.
-        let (a, b) = (0..20)
-            .flat_map(|a| (0..20).map(move |b| (a, b)))
-            .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
-            .unwrap();
-        let outcome = insert_edge_mst(&mut net, a, b, 1).unwrap();
-        assert!(matches!(outcome, InsertOutcome::Swapped { .. } | InsertOutcome::NotNeeded));
+        let mut rng = StdRng::seed_from_u64(9);
+        // Weight-1 edges beat almost everything, so the insertion should
+        // enter the MST.
+        let (u, v) = absent_pair(&net);
+        let outcome =
+            apply(&mut net, TreeKind::Mst, Update::Insert { u, v, weight: 1 }, &mut rng).unwrap();
+        assert!(matches!(
+            outcome,
+            UpdateOutcome::Inserted(InsertOutcome::Swapped { .. } | InsertOutcome::NotNeeded)
+        ));
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
     }
 
@@ -521,11 +584,12 @@ mod tests {
         let mst = kruskal(&g);
         let mut net = Network::new(g, NetworkConfig::default());
         net.mark_all(&mst.edges);
-        let outcome = insert_edge_mst(&mut net, 2, 5, 7).unwrap();
-        assert_eq!(outcome, InsertOutcome::MergedFragments);
+        let outcome =
+            apply(&mut net, TreeKind::Mst, Update::Insert { u: 2, v: 5, weight: 7 }, &mut rng)
+                .unwrap();
+        assert_eq!(outcome, UpdateOutcome::Inserted(InsertOutcome::MergedFragments));
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
         assert_eq!(net.graph().component_count(), 1);
-        let _ = &mut rng;
     }
 
     #[test]
@@ -533,17 +597,20 @@ mod tests {
         for seed in 0..5 {
             let mut net = mst_network(22, 0.3, 20 + seed);
             let mut rng = StdRng::seed_from_u64(30 + seed);
-            // Increase a tree edge's weight dramatically.
+            // Increase a tree edge's weight dramatically: a cut.
             let tree_edge = net.forest().edges()[seed as usize % net.forest().len()];
             let e = *net.graph().edge(tree_edge);
-            increase_weight_mst(&mut net, e.u, e.v, 400_000, &cfg(), &mut rng).unwrap();
+            let update = Update::ChangeWeight { u: e.u, v: e.v, weight: 400_000 };
+            let outcome = apply(&mut net, TreeKind::Mst, update, &mut rng).unwrap();
+            assert_eq!(outcome, UpdateOutcome::Reweighted);
             verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
-            // Decrease a non-tree edge's weight to (almost) nothing.
-            let non_tree: Vec<kkt_graphs::EdgeId> =
+            // Decrease a non-tree edge's weight to (almost) nothing: a link.
+            let non_tree: Vec<EdgeId> =
                 net.graph().live_edges().filter(|&x| !net.forest().is_marked(x)).collect();
             if let Some(&non_tree) = non_tree.first() {
                 let e = *net.graph().edge(non_tree);
-                decrease_weight_mst(&mut net, e.u, e.v, 1).unwrap();
+                let update = Update::ChangeWeight { u: e.u, v: e.v, weight: 1 };
+                apply(&mut net, TreeKind::Mst, update, &mut rng).unwrap();
                 verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
             }
         }
@@ -556,8 +623,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(50 + seed);
             let tree_edge = net.forest().edges()[(2 * seed as usize) % net.forest().len()];
             let edge = *net.graph().edge(tree_edge);
-            let outcome = delete_edge_st(&mut net, edge.u, edge.v, &cfg(), &mut rng).unwrap();
-            assert!(matches!(outcome, DeleteOutcome::Replaced(_)));
+            let outcome =
+                apply(&mut net, TreeKind::St, Update::Delete { u: edge.u, v: edge.v }, &mut rng)
+                    .unwrap();
+            assert!(matches!(outcome, UpdateOutcome::Deleted(DeleteOutcome::Replaced(_))));
             verify_spanning_forest(net.graph(), &net.marked_forest_snapshot()).unwrap();
         }
     }
@@ -565,12 +634,12 @@ mod tests {
     #[test]
     fn st_insert_only_merges_fragments() {
         let mut net = mst_network(18, 0.2, 60);
-        let (a, b) = (0..18)
-            .flat_map(|a| (0..18).map(move |b| (a, b)))
-            .find(|&(a, b)| a != b && net.graph().edge_between(a, b).is_none())
-            .unwrap();
+        let mut rng = StdRng::seed_from_u64(61);
+        let (u, v) = absent_pair(&net);
         // Same tree: never marked, regardless of weight.
-        assert_eq!(insert_edge_st(&mut net, a, b, 1).unwrap(), InsertOutcome::NotNeeded);
+        let outcome =
+            apply(&mut net, TreeKind::St, Update::Insert { u, v, weight: 1 }, &mut rng).unwrap();
+        assert_eq!(outcome, UpdateOutcome::Inserted(InsertOutcome::NotNeeded));
         verify_spanning_forest(net.graph(), &net.marked_forest_snapshot()).unwrap();
     }
 
@@ -581,8 +650,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let tree_edge = net.forest().edges()[3];
         let edge = *net.graph().edge(tree_edge);
-        let outcome = delete_edge_mst(&mut net, edge.u, edge.v, &cfg(), &mut rng).unwrap();
-        assert!(matches!(outcome, DeleteOutcome::Replaced(_)));
+        let outcome =
+            apply(&mut net, TreeKind::Mst, Update::Delete { u: edge.u, v: edge.v }, &mut rng)
+                .unwrap();
+        assert!(matches!(outcome, UpdateOutcome::Deleted(DeleteOutcome::Replaced(_))));
         verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
     }
 
@@ -598,19 +669,19 @@ mod tests {
         let edge = *net.graph().edge(tree_edge);
         let root = initiator(&net, edge.u, edge.v);
         let before = net.cost();
-        let outcome = delete_edge_mst(&mut net, edge.u, edge.v, &cfg(), &mut rng).unwrap();
-        assert!(matches!(outcome, DeleteOutcome::Replaced(_)));
+        let outcome =
+            apply(&mut net, TreeKind::Mst, Update::Delete { u: edge.u, v: edge.v }, &mut rng)
+                .unwrap();
+        let UpdateOutcome::Deleted(DeleteOutcome::Replaced(replacement)) = outcome else {
+            panic!("a dense graph has a replacement edge, got {outcome:?}");
+        };
         let delta = net.cost() - before;
         // After the repair the initiator's fragment has been re-joined; the
         // searches ran on the pre-repair half, whose size we recover by
         // removing the replacement edge mark temporarily.
-        let replacement = match outcome {
-            DeleteOutcome::Replaced(f) => f.edge,
-            _ => unreachable!(),
-        };
-        net.unmark(replacement);
+        net.unmark(replacement.edge);
         let side = net.forest().tree_of(net.graph(), root).len() as u64;
-        net.mark(replacement);
+        net.mark(replacement.edge);
         assert_eq!(delta.messages, delta.broadcast_echoes * 2 * (side - 1) + 1);
     }
 }

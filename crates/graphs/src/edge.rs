@@ -67,10 +67,12 @@ impl EdgeNumber {
     ///
     /// The paper hashes edge numbers from `[1, maxEdgeNum]`; in an
     /// implementation with word size `w = 64` we fold the 128-bit
-    /// concatenation into a single word with an odd-constant mix that is
-    /// injective on `{(lo, hi) : lo, hi < 2^32}` (IDs polynomial in `n`) and
-    /// collision-free w.h.p. beyond that — see `kkt-hashing::karp_rabin` for
-    /// the fingerprinting argument the paper invokes for huge ID spaces.
+    /// concatenation into a single word with a fixed splitmix-style mix of
+    /// the two IDs. The mix is injective while every ID is below
+    /// 2 971 215 073: two keys can only meet when the smaller endpoints of
+    /// their edges differ by at least that much. Beyond it, up to the `2^32`
+    /// the simulator accepts, distinct edges can share a key — `{41,
+    /// 2147483653}` and `{2971215114, 3171499658}` do.
     pub fn as_u64_key(&self) -> u64 {
         let lo = self.min_id();
         let hi = self.max_id();
@@ -161,6 +163,15 @@ mod tests {
                 assert!(seen.insert(k), "collision for ({a},{b})");
             }
         }
+    }
+
+    #[test]
+    fn u64_key_is_not_injective_on_32_bit_ids() {
+        // The pair `as_u64_key`'s doc names; one ID is above 2 971 215 073.
+        let a = EdgeNumber::from_ids(41, 2_147_483_653);
+        let b = EdgeNumber::from_ids(2_971_215_114, 3_171_499_658);
+        assert_ne!(a, b);
+        assert_eq!(a.as_u64_key(), b.as_u64_key());
     }
 
     #[test]

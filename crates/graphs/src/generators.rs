@@ -235,12 +235,9 @@ pub enum Update {
     Delete { u: NodeId, v: NodeId },
     /// Insert a new edge `{u, v}` with the given weight.
     Insert { u: NodeId, v: NodeId, weight: Weight },
-    /// Increase the weight of live edge `{u, v}` to `weight` (treated by the
-    /// repair algorithms as delete-then-insert of a heavier edge).
-    IncreaseWeight { u: NodeId, v: NodeId, weight: Weight },
-    /// Decrease the weight of live edge `{u, v}` to `weight` (treated as
-    /// insert of a lighter edge).
-    DecreaseWeight { u: NodeId, v: NodeId, weight: Weight },
+    /// Change the weight of live edge `{u, v}` to `weight`. Whether it went
+    /// up or down is read against the current weight when it is applied.
+    ChangeWeight { u: NodeId, v: NodeId, weight: Weight },
 }
 
 /// Generates a stream of `count` random updates against (an evolving copy of)
@@ -292,11 +289,7 @@ pub fn random_update_stream<R: Rng>(
                 let edge = *shadow.edge(e);
                 let w = random_weight(max_weight, rng);
                 shadow.set_weight(edge.u, edge.v, w);
-                if w >= edge.weight {
-                    updates.push(Update::IncreaseWeight { u: edge.u, v: edge.v, weight: w });
-                } else {
-                    updates.push(Update::DecreaseWeight { u: edge.u, v: edge.v, weight: w });
-                }
+                updates.push(Update::ChangeWeight { u: edge.u, v: edge.v, weight: w });
             }
         }
     }
@@ -467,8 +460,7 @@ mod tests {
                 Update::Insert { u, v, weight } => {
                     assert!(shadow.add_edge(u, v, weight).is_some());
                 }
-                Update::IncreaseWeight { u, v, weight }
-                | Update::DecreaseWeight { u, v, weight } => {
+                Update::ChangeWeight { u, v, weight } => {
                     assert!(shadow.set_weight(u, v, weight).is_some());
                 }
             }

@@ -280,10 +280,9 @@ impl ShadowOracle {
         self.check_paranoid()
     }
 
-    /// Applies one [`Update`], dispatching on its kind. The increase/decrease
-    /// weight variants both route through [`ShadowOracle::change_weight`],
-    /// which decides the direction against the *current* weight — a stale
-    /// variant label in a pre-generated trace cannot corrupt the oracle.
+    /// Applies one [`Update`], dispatching on its kind. A weight change goes
+    /// through [`ShadowOracle::change_weight`], which reads its direction
+    /// against the *current* weight.
     ///
     /// # Errors
     ///
@@ -293,9 +292,7 @@ impl ShadowOracle {
         match *update {
             Update::Delete { u, v } => self.delete(u, v),
             Update::Insert { u, v, weight } => self.insert(u, v, weight),
-            Update::IncreaseWeight { u, v, weight } | Update::DecreaseWeight { u, v, weight } => {
-                self.change_weight(u, v, weight)
-            }
+            Update::ChangeWeight { u, v, weight } => self.change_weight(u, v, weight),
         }
     }
 

@@ -26,8 +26,8 @@ fn arb_graph(seed: u64) -> Graph {
 }
 
 /// A mixed churn trace: the `random_update_stream` delete/insert alternation
-/// (tree-biased deletions) interleaved with explicit weight moves so every
-/// update kind occurs, including the stale-label variants.
+/// (tree-biased deletions) interleaved with explicit weight moves in both
+/// directions, so every update kind occurs.
 fn mixed_trace(g: &Graph, events: usize, seed: u64) -> Vec<Update> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let tree_bias = rng.gen_range(0.0..1.0);
@@ -42,16 +42,15 @@ fn mixed_trace(g: &Graph, events: usize, seed: u64) -> Vec<Update> {
                 Update::Insert { u, v, weight } => {
                     shadow.add_edge(u, v, weight);
                 }
-                Update::IncreaseWeight { u, v, weight }
-                | Update::DecreaseWeight { u, v, weight } => {
+                Update::ChangeWeight { u, v, weight } => {
                     shadow.set_weight(u, v, weight);
                 }
             }
             out.push(u.clone());
         }
         // One weight move per chunk, on a random live edge of the evolving
-        // graph, labelled by a coin toss rather than by direction — the
-        // oracle must dispatch on the current weight, not the label.
+        // graph, in either direction — the oracle reads the direction
+        // against the current weight.
         let edges: Vec<_> = shadow.live_edges().collect();
         if edges.is_empty() {
             continue;
@@ -60,12 +59,7 @@ fn mixed_trace(g: &Graph, events: usize, seed: u64) -> Vec<Update> {
         let edge = *shadow.edge(e);
         let weight = rng.gen_range(1..=1000);
         shadow.set_weight(edge.u, edge.v, weight);
-        let update = if rng.gen_bool(0.5) {
-            Update::IncreaseWeight { u: edge.u, v: edge.v, weight }
-        } else {
-            Update::DecreaseWeight { u: edge.u, v: edge.v, weight }
-        };
-        out.push(update);
+        out.push(Update::ChangeWeight { u: edge.u, v: edge.v, weight });
     }
     out
 }

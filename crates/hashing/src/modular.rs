@@ -27,34 +27,6 @@ pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     (((a as u128) * (b as u128)) % (m as u128)) as u64
 }
 
-/// `base^exp mod m` by square-and-multiply.
-pub fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
-    debug_assert!(m > 0);
-    if m == 1 {
-        return 0;
-    }
-    let mut acc = 1u64;
-    base %= m;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mul_mod(acc, base, m);
-        }
-        base = mul_mod(base, base, m);
-        exp >>= 1;
-    }
-    acc
-}
-
-/// Modular inverse of `a` modulo prime `p` (Fermat), or `None` if `a ≡ 0`.
-pub fn inv_mod(a: u64, p: u64) -> Option<u64> {
-    let a = a % p;
-    if a == 0 {
-        None
-    } else {
-        Some(pow_mod(a, p - 2, p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,27 +52,5 @@ mod tests {
         let big = (1u64 << 62) + 12345;
         let expected = ((big as u128 * big as u128) % P as u128) as u64;
         assert_eq!(mul_mod(big, big, P), expected);
-    }
-
-    #[test]
-    fn pow_matches_naive() {
-        for base in [0u64, 1, 2, 7, 123456789] {
-            let mut naive = 1u64;
-            for e in 0..20u64 {
-                assert_eq!(pow_mod(base, e, P), naive, "base={base}, e={e}");
-                naive = mul_mod(naive, base, P);
-            }
-        }
-        assert_eq!(pow_mod(5, 100, 1), 0);
-    }
-
-    #[test]
-    fn fermat_inverse() {
-        for a in [1u64, 2, 17, 999_999_999, P - 1] {
-            let inv = inv_mod(a, P).unwrap();
-            assert_eq!(mul_mod(a, inv, P), 1);
-        }
-        assert_eq!(inv_mod(0, P), None);
-        assert_eq!(inv_mod(P, P), None, "multiples of p have no inverse");
     }
 }

@@ -17,9 +17,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::modular::{add_mod, mul_mod};
 
-/// A 62-bit prime comfortably above every 64-bit key the protocols hash after
-/// Karp–Rabin compression of the ID space.
-const P: u64 = (1u64 << 61) - 1; // Mersenne prime 2^61 - 1
+/// The Mersenne prime `2^61 − 1`. Keys are reduced mod `P` before hashing,
+/// so the family is 2-wise independent on the residues.
+const P: u64 = (1u64 << 61) - 1;
 
 /// A member of the pairwise-independent family `x ↦ ((a·x + b) mod p) mod r`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

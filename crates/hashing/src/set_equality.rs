@@ -39,16 +39,6 @@ impl EdgeSetPoly {
         EdgeSetPoly { p, alpha: alpha % p }
     }
 
-    /// The prime modulus.
-    pub fn modulus(&self) -> u64 {
-        self.p
-    }
-
-    /// The evaluation point α.
-    pub fn alpha(&self) -> u64 {
-        self.alpha
-    }
-
     /// Evaluates `Π (α − key) mod p` over the given multiset of edge keys —
     /// the per-node local computation `Local↑` / `Local↓` of HP-TestOut.
     pub fn eval<I: IntoIterator<Item = u64>>(&self, keys: I) -> SetEqualitySketch {
@@ -57,11 +47,6 @@ impl EdgeSetPoly {
             acc = mul_mod(acc, sub_mod(self.alpha, k % self.p, self.p), self.p);
         }
         SetEqualitySketch { value: acc }
-    }
-
-    /// Error bound `B/p` of a single comparison for multisets of size ≤ `b`.
-    pub fn error_bound(&self, b: u64) -> f64 {
-        b as f64 / self.p as f64
     }
 }
 
@@ -73,36 +58,25 @@ pub struct SetEqualitySketch {
 }
 
 impl SetEqualitySketch {
-    /// The sketch of the empty multiset (multiplicative identity).
-    pub fn identity() -> Self {
-        SetEqualitySketch { value: 1 }
-    }
-
-    /// The raw `Z_p` value (what is put on the wire during the echo).
+    /// The raw `Z_p` value (what is put on the wire during the echo). The
+    /// sketches of disjoint multisets combine by multiplying their values
+    /// in `Z_p` ([`crate::modular::mul_mod`]).
     pub fn value(&self) -> u64 {
         self.value
-    }
-
-    /// Rebuilds a sketch from a wire value.
-    pub fn from_value(value: u64) -> Self {
-        SetEqualitySketch { value }
-    }
-
-    /// Combines the sketches of two disjoint multisets (product in `Z_p`).
-    pub fn combine(&self, other: &Self, ctx: &EdgeSetPoly) -> Self {
-        SetEqualitySketch { value: mul_mod(self.value, other.value, ctx.p) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primes::next_prime_at_least;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The fixed prime HP-TestOut evaluates over.
+    const P: u64 = (1 << 61) - 1;
+
     fn ctx(alpha: u64) -> EdgeSetPoly {
-        EdgeSetPoly::new(next_prime_at_least(1 << 40), alpha)
+        EdgeSetPoly::new(P, alpha)
     }
 
     #[test]
@@ -132,7 +106,7 @@ mod tests {
                 mismatches += 1;
             }
         }
-        assert_eq!(mismatches, trials, "with a 40-bit prime a collision is ~2^-34 likely");
+        assert_eq!(mismatches, trials, "with a 61-bit prime a collision is ~2^-55 likely");
     }
 
     #[test]
@@ -145,34 +119,25 @@ mod tests {
 
     #[test]
     fn combine_matches_concatenation() {
+        // HP-TestOut's echo multiplies the children's values: the sketch of
+        // a disjoint union.
         let mut rng = StdRng::seed_from_u64(2);
         let c = ctx(rng.gen());
         let left: Vec<u64> = (0..20).map(|_| rng.gen_range(1..1u64 << 35)).collect();
         let right: Vec<u64> = (0..33).map(|_| rng.gen_range(1..1u64 << 35)).collect();
-        let combined = c.eval(left.iter().copied()).combine(&c.eval(right.iter().copied()), &c);
+        let combined =
+            mul_mod(c.eval(left.iter().copied()).value(), c.eval(right.iter().copied()).value(), P);
         let concatenated = c.eval(left.iter().chain(right.iter()).copied());
-        assert_eq!(combined, concatenated);
+        assert_eq!(combined, concatenated.value());
     }
 
     #[test]
     fn identity_is_neutral() {
+        // The empty multiset (a leaf with no edges in the interval) echoes 1.
         let c = ctx(5);
         let s = c.eval([3u64, 14, 15]);
-        assert_eq!(s.combine(&SetEqualitySketch::identity(), &c), s);
-        assert_eq!(c.eval(std::iter::empty()), SetEqualitySketch::identity());
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let c = ctx(123);
-        let s = c.eval([10u64, 20, 30]);
-        assert_eq!(SetEqualitySketch::from_value(s.value()), s);
-    }
-
-    #[test]
-    fn error_bound_is_small_for_large_prime() {
-        let c = ctx(1);
-        assert!(c.error_bound(1000) < 1e-9);
+        assert_eq!(c.eval(std::iter::empty()).value(), 1);
+        assert_eq!(mul_mod(s.value(), 1, P), s.value());
     }
 
     #[test]

@@ -77,22 +77,17 @@ impl WorkloadEvent {
     }
 
     /// Converts a *primitive* event into the [`Update`] vocabulary of
-    /// `kkt_graphs::generators`, deciding increase-vs-decrease against the
-    /// graph's current weight.
+    /// `kkt_graphs::generators`.
     ///
     /// Returns `None` for bursts (callers flatten first) — and for a weight
-    /// change whose edge is missing, leaving the error to the applying layer.
+    /// change whose edge is missing from `g`, leaving the error to the
+    /// applying layer.
     pub fn as_update(&self, g: &Graph) -> Option<Update> {
         match *self {
             WorkloadEvent::DeleteEdge { u, v } => Some(Update::Delete { u, v }),
             WorkloadEvent::InsertEdge { u, v, weight } => Some(Update::Insert { u, v, weight }),
             WorkloadEvent::ChangeWeight { u, v, weight } => {
-                let edge = g.edge_between(u, v)?;
-                if weight >= g.edge(edge).weight {
-                    Some(Update::IncreaseWeight { u, v, weight })
-                } else {
-                    Some(Update::DecreaseWeight { u, v, weight })
-                }
+                g.edge_between(u, v).map(|_| Update::ChangeWeight { u, v, weight })
             }
             WorkloadEvent::Burst { .. } => None,
         }
@@ -156,12 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn as_update_picks_weight_direction() {
+    fn as_update_needs_a_live_edge_for_a_weight_change() {
         let g = path3();
-        let up = WorkloadEvent::ChangeWeight { u: 0, v: 1, weight: 9 }.as_update(&g);
-        assert!(matches!(up, Some(Update::IncreaseWeight { weight: 9, .. })));
-        let down = WorkloadEvent::ChangeWeight { u: 0, v: 1, weight: 2 }.as_update(&g);
-        assert!(matches!(down, Some(Update::DecreaseWeight { weight: 2, .. })));
+        for weight in [9, 2] {
+            let update = WorkloadEvent::ChangeWeight { u: 0, v: 1, weight }.as_update(&g);
+            assert_eq!(update, Some(Update::ChangeWeight { u: 0, v: 1, weight }));
+        }
         assert!(WorkloadEvent::ChangeWeight { u: 0, v: 2, weight: 2 }.as_update(&g).is_none());
     }
 

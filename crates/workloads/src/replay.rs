@@ -536,9 +536,7 @@ fn mirror_updates(net: &mut Network, updates: &[Update]) -> Result<(), ReplayErr
         let applied = match *update {
             Update::Delete { u, v } => net.delete_edge(u, v).is_some(),
             Update::Insert { u, v, weight } => net.insert_edge(u, v, weight).is_some(),
-            Update::IncreaseWeight { u, v, weight } | Update::DecreaseWeight { u, v, weight } => {
-                net.change_weight(u, v, weight).is_some()
-            }
+            Update::ChangeWeight { u, v, weight } => net.change_weight(u, v, weight).is_some(),
         };
         if !applied {
             return Err(ReplayError::InvalidTrace(format!(

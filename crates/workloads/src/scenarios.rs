@@ -530,8 +530,8 @@ impl Scenario for MultiEdgeCuts {
 
 /// Weight-only dynamics: a "hot" subset of edges (biased towards the current
 /// tree, where changes actually matter) performs a multiplicative random
-/// walk. Exercises `increase_weight_mst` / `decrease_weight_mst` — tree
-/// re-justifications and swaps — without any topology change.
+/// walk. Exercises weight-change cuts and links — tree re-justifications
+/// and swaps — without any topology change.
 #[derive(Debug, Clone, Copy)]
 pub struct WeightDrift {
     /// Fraction of edges in the hot set (clamped to at least one edge).

@@ -9,7 +9,7 @@
 //! downstream user can depend on a single crate:
 //!
 //! * [`graphs`] — graph substrate, generators, sequential oracles,
-//! * [`hashing`] — odd hashes, pairwise-independent hashes, Karp–Rabin,
+//! * [`hashing`] — odd hashes, pairwise-independent hashes and
 //!   Schwartz–Zippel sketches,
 //! * [`congest`] — the CONGEST KT1 simulator (engines, broadcast-and-echo,
 //!   leader election, flooding, cost accounting),

@@ -1,7 +1,8 @@
-//! Golden fingerprints: the quick exp9, exp10 and exp11 presets and the
-//! quick n = 48 column of exp13, at the default seed, reproduce their
-//! sealed reports exactly. exp13's report carries the phase ledgers E14
-//! tabulates, so its whole-report golden pins the cost anatomy too.
+//! Golden fingerprints: the quick exp9, exp10 and exp11 presets, the
+//! quick n = 48 column of exp13 and the quick exp16 seed fleet, at the
+//! default seed, reproduce their sealed reports exactly. exp13's report
+//! carries the phase ledgers E14 tabulates, so its whole-report golden pins
+//! the cost anatomy too.
 //!
 //! Simulated cost (bits, messages, rounds) is the paper's quantity, and a
 //! refactor must never move it. Each report's fingerprint seals every cost
@@ -68,4 +69,15 @@ fn exp13_quick_n48_density_sweep_fingerprint_is_golden() {
     assert_eq!(report.fingerprint, "93e2ecd739601de4");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "e14132d8c9c0a21f");
+}
+
+/// The quick seed fleet: 512 replays, every policy of every cell across 32
+/// mixed seeds, so it pins the Impromptu and BatchedRepair paths far beyond
+/// the single seed of the goldens above.
+#[test]
+#[ignore = "about 10 s in release on one thread, minutes in debug; \
+            run with `cargo test --release --test golden_fingerprints -- --ignored`"]
+fn exp16_quick_seed_fleet_fingerprint_is_golden() {
+    let (_, report) = experiments::exp16_seed_fleet(Scale::Quick, DEFAULT_SEED, None, 1);
+    assert_eq!(report.fingerprint, "c508a9b0a0af76e6");
 }

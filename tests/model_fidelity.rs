@@ -1,32 +1,14 @@
-//! Integration tests for the fidelity of the simulation model itself: KT1
-//! knowledge boundaries, CONGEST message sizes, impromptu-ness of the repair
-//! state, and reproducibility.
+//! Integration tests for the fidelity of the simulation model itself:
+//! impromptu-ness of the repair state, and reproducibility. (CONGEST message
+//! sizes are an envelope in `tests/envelopes.rs`.)
 
 use kkt::congest::{Network, NetworkConfig};
-use kkt::core::{build_mst, delete_edge_mst, KktConfig};
-use kkt::graphs::{generators, kruskal};
+use kkt::core::{apply_update, KktConfig};
+use kkt::graphs::generators::{self, Update};
+use kkt::graphs::kruskal;
 use kkt::{MaintainOptions, MaintainedForest, TreeKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-#[test]
-fn messages_stay_within_a_constant_number_of_congest_words() {
-    // Every message sent by construction + repair must fit in O(log(n+u))
-    // bits. With n = 96 and u = 1000 a CONGEST word is ~11 bits; our largest
-    // payload (an HP-TestOut echo or an interval broadcast) stays within a
-    // small constant number of words.
-    let mut rng = StdRng::seed_from_u64(1);
-    let g = generators::connected_with_edges(96, 500, 1_000, &mut rng);
-    let mut net = Network::new(g, NetworkConfig::synchronous(7));
-    let mut r = StdRng::seed_from_u64(8);
-    build_mst(&mut net, &KktConfig::default(), &mut r).unwrap();
-    let word = net.word_bits() as u64;
-    let max_bits = net.cost().max_message_bits;
-    assert!(
-        max_bits <= 40 * word,
-        "largest message was {max_bits} bits, more than 40 CONGEST words ({word} bits each)"
-    );
-}
 
 #[test]
 fn repairs_are_impromptu_no_state_survives_between_updates() {
@@ -45,11 +27,12 @@ fn repairs_are_impromptu_no_state_survives_between_updates() {
     resumed.mark_all(&mst.edges);
 
     let victim = *g.edge(mst.edges[7]);
+    let delete = Update::Delete { u: victim.u, v: victim.v };
     let cfg = KktConfig::default();
     let mut r1 = StdRng::seed_from_u64(9);
     let mut r2 = StdRng::seed_from_u64(9);
-    let a = delete_edge_mst(&mut live, victim.u, victim.v, &cfg, &mut r1).unwrap();
-    let b = delete_edge_mst(&mut resumed, victim.u, victim.v, &cfg, &mut r2).unwrap();
+    let a = apply_update(&mut live, TreeKind::Mst, &delete, &cfg, &mut r1).unwrap();
+    let b = apply_update(&mut resumed, TreeKind::Mst, &delete, &cfg, &mut r2).unwrap();
     assert_eq!(a, b, "repair outcome must depend only on (graph, marking, coins)");
     assert_eq!(live.marked_forest_snapshot(), resumed.marked_forest_snapshot());
     assert_eq!(live.cost().messages, resumed.cost().messages);
@@ -80,13 +63,14 @@ fn asynchronous_and_synchronous_repairs_agree_on_the_result() {
     let g = generators::connected_with_edges(64, 380, 900, &mut rng);
     let mst = kruskal(&g);
     let victim = *g.edge(mst.edges[20]);
+    let delete = Update::Delete { u: victim.u, v: victim.v };
     let cfg = KktConfig::default();
 
     let run = |config: NetworkConfig| {
         let mut net = Network::new(g.clone(), config);
         net.mark_all(&mst.edges);
         let mut r = StdRng::seed_from_u64(77);
-        delete_edge_mst(&mut net, victim.u, victim.v, &cfg, &mut r).unwrap();
+        apply_update(&mut net, TreeKind::Mst, &delete, &cfg, &mut r).unwrap();
         net.marked_forest_snapshot()
     };
     let sync_forest = run(NetworkConfig::synchronous(1));
