@@ -1,8 +1,8 @@
 //! Golden fingerprints: the quick exp9, exp10 and exp11 presets, the
-//! quick n = 48 column of exp13 and the quick exp16 seed fleet, at the
-//! default seed, reproduce their sealed reports exactly. exp13's report
-//! carries the phase ledgers E14 tabulates, so its whole-report golden pins
-//! the cost anatomy too.
+//! quick n = 48 column of exp13, the quick n = 64 rung of exp12, an ST
+//! battery and the quick exp16 seed fleet, at the default seed, reproduce
+//! their sealed reports exactly. exp13's report carries the phase ledgers
+//! E14 tabulates, so its whole-report golden pins the cost anatomy too.
 //!
 //! Simulated cost (bits, messages, rounds) is the paper's quantity, and a
 //! refactor must never move it. Each report's fingerprint seals every cost
@@ -16,7 +16,8 @@
 //! whole-report fingerprint but not the cost golden.
 
 use kkt_bench::{experiments, Scale, DEFAULT_SEED};
-use kkt_workloads::{fingerprint_hex, ReplayReport};
+use kkt_core::TreeKind;
+use kkt_workloads::{fingerprint_hex, Density, ReplayReport, SuiteParams, Sweep, SweepCell};
 use serde_json::Value;
 
 /// The cost golden: one fingerprint over every replay report's own
@@ -69,6 +70,37 @@ fn exp13_quick_n48_density_sweep_fingerprint_is_golden() {
     assert_eq!(report.fingerprint, "93e2ecd739601de4");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "e14132d8c9c0a21f");
+}
+
+/// exp12 at its quick n = 64 rung, with every wall-clock `seconds` zeroed:
+/// the rest of the report (sizes, bits, messages, checkpoints) is
+/// deterministic.
+#[test]
+fn exp12_quick_n64_wallclock_fingerprint_is_golden() {
+    let (_, mut report) = experiments::exp12_wallclock(Scale::Quick, DEFAULT_SEED, Some(64));
+    for policy in report.rungs.iter_mut().flat_map(|rung| &mut rung.policies) {
+        policy.seconds = 0.0;
+    }
+    assert_eq!(fingerprint_hex(&serde_json::to_string(&report).unwrap()), "58006c819a3d11ae");
+}
+
+/// The standard battery maintaining an unweighted spanning tree, the only
+/// golden over ST replays: impromptu and batched repair and both rebuilds
+/// (`Build ST`, flooding).
+#[test]
+fn st_quick_battery_fingerprint_is_golden() {
+    let params = SuiteParams {
+        kind: TreeKind::St,
+        max_weight: 1,
+        events: 12,
+        verify_every: 3,
+        seed: DEFAULT_SEED,
+        ..SuiteParams::with_n(48)
+    };
+    let report = Sweep::battery(SweepCell { density: Density::Ratio(4), params }).run().unwrap();
+    assert_eq!(report.fingerprint, "6e35e73b04ec69ba");
+    let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
+    assert_eq!(costs, "22befe0f52485943");
 }
 
 /// The quick seed fleet: 512 replays, every policy of every cell across 32
