@@ -19,7 +19,7 @@ use kkt_graphs::generators::Update;
 use kkt_graphs::{generators, kruskal, Graph};
 use kkt_workloads::{
     Density, MaintenancePolicy, MixedPhases, MultiEdgeCuts, ReplayReport, Scenario, SuiteParams,
-    Sweep, SweepCell, SweepPoint, SweepReport,
+    Sweep, SweepPoint, SweepReport,
 };
 
 use crate::fleet::FleetScenario;
@@ -465,8 +465,8 @@ fn restrict(var: &str, scale: Scale, only_n: Option<usize>, ladder: Vec<usize>) 
 /// grid of E11 and E13): steady background churn (how often does churn
 /// hit the tree?) and the adversary that severs a tree edge on every
 /// deletion (what does a forced repair cost?).
-fn churn_sweep(cells: Vec<SweepCell>) -> Sweep {
-    let max_weight = cells[0].params.max_weight;
+fn churn_sweep(cells: Vec<SuiteParams>) -> Sweep {
+    let max_weight = cells[0].max_weight;
     Sweep {
         cells,
         scenarios: FleetScenario::ALL.iter().map(|s| s.generator(max_weight)).collect(),
@@ -501,15 +501,12 @@ fn bits_vs(point: &SweepPoint, r: &ReplayReport, baseline: &str, digits: usize) 
 /// to stdout).
 pub fn exp9_churn_policies(scale: Scale, seed: u64) -> (Table, SweepReport) {
     let cell = match scale {
-        Scale::Quick => SweepCell {
-            density: Density::Ratio(4),
-            params: SuiteParams { events: 12, seed, ..SuiteParams::with_n(48) },
-        },
+        Scale::Quick => SuiteParams { events: 12, seed, ..SuiteParams::with_n(48) },
         // The ROADMAP's Scale item: the large tier runs the whole battery at
         // n = 1024 through the `scale_preset` ladder (incremental-oracle
         // checkpoints and the index-addressed engine are what make this a
         // minutes-scale sweep instead of an hours-scale one).
-        Scale::Large => SweepCell::preset(1024, Density::Ratio(4), seed),
+        Scale::Large => SuiteParams::scale_preset(1024).with_seed(seed),
     };
     let report = Sweep::battery(cell).run().expect("churn suite replays and verifies");
     let table = Table::of_rows(
@@ -544,11 +541,14 @@ pub fn exp10_batched_repair(scale: Scale, seed: u64) -> (Table, SweepReport) {
         Scale::Quick => (48, Density::Ratio(4), 6, vec![1, 2, 4, 8]),
         Scale::Large => (128, Density::Ratio(8), 10, vec![1, 2, 4, 8, 16]),
     };
-    let preset = SweepCell::preset(n, density, seed);
-    let params = SuiteParams { events, verify_every: 2, ..preset.params };
+    let params = SuiteParams {
+        events,
+        verify_every: 2,
+        ..SuiteParams::density_preset(n, density).with_seed(seed)
+    };
     let max_weight = params.max_weight;
     let sweep = Sweep {
-        cells: vec![SweepCell { params, ..preset }],
+        cells: vec![params],
         scenarios: burst_sizes
             .iter()
             .map(|&burst_size| {
@@ -600,7 +600,7 @@ pub fn exp10_batched_repair(scale: Scale, seed: u64) -> (Table, SweepReport) {
 pub fn exp11_scale_sweep(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table, SweepReport) {
     let sizes = restrict("KKT_EXP11_N", scale, only_n, scale.scale_sweep_sizes());
     let sweep = churn_sweep(
-        sizes.into_iter().map(|n| SweepCell::preset(n, Density::Ratio(4), seed)).collect(),
+        sizes.into_iter().map(|n| SuiteParams::scale_preset(n).with_seed(seed)).collect(),
     );
     let report = sweep.run().expect("every checkpoint verifies against the shadow oracle");
 
@@ -683,10 +683,10 @@ pub struct WallclockReport {
 /// pure data-plane optimization shows up here and *only* here.
 pub fn exp12_wallclock(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table, WallclockReport) {
     let sizes = restrict("KKT_EXP12_N", scale, only_n, scale.scale_sweep_sizes());
-    let cells: Vec<SweepCell> =
-        sizes.into_iter().map(|n| SweepCell::preset(n, Density::Ratio(4), seed)).collect();
+    let cells: Vec<SuiteParams> =
+        sizes.into_iter().map(|n| SuiteParams::scale_preset(n).with_seed(seed)).collect();
     let sweep = Sweep {
-        scenarios: vec![Box::new(MixedPhases::standard(cells[0].params.max_weight))],
+        scenarios: vec![Box::new(MixedPhases::standard(cells[0].max_weight))],
         cells,
         policies: MaintenancePolicy::all_for(kkt_core::TreeKind::Mst),
     };
@@ -773,7 +773,10 @@ pub fn exp13_dynamic_density(
     let report = churn_sweep(
         sizes
             .into_iter()
-            .flat_map(|n| Density::LADDER.map(|density| SweepCell::preset(n, density, seed)))
+            .flat_map(|n| {
+                Density::LADDER
+                    .map(|density| SuiteParams::density_preset(n, density).with_seed(seed))
+            })
             .collect(),
     )
     .run()

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use kkt_congest::Histogram;
 use kkt_workloads::replay::MaintenancePolicy;
 use kkt_workloads::scenarios::{AdversarialTreeCut, PoissonChurn, Scenario};
-use kkt_workloads::suite::{Density, SuiteParams, SweepCell};
+use kkt_workloads::suite::{Density, SuiteParams};
 
 use crate::stats::SloSummary;
 
@@ -315,8 +315,8 @@ struct SeedSample {
 /// Replays one (aggregate cell, seed) work cell. Pure function of its
 /// arguments — the unit the fleet shards across workers.
 fn replay_cell(cell: &AggregateCell, seed: u64) -> SeedSample {
-    let setup = SweepCell::preset(cell.n, cell.density, seed).setup();
-    let scenario = cell.scenario.generator(setup.cell.params.max_weight);
+    let setup = SuiteParams::density_preset(cell.n, cell.density).with_seed(seed).setup();
+    let scenario = cell.scenario.generator(setup.params.max_weight);
     let (workload, _) = setup.trace(scenario.as_ref()).expect("generated trace is applicable");
     let report = setup
         .harness

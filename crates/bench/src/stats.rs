@@ -9,8 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use kkt_congest::Histogram;
-
 /// Fixed-point scale of the `*_micro` readouts: one unit is 10⁻⁶.
 pub const MICRO: u128 = 1_000_000;
 
@@ -131,17 +129,15 @@ fn nearest_rank(p: u64, n: u64) -> u64 {
     (p * n).div_ceil(100).clamp(1, n)
 }
 
-/// Quantile readout of an integer sample or a [`Histogram`]: the tail view
-/// (`p50 / p99 / max`) fixed-bucket histograms support exactly, without
-/// retaining the sample.
+/// Exact quantile readout of an integer sample: the tail view
+/// (`p50 / p99 / max`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Percentiles {
     /// Sample size.
     pub count: u64,
-    /// Median upper bound (exact for raw samples, bucket bound for
-    /// histograms).
+    /// Median (nearest rank).
     pub p50: u64,
-    /// 99th-percentile upper bound.
+    /// 99th percentile (nearest rank).
     pub p99: u64,
     /// Exact maximum.
     pub max: u64,
@@ -168,11 +164,6 @@ impl Percentiles {
         let n = sorted.len() as u64;
         let at = |p: u64| sorted[(nearest_rank(p, n) - 1) as usize];
         Percentiles { count: n, p50: at(50), p99: at(99), max: sorted[sorted.len() - 1] }
-    }
-
-    /// Bucketed percentiles of a histogram (upper bucket bounds, exact max).
-    pub fn of_histogram(h: &Histogram) -> Self {
-        Percentiles { count: h.count(), p50: h.p50(), p99: h.p99(), max: h.max() }
     }
 }
 
@@ -292,6 +283,7 @@ impl std::fmt::Display for SloSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kkt_congest::Histogram;
 
     #[test]
     fn exact_summary_moments_and_readouts() {
@@ -359,10 +351,9 @@ mod tests {
         for &v in &sample {
             h.record(v);
         }
-        let hp = Percentiles::of_histogram(&h);
-        assert_eq!(hp.count, 100);
-        assert_eq!(hp.max, 100, "histogram max is exact");
-        assert!(hp.p50 >= 50, "bucketed quantiles are upper bounds");
+        assert_eq!(h.count(), p.count);
+        assert_eq!(h.max(), p.max, "histogram max is exact");
+        assert!(h.p50() >= p.p50, "bucketed quantiles are upper bounds");
         assert_eq!(format!("{p}"), "n=100 p50<=50 p99<=99 max=100");
     }
 

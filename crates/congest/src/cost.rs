@@ -71,11 +71,6 @@ impl CostTracker {
         std::mem::replace(&mut self.phase, phase)
     }
 
-    /// The phase currently charged.
-    pub fn current_phase(&self) -> Phase {
-        self.phase
-    }
-
     /// The per-phase ledger.
     pub fn ledger(&self) -> PhaseLedger {
         self.ledger
@@ -206,7 +201,6 @@ mod tests {
     #[test]
     fn every_record_lands_in_the_current_phase() {
         let mut c = CostTracker::new();
-        assert_eq!(c.current_phase(), Phase::Delivery);
         c.record_message(4);
         let prev = c.enter_phase(Phase::FindMinNarrow);
         assert_eq!(prev, Phase::Delivery);

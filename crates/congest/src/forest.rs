@@ -161,20 +161,6 @@ impl MarkedForest {
         self.iter().collect()
     }
 
-    /// Drops marks on the given *deleted* edges if they are marked and no
-    /// longer live in `g`, returning the edges whose marks were dropped (in
-    /// input order). O(tree-degree) per deleted edge — the caller names what
-    /// was deleted instead of this method rescanning the entire marked set.
-    pub fn prune_dead(&mut self, g: &Graph, deleted: &[EdgeId]) -> Vec<EdgeId> {
-        let mut dropped = Vec::new();
-        for &e in deleted {
-            if self.is_marked(e) && !g.is_live(e) && self.unmark(g, e) {
-                dropped.push(e);
-            }
-        }
-        dropped
-    }
-
     /// Marked edges incident to `x`, in mark order. O(tree-degree).
     pub fn tree_edges_of(&self, _g: &Graph, x: NodeId) -> Vec<EdgeId> {
         self.adj(x).iter().map(|&(e, _)| e).collect()
@@ -372,26 +358,8 @@ mod tests {
         assert!(f.validate(&g).is_ok());
         let dead = g.remove_edge(3, 4).unwrap();
         assert!(f.validate(&g).is_err(), "marked dead edge must be rejected");
-        let dropped = f.prune_dead(&g, &[dead]);
-        assert_eq!(dropped, vec![dead]);
+        assert!(f.unmark(&g, dead));
         assert!(f.validate(&g).is_ok());
-    }
-
-    #[test]
-    fn prune_dead_checks_only_the_named_edges() {
-        let (mut g, edges) = small();
-        let mut f = MarkedForest::new();
-        for e in &edges {
-            f.mark(&g, *e);
-        }
-        // A live marked edge named as deleted is left alone; an unmarked dead
-        // edge contributes nothing; only the marked-and-dead edge drops.
-        let dead_unmarked = g.remove_edge(0, 2).unwrap();
-        let dead_marked = g.remove_edge(3, 4).unwrap();
-        let dropped = f.prune_dead(&g, &[edges[0], dead_unmarked, dead_marked]);
-        assert_eq!(dropped, vec![dead_marked]);
-        assert!(f.is_marked(edges[0]), "live marked edge survives");
-        assert_eq!(f.len(), 2);
     }
 
     #[test]

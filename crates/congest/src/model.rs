@@ -180,11 +180,6 @@ impl NodeView {
     pub fn edge_to(&self, neighbor: NodeId) -> Option<&IncidentEdge> {
         self.incident_index_to(neighbor).map(|i| &self.incident[i])
     }
-
-    /// 64-bit hash keys of all incident edge numbers (the `E(v)` of §2.1).
-    pub fn incident_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.incident.iter().map(|e| e.edge_number.as_u64_key())
-    }
 }
 
 /// Persistent per-node cache of KT1 views (see the module docs). Taken out
@@ -247,13 +242,14 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// If a node identifier is 2³² or larger (see [`Network::id_bits`]).
+    /// If a node identifier is 2³⁰ or larger (see [`Network::id_bits`]).
     pub fn new(graph: Graph, config: NetworkConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let max_id = graph.nodes().map(|x| graph.id_of(x)).max().unwrap_or(1);
         assert!(
-            max_id <= u64::from(u32::MAX),
-            "node identifier {max_id} does not fit in 32 bits: edge keys pack two IDs into 64 bits"
+            max_id < 1 << 30,
+            "node identifier {max_id} does not fit in 30 bits: edge keys pack two IDs into \
+             60 bits, below the prime 2^61 - 1 the hash functions reduce them by"
         );
         let id_bits = bits_for_value(max_id) as u32;
         let views = ViewCache::with_nodes(graph.node_count());
@@ -270,10 +266,11 @@ impl Network {
     }
 
     /// Number of bits of the identifier space: the bit length of the largest
-    /// node ID, at most 32 because [`Network::new`] rejects larger IDs, so
-    /// two IDs pack into one 64-bit edge key. The paper would first compress
-    /// a larger ID space with Karp–Rabin fingerprints; the simulator does
-    /// not.
+    /// node ID, at most 30 because [`Network::new`] rejects IDs of 2³⁰ or
+    /// more. Two IDs then pack into one edge key below 2⁶⁰, so distinct
+    /// edges keep distinct keys modulo the prime 2⁶¹ − 1 the hash functions
+    /// reduce keys by. The paper would first compress a larger ID space with
+    /// Karp–Rabin fingerprints; the simulator does not.
     pub fn id_bits(&self) -> u32 {
         self.id_bits
     }
@@ -573,11 +570,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node identifier 4294967297 does not fit in 32 bits")]
+    #[should_panic(expected = "node identifier 4294967297 does not fit in 30 bits")]
     fn ids_beyond_32_bits_are_rejected() {
         // Edge keys keep only the low 32 bits of each ID, so {1, 5} and
         // {1, 2^32 + 5} would share an augmented weight.
         let mut g = Graph::with_ids(vec![1, 5, (1 << 32) + 1]);
+        g.add_edge(0, 1, 1).unwrap();
+        Network::new(g, NetworkConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "node identifier 1073741824 does not fit in 30 bits")]
+    fn ids_from_2_to_the_30_are_rejected() {
+        // Up to 2^30 - 1 two IDs pack into a key below 2^60.
+        let mut g = Graph::with_ids(vec![1, (1 << 30) - 1]);
+        g.add_edge(0, 1, 1).unwrap();
+        assert_eq!(Network::new(g, NetworkConfig::default()).id_bits(), 30);
+        // From 2^30 on, keys can exceed 2^61 - 1, and two edges' keys can
+        // then agree modulo that prime: when the largest ID is 2^31, the
+        // keys of {1, 2^29 + 3} and {2^29 + 1, 2^29 + 2} differ by exactly it.
+        let mut g = Graph::with_ids(vec![1, 1 << 30]);
         g.add_edge(0, 1, 1).unwrap();
         Network::new(g, NetworkConfig::default());
     }
@@ -638,7 +650,6 @@ mod tests {
                 Some(inc.edge)
             );
         }
-        assert_eq!(v.incident_keys().count(), v.degree());
         assert!(v.edge_to(usize::MAX).is_none());
         assert!(v.edge_to(v.node).is_none(), "no self-loop entry");
     }

@@ -49,16 +49,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use kkt_congest::broadcast_echo::{run_broadcast_echoes, TreeStats};
-use kkt_congest::{BitSized, Network, Phase};
+use kkt_congest::{Network, Phase};
 use kkt_graphs::generators::Update;
 use kkt_graphs::NodeId;
 
+use crate::build_mst::add_edge;
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_any::AnySearch;
 use crate::find_min::MinSearch;
 use crate::maintained::{TreeKind, UpdateOutcome};
-use crate::repair::{announce, apply_update, classify, edit, DeleteOutcome, Effect};
+use crate::repair::{announce, apply_update, classify, edit, initiator, DeleteOutcome, Effect};
 use crate::search::{drive_waves, Budget, Reply, Search, SearchOutcome, Slot, Step};
 
 // ---------------------------------------------------------------------------
@@ -70,9 +71,10 @@ use crate::search::{drive_waves, Budget, Reply, Search, SearchOutcome, Slot, Ste
 /// with every deferred cut among it repaired, so the forest state it
 /// describes is trustworthy. `failed_index` names the update that could not
 /// be applied. When the failure came from the repair pipeline itself rather
-/// than from a bad update (probability `n^{-c}`: an engine fault mid-flush),
-/// graph mutations of updates at or after `failed_index` may additionally
-/// persist and the caller should re-`verify()` before relying on the forest.
+/// than from a bad update (probability `n^{-c}`: a search that gave up, or
+/// an engine fault mid-flush), graph mutations of updates at or after
+/// `failed_index` may additionally persist and the caller should
+/// re-`verify()` before relying on the forest.
 #[derive(Debug)]
 pub struct BatchError {
     /// Outcomes of the updates applied before the failure, in batch order.
@@ -143,7 +145,7 @@ struct Groups {
     /// "smaller ID initiates" rule.
     root_node: Vec<NodeId>,
     root_id: Vec<u64>,
-    /// Set when the group's search concluded (no leaving edge / gave up).
+    /// Set when the group's search found no leaving edge.
     done: Vec<bool>,
     /// Replacement edges marked on behalf of the group.
     merges: Vec<u32>,
@@ -344,14 +346,11 @@ fn flush<R: Rng>(
     for cut in &cuts {
         claim(cut.u, net, &mut frag_of, &mut groups);
         claim(cut.v, net, &mut frag_of, &mut groups);
-        // Keep the initiator rule: the smallest severed-endpoint ID leads.
+        // The initiator rule: the smallest severed-endpoint ID leads.
         for node in [cut.u, cut.v] {
             let f = frag_of[node];
-            let id = net.graph().id_of(node);
-            if id < groups.root_id[f] {
-                groups.root_id[f] = id;
-                groups.root_node[f] = node;
-            }
+            groups.root_node[f] = initiator(net, groups.root_node[f], node);
+            groups.root_id[f] = net.graph().id_of(groups.root_node[f]);
         }
     }
 
@@ -487,22 +486,19 @@ fn flush<R: Rng>(
                     if gx == gy {
                         continue; // both sides picked the same cut this round
                     }
-                    // The learning endpoint forwards the decision across the
-                    // new edge (one message), as in the sequential repair;
-                    // the tree-wide announce is amortized to one per mended
-                    // fragment below.
-                    net.cost_mut().record_message_in(
-                        Phase::Announce,
-                        found.edge_number.as_u128().bit_size() as u64,
-                    );
-                    net.mark(found.edge);
+                    // Added as in the sequential repair; the tree-wide
+                    // announce is amortized to one per mended fragment below.
+                    add_edge(net, &found);
                     let merged = groups.union(gx, gy);
                     groups.merges[merged] += 1;
                     groups.digest[merged] ^= found.edge_number.as_u128();
                 }
-                SearchOutcome::NoLeavingEdge | SearchOutcome::GaveUp => {
+                SearchOutcome::NoLeavingEdge => {
                     let g = groups.find(rep);
                     groups.done[g] = true;
+                }
+                SearchOutcome::GaveUp => {
+                    return Err(CoreError::SearchGaveUp { root: groups.root_node[rep] });
                 }
             }
         }
@@ -569,6 +565,37 @@ mod tests {
             }
         }
         cuts
+    }
+
+    /// The Kruskal MST of a 30-node graph, adopted with confidence `c = 0`,
+    /// and a cut of a non-bridge tree edge. `c = 0` leaves `FindMin` a
+    /// budget of 4 iterations against the at least 5 narrowings any search
+    /// needs at these weights, so every w.h.p. search gives up.
+    fn forest_whose_searches_give_up() -> (MaintainedForest, Update) {
+        let mut rng = StdRng::seed_from_u64(29);
+        let g = generators::connected_gnp(30, 0.3, 500, &mut rng);
+        let mst = kkt_graphs::kruskal(&g);
+        let config = KktConfig { c: 0.0, ..KktConfig::default() };
+        let options = MaintainOptions { config, ..options(30) };
+        let forest = MaintainedForest::adopt(g, TreeKind::Mst, &mst.edges, options).unwrap();
+        let cut = independent_cuts(&forest, 1).remove(0);
+        (forest, cut)
+    }
+
+    #[test]
+    fn a_repair_search_that_gives_up_is_an_error_not_a_bridge() {
+        let (mut forest, cut) = forest_whose_searches_give_up();
+        let Update::Delete { u, v } = cut else { unreachable!("cuts are deletions") };
+        let result = forest.delete_edge(u, v);
+        assert!(matches!(result, Err(CoreError::SearchGaveUp { .. })), "{result:?}");
+    }
+
+    #[test]
+    fn a_flush_search_that_gives_up_fails_the_batch() {
+        let (mut forest, cut) = forest_whose_searches_give_up();
+        let error = forest.apply_batch(&[cut]).unwrap_err();
+        assert!(matches!(error.source, CoreError::SearchGaveUp { .. }), "{error}");
+        assert_eq!((error.failed_index, error.applied.len()), (0, 0));
     }
 
     fn batch_cost(kind: TreeKind, updates: &[Update], g: &Graph, seed: u64) -> CostReport {

@@ -16,12 +16,14 @@
 //! quantity Theorem 1.1 is about — is unaffected by that scheduling choice.
 
 use kkt_congest::{leader::elect_leaders, BitSized, Network, Phase};
+use kkt_graphs::NodeId;
 use rand::Rng;
 
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_min::find_min;
 use crate::search::Budget;
+use crate::weights::FoundEdge;
 
 /// Per-phase progress information, exposed for experiments and debugging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,54 +60,68 @@ pub fn build_mst<R: Rng + ?Sized>(
     config: &KktConfig,
     rng: &mut R,
 ) -> Result<BuildOutcome, CoreError> {
-    let n = net.node_count();
-    let target_fragments = net.graph().component_count();
-    let cap = config.phase_cap(n);
-    let mut outcome = BuildOutcome { phases: Vec::new(), edges_marked: net.forest().len() };
-
-    for phase in 1..=cap {
-        let fragments_before = net.forest().fragment_representatives(net.graph()).len();
-        if fragments_before == target_fragments {
-            return Ok(outcome);
-        }
-        // Elect one leader per fragment (all fragments in parallel).
-        let election = elect_leaders(net)?;
-        let leaders = election.leaders();
-
+    boruvka(net, config, |net, leaders| {
         // Each leader runs FindMin-C on its own fragment; fragments are
         // vertex-disjoint so the searches do not interact.
         let mut chosen = Vec::new();
-        for &leader in &leaders {
+        for &leader in leaders {
             if let Some(found) = find_min(net, leader, Budget::Constant, config, rng)?.0.edge() {
                 chosen.push(found);
             }
         }
+        // Several fragments may choose the same edge: it is marked once.
+        Ok(chosen.iter().filter(|found| add_edge(net, found)).count())
+    })
+}
 
-        // Add-Edge step: the endpoint that learned the result notifies the
-        // other endpoint across the found edge (one message); both mark it.
-        // Several fragments may choose the same edge — it is marked once.
-        let mut edges_added = 0;
-        for found in chosen {
-            let bits = (found.edge_number.as_u128().bit_size()).max(1) as u64;
-            net.cost_mut().record_message_in(Phase::Announce, bits);
-            if !net.forest().is_marked(found.edge) {
-                net.mark(found.edge);
-                edges_added += 1;
-            }
+/// Borůvka's phase loop, shared by both builds: while some fragment is not
+/// maximal, elect one leader per fragment (all fragments in parallel) and
+/// hand the leaders to `run_phase`, which searches from them, marks edges
+/// and returns how many it added. Fails with
+/// [`CoreError::PhaseBudgetExhausted`] if the phase cap is hit first.
+pub(crate) fn boruvka(
+    net: &mut Network,
+    config: &KktConfig,
+    mut run_phase: impl FnMut(&mut Network, &[NodeId]) -> Result<usize, CoreError>,
+) -> Result<BuildOutcome, CoreError> {
+    let target_fragments = net.graph().component_count();
+    let cap = config.phase_cap(net.node_count());
+    let mut outcome = BuildOutcome { phases: Vec::new(), edges_marked: net.forest().len() };
+    let fragments = |net: &Network| net.forest().fragment_representatives(net.graph()).len();
+
+    for phase in 1..=cap {
+        let fragments_before = fragments(net);
+        if fragments_before == target_fragments {
+            return Ok(outcome);
         }
+        let leaders = elect_leaders(net)?.leaders();
+        let edges_added = run_phase(net, &leaders)?;
         outcome.edges_marked += edges_added;
-
-        let fragments_after = net.forest().fragment_representatives(net.graph()).len();
+        let fragments_after = fragments(net);
         outcome.phases.push(PhaseReport { phase, fragments_before, fragments_after, edges_added });
         debug_assert!(net.forest().validate(net.graph()).is_ok());
     }
 
-    let fragments_left = net.forest().fragment_representatives(net.graph()).len();
+    let fragments_left = fragments(net);
     if fragments_left == target_fragments {
         Ok(outcome)
     } else {
         Err(CoreError::PhaseBudgetExhausted { phases: cap, fragments_left })
     }
+}
+
+/// The `Add Edge` step that ends every successful search: the endpoint that
+/// learned the result tells the other endpoint across `found`'s edge (one
+/// message carrying the edge number), and both mark it. Returns whether the
+/// edge was newly marked.
+pub(crate) fn add_edge(net: &mut Network, found: &FoundEdge) -> bool {
+    net.cost_mut()
+        .record_message_in(Phase::Announce, found.edge_number.as_u128().bit_size() as u64);
+    let new = !net.forest().is_marked(found.edge);
+    if new {
+        net.mark(found.edge);
+    }
+    new
 }
 
 #[cfg(test)]

@@ -1,23 +1,24 @@
 //! `Build ST` — construct a spanning forest of an *unweighted* network with
 //! `O(n log n)` messages (§4.2 of the paper, Lemma 6).
 //!
-//! The structure mirrors `Build MST` with two changes. First, fragments use
-//! `FindAny-C` instead of `FindMin-C`, saving a `log n / log log n` factor per
-//! phase. Second, because outgoing edges are no longer unique minima, the
-//! edges chosen in a phase may close (at most one) cycle per merged group;
-//! the cycle is detected by re-running the saturation election (cycle nodes
-//! are exactly those that fail to hear from two tree neighbours), broken by
-//! the random edge-exclusion handshake of §4.2, and — if the randomised
-//! handshake happens to exclude nothing — the newly added edges on the cycle
-//! are dropped for this phase (Appendix B's fallback).
+//! It runs the Borůvka phase loop of `Build MST` with a different phase.
+//! First, fragments use `FindAny-C` instead of `FindMin-C`, saving a
+//! `log n / log log n` factor per phase, and each leader adds its edge as
+//! soon as it finds it. Second, because outgoing edges are no longer unique
+//! minima, the edges chosen in a phase may close (at most one) cycle per
+//! merged group; the cycle is detected by re-running the saturation election
+//! (cycle nodes are exactly those that fail to hear from two tree
+//! neighbours), broken by the random edge-exclusion handshake of §4.2, and —
+//! if the randomised handshake happens to exclude nothing — the newly added
+//! edges on the cycle are dropped for this phase (Appendix B's fallback).
 
 use std::collections::BTreeMap;
 
-use kkt_congest::{leader::elect_leaders, BitSized, Network, Phase};
+use kkt_congest::{leader::elect_leaders, Network, Phase};
 use kkt_graphs::EdgeId;
 use rand::Rng;
 
-use crate::build_mst::{BuildOutcome, PhaseReport};
+use crate::build_mst::{add_edge, boruvka, BuildOutcome};
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_any::find_any;
@@ -35,52 +36,21 @@ pub fn build_st<R: Rng + ?Sized>(
     config: &KktConfig,
     rng: &mut R,
 ) -> Result<BuildOutcome, CoreError> {
-    let n = net.node_count();
-    let target_fragments = net.graph().component_count();
-    let cap = config.phase_cap(n);
-    let mut outcome = BuildOutcome { phases: Vec::new(), edges_marked: net.forest().len() };
-
-    for phase in 1..=cap {
-        let fragments_before = net.forest().fragment_representatives(net.graph()).len();
-        if fragments_before == target_fragments {
-            return Ok(outcome);
-        }
-        let election = elect_leaders(net)?;
-        let leaders = election.leaders();
-
-        // Each leader looks for *any* outgoing edge.
+    boruvka(net, config, |net, leaders| {
+        // Each leader looks for *any* outgoing edge and adds it at once.
         let mut new_edges: Vec<EdgeId> = Vec::new();
-        for &leader in &leaders {
+        for &leader in leaders {
             if let Some(found) = find_any(net, leader, Budget::Constant, config, rng)?.edge() {
-                // Add-Edge notification across the chosen edge.
-                net.cost_mut().record_message_in(
-                    Phase::Announce,
-                    found.edge_number.as_u128().bit_size() as u64,
-                );
-                if !net.forest().is_marked(found.edge) {
-                    net.mark(found.edge);
+                if add_edge(net, &found) {
                     new_edges.push(found.edge);
                 }
             }
         }
-
         // Cycle detection and breaking (§4.2). The chosen edges may close at
         // most one cycle per merged group.
         break_cycles(net, &new_edges, rng)?;
-
-        let edges_added = new_edges.iter().filter(|&&e| net.forest().is_marked(e)).count();
-        outcome.edges_marked += edges_added;
-        let fragments_after = net.forest().fragment_representatives(net.graph()).len();
-        outcome.phases.push(PhaseReport { phase, fragments_before, fragments_after, edges_added });
-        debug_assert!(net.forest().validate(net.graph()).is_ok());
-    }
-
-    let fragments_left = net.forest().fragment_representatives(net.graph()).len();
-    if fragments_left == target_fragments {
-        Ok(outcome)
-    } else {
-        Err(CoreError::PhaseBudgetExhausted { phases: cap, fragments_left })
-    }
+        Ok(new_edges.iter().filter(|&&e| net.forest().is_marked(e)).count())
+    })
 }
 
 /// Detects cycles among the marked edges (via the saturation election) and

@@ -42,11 +42,6 @@ impl Default for KktConfig {
 }
 
 impl KktConfig {
-    /// A configuration with an explicit confidence exponent.
-    pub fn with_confidence(c: f64) -> Self {
-        KktConfig { c: c.max(1.0), ..Self::default() }
-    }
-
     /// `lg n`, at least 1.
     pub fn lg_n(n: usize) -> f64 {
         (n.max(2) as f64).log2()
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn epsilon_shrinks_polynomially() {
-        let cfg = KktConfig::with_confidence(2.0);
+        let cfg = KktConfig { c: 2.0, ..KktConfig::default() };
         assert!(cfg.epsilon(100) < cfg.epsilon(10));
         assert!((cfg.epsilon(10) - 10f64.powf(-3.0)).abs() < 1e-12);
     }
@@ -123,12 +118,6 @@ mod tests {
         assert!(cfg.findmin_c_budget(1024, 128) > cfg.findmin_c_budget(1024, 32));
         assert!(cfg.findany_budget(1 << 20) > cfg.findany_budget(8));
         assert!(cfg.phase_cap(4096) > cfg.phase_cap(16));
-    }
-
-    #[test]
-    fn confidence_is_clamped_to_one() {
-        let cfg = KktConfig::with_confidence(0.1);
-        assert!((cfg.c - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -26,6 +26,12 @@ pub enum CoreError {
         /// Fragments still not maximal.
         fragments_left: usize,
     },
+    /// A w.h.p. search for a cut's replacement edge gave up (probability
+    /// `n^{-c}`): the forest no longer spans the cut's component.
+    SearchGaveUp {
+        /// The node the search ran from (dense handle).
+        root: usize,
+    },
     /// An internal invariant was violated (indicates a bug, not bad luck).
     Internal(String),
 }
@@ -39,6 +45,9 @@ impl fmt::Display for CoreError {
                 f,
                 "construction did not converge within {phases} phases ({fragments_left} non-maximal fragments left)"
             ),
+            CoreError::SearchGaveUp { root } => {
+                write!(f, "the replacement search from node {root} gave up")
+            }
             CoreError::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
         }
     }
@@ -73,6 +82,8 @@ mod tests {
         assert!(e.source().is_none());
         let e = CoreError::PhaseBudgetExhausted { phases: 9, fragments_left: 4 };
         assert!(format!("{e}").contains('9'));
+        let e = CoreError::SearchGaveUp { root: 5 };
+        assert!(format!("{e}").contains("node 5 gave up"));
         let e = CoreError::Internal("oops".into());
         assert!(format!("{e}").contains("oops"));
     }

@@ -17,8 +17,8 @@
 //! a predetermined prime when the word size is known to all nodes), so the
 //! error is at most `B/2^61` — far below any ε(n) the algorithms request —
 //! and step 0 (computing `maxEdgeNum` and `B` to pick `p`) is unnecessary.
-//! Edge numbers enter as their 64-bit keys
-//! ([`kkt_graphs::EdgeNumber::as_u64_key`]) reduced mod `p`.
+//! Edge numbers enter as their compact keys ([`crate::weights::compact_key`]),
+//! which lie below 2⁶⁰ and so stay distinct mod `p`.
 
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
 use kkt_congest::{BitSized, Network, NodeView};

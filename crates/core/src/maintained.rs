@@ -281,9 +281,10 @@ impl MaintainedForest {
     /// # Errors
     ///
     /// Stops at the first failing update. The returned [`BatchError`] carries
-    /// the outcomes of the applied prefix and the failing index, and every
-    /// cut severed by that prefix has been repaired — the forest is left in
-    /// the state `error.applied` describes.
+    /// the outcomes of the applied prefix and the failing index. Unless the
+    /// repair pipeline itself failed (a search gave up, see [`BatchError`]),
+    /// every cut severed by that prefix has been repaired and the forest is
+    /// left in the state `error.applied` describes.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<Vec<UpdateOutcome>, BatchError> {
         self.apply_batch_detailed(updates).map(|(outcomes, _)| outcomes)
     }

@@ -37,6 +37,7 @@ use kkt_graphs::generators::Update;
 use kkt_graphs::{Edge, EdgeId, EdgeNumber, NodeId};
 use rand::Rng;
 
+use crate::build_mst::add_edge;
 use crate::config::KktConfig;
 use crate::error::CoreError;
 use crate::find_any::find_any;
@@ -126,7 +127,8 @@ pub(crate) fn classify(
 ///
 /// [`CoreError::NoSuchEdge`] if a deletion or weight change names an edge
 /// that is not live, [`CoreError::Internal`] if an insertion names one that
-/// is (or is not an edge at all), and any failure of the repair itself.
+/// is (or is not an edge at all), [`CoreError::SearchGaveUp`] if a cut's
+/// replacement search gives up, and any other failure of the repair itself.
 pub fn apply_update<R: Rng + ?Sized>(
     net: &mut Network,
     kind: TreeKind,
@@ -320,10 +322,8 @@ impl TreeAggregate for Announce {
 
 /// Which endpoint initiates an operation: the one with the smaller ID, as in
 /// the paper ("if u < v then u initiates"). The batched pipeline
-/// (`crate::batch`) applies the same smaller-ID rule per *fragment*
-/// (smallest severed-endpoint ID), which this single-edge helper cannot
-/// express — keep the two in sync if the rule ever changes.
-fn initiator(net: &Network, u: NodeId, v: NodeId) -> NodeId {
+/// (`crate::batch`) folds each fragment's severed endpoints through it.
+pub(crate) fn initiator(net: &Network, u: NodeId, v: NodeId) -> NodeId {
     if net.graph().id_of(u) <= net.graph().id_of(v) {
         u
     } else {
@@ -344,8 +344,8 @@ pub(crate) fn announce(net: &mut Network, root: NodeId, payload: u128) -> Result
 // ---------------------------------------------------------------------------
 
 /// Mends the cut around `root`'s tree: `FindMin` (MST) or `FindAny` (ST)
-/// finds a replacement, which is announced through the initiator's tree,
-/// forwarded across the new edge (one extra message) and marked.
+/// finds a replacement, which is announced through the initiator's tree and
+/// added ([`add_edge`]). A search that gives up is an error.
 fn repair_cut<R: Rng + ?Sized>(
     net: &mut Network,
     root: NodeId,
@@ -358,14 +358,11 @@ fn repair_cut<R: Rng + ?Sized>(
         TreeKind::St => find_any(net, root, Budget::Whp, config, rng)?,
     };
     match outcome {
-        // A search that gave up (probability n^{-c}) is reported as a bridge
-        // too, although the forest then no longer spans its component.
-        SearchOutcome::NoLeavingEdge | SearchOutcome::GaveUp => Ok(DeleteOutcome::Bridge),
+        SearchOutcome::NoLeavingEdge => Ok(DeleteOutcome::Bridge),
+        SearchOutcome::GaveUp => Err(CoreError::SearchGaveUp { root }),
         SearchOutcome::Found(found) => {
             announce(net, root, found.edge_number.as_u128())?;
-            net.cost_mut()
-                .record_message_in(Phase::Announce, found.edge_number.as_u128().bit_size() as u64);
-            net.mark(found.edge);
+            add_edge(net, &found);
             Ok(DeleteOutcome::Replaced(found))
         }
     }

@@ -28,8 +28,10 @@ pub type AugmentedWeight = u128;
 
 /// The compact key of an edge number: `min_id · 2^id_bits + max_id`.
 /// Injective as long as both IDs fit in `id_bits` bits, which
-/// [`kkt_congest::Network::new`] guarantees by rejecting IDs of 2³² or more
-/// (see [`kkt_congest::Network::id_bits`]).
+/// [`kkt_congest::Network::new`] guarantees by rejecting IDs of 2³⁰ or more
+/// (see [`kkt_congest::Network::id_bits`]). Keys are then below 2⁶⁰, so
+/// they stay distinct modulo the prime 2⁶¹ − 1 the hash functions reduce
+/// them by.
 pub fn compact_key(number: EdgeNumber, id_bits: u32) -> u64 {
     let bits = id_bits.clamp(1, 32);
     (number.min_id() << bits) | (number.max_id() & ((1u64 << bits) - 1))

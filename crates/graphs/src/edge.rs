@@ -58,30 +58,9 @@ impl EdgeNumber {
         self.0 as u64
     }
 
-    /// The packed 128-bit value (used as hash-function input).
+    /// The packed 128-bit value, as messages carry it.
     pub fn as_u128(&self) -> u128 {
         self.0
-    }
-
-    /// A 64-bit key suitable for the word-sized hash functions of §2.1.
-    ///
-    /// The paper hashes edge numbers from `[1, maxEdgeNum]`; in an
-    /// implementation with word size `w = 64` we fold the 128-bit
-    /// concatenation into a single word with a fixed splitmix-style mix of
-    /// the two IDs. The mix is injective while every ID is below
-    /// 2 971 215 073: two keys can only meet when the smaller endpoints of
-    /// their edges differ by at least that much. Beyond it, up to the `2^32`
-    /// the simulator accepts, distinct edges can share a key — `{41,
-    /// 2147483653}` and `{2971215114, 3171499658}` do.
-    pub fn as_u64_key(&self) -> u64 {
-        let lo = self.min_id();
-        let hi = self.max_id();
-        // splitmix-style mixing of the two halves; deterministic and
-        // endpoint-order independent because (lo, hi) is already sorted.
-        let mut z = lo.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ hi;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -150,28 +129,6 @@ mod tests {
     #[should_panic]
     fn self_loop_edge_number_panics() {
         EdgeNumber::from_ids(5, 5);
-    }
-
-    #[test]
-    fn u64_key_is_order_independent_and_distinct_for_small_ids() {
-        use std::collections::BTreeSet;
-        let mut seen = BTreeSet::new();
-        for a in 1u64..40 {
-            for b in (a + 1)..40 {
-                let k = EdgeNumber::from_ids(a, b).as_u64_key();
-                assert_eq!(k, EdgeNumber::from_ids(b, a).as_u64_key());
-                assert!(seen.insert(k), "collision for ({a},{b})");
-            }
-        }
-    }
-
-    #[test]
-    fn u64_key_is_not_injective_on_32_bit_ids() {
-        // The pair `as_u64_key`'s doc names; one ID is above 2 971 215 073.
-        let a = EdgeNumber::from_ids(41, 2_147_483_653);
-        let b = EdgeNumber::from_ids(2_971_215_114, 3_171_499_658);
-        assert_ne!(a, b);
-        assert_eq!(a.as_u64_key(), b.as_u64_key());
     }
 
     #[test]

@@ -37,20 +37,6 @@ pub fn random_tree<R: Rng>(n: usize, max_weight: Weight, rng: &mut R) -> Graph {
     g
 }
 
-/// Erdős–Rényi `G(n, p)` with i.i.d. uniform weights in `[1, max_weight]`.
-/// May be disconnected.
-pub fn gnp<R: Rng>(n: usize, p: f64, max_weight: Weight, rng: &mut R) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(u, v, random_weight(max_weight, rng));
-            }
-        }
-    }
-    g
-}
-
 /// `G(n, p)` forced connected: a random tree skeleton is laid down first and
 /// extra edges are added with probability `p`. This is the main workload of
 /// the experiment suite (the construction theorems assume the MST/ST spans the
@@ -209,24 +195,6 @@ pub fn preferential_attachment<R: Rng>(
     g
 }
 
-/// Random geometric graph on the unit square: nodes connect when within
-/// `radius`. A random tree skeleton keeps it connected.
-pub fn geometric<R: Rng>(n: usize, radius: f64, max_weight: Weight, rng: &mut R) -> Graph {
-    let points: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
-    let mut g = random_tree(n, max_weight, rng);
-    let r2 = radius * radius;
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let dx = points[u].0 - points[v].0;
-            let dy = points[u].1 - points[v].1;
-            if dx * dx + dy * dy <= r2 {
-                g.add_edge(u, v, random_weight(max_weight, rng));
-            }
-        }
-    }
-    g
-}
-
 /// A dynamic-update stream over a graph: the workload for the impromptu
 /// repair experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -327,17 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn gnp_edge_count_is_plausible() {
-        let mut r = rng();
-        let n = 100;
-        let g = gnp(n, 0.5, 10, &mut r);
-        let expected = (n * (n - 1) / 2) as f64 * 0.5;
-        let got = g.edge_count() as f64;
-        assert!((got - expected).abs() < expected * 0.2, "got {got}, expected ~{expected}");
-        assert_eq!(gnp(n, 0.0, 10, &mut r).edge_count(), 0);
-    }
-
-    #[test]
     fn complete_graph_has_all_edges() {
         let mut r = rng();
         let g = complete(8, 50, &mut r);
@@ -420,13 +377,6 @@ mod tests {
         let g = preferential_attachment(64, 2, 9, &mut r);
         assert!(g.is_connected());
         assert!(g.edge_count() >= 63);
-    }
-
-    #[test]
-    fn geometric_is_connected() {
-        let mut r = rng();
-        let g = geometric(40, 0.3, 7, &mut r);
-        assert!(g.is_connected());
     }
 
     #[test]

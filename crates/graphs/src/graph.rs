@@ -76,11 +76,6 @@ impl Edge {
             panic!("node {x} is not an endpoint of edge ({}, {})", self.u, self.v)
         }
     }
-
-    /// True if `x` is one of the two endpoints.
-    pub fn is_endpoint(&self, x: NodeId) -> bool {
-        self.u == x || self.v == x
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -778,7 +773,8 @@ mod tests {
         let cut = g.cut(&[true, false, false]);
         assert_eq!(cut.len(), 2);
         for e in cut {
-            assert!(g.edge(e).is_endpoint(0));
+            let edge = g.edge(e);
+            assert!(edge.u == 0 || edge.v == 0);
         }
         // The streaming form agrees with the collected one.
         let streamed: Vec<EdgeId> = g.cut_iter(&[true, false, false]).collect();

@@ -9,7 +9,9 @@
 //!   weight-disambiguation scheme used by King, Kutten and Thorup (weights are made
 //!   distinct by concatenating the raw weight with the edge number, exactly as in
 //!   GHS 1983 and §2 "Definitions" of the paper),
-//! * [`generators`] — synthetic workload graphs (random, geometric, structured),
+//! * [`generators`] — synthetic workload graphs (connected random graphs at a
+//!   given edge probability or edge count, complete graphs, rings, grids,
+//!   preferential attachment) and random update streams,
 //! * [`mst`] — sequential reference algorithms (Kruskal, Prim) used to *verify*
 //!   the distributed outputs,
 //! * [`union_find`], [`paths`], [`metrics`] — supporting utilities.

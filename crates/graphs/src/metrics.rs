@@ -1,9 +1,7 @@
-//! Small structural metrics used by the experiment harness and by tests
-//! (diameter of a tree, degree statistics, density).
+//! Small structural metrics used by the experiment harness (degree
+//! statistics).
 
-use crate::edge::EdgeId;
-use crate::graph::{Graph, NodeId};
-use crate::paths::root_tree;
+use crate::graph::Graph;
 
 /// Degree statistics of a graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,36 +28,9 @@ pub fn degree_stats(g: &Graph) -> DegreeStats {
     }
 }
 
-/// Edge density `m / (n choose 2)`; zero for graphs with fewer than two nodes.
-pub fn density(g: &Graph) -> f64 {
-    let n = g.node_count();
-    if n < 2 {
-        return 0.0;
-    }
-    g.edge_count() as f64 / (n * (n - 1) / 2) as f64
-}
-
-/// Eccentricity of `root` within the marked tree containing it (number of
-/// hops to the farthest tree node).
-pub fn tree_eccentricity(g: &Graph, marked: &[EdgeId], root: NodeId) -> usize {
-    root_tree(g, marked, root).height()
-}
-
-/// Diameter of the tree containing `any_node` (two-sweep BFS: the farthest
-/// node from an arbitrary start is an endpoint of a diameter).
-pub fn tree_diameter(g: &Graph, marked: &[EdgeId], any_node: NodeId) -> usize {
-    let t1 = root_tree(g, marked, any_node);
-    let far = *t1.order.iter().max_by_key(|&&x| t1.depth[x]).unwrap_or(&any_node);
-    root_tree(g, marked, far).height()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use crate::mst::kruskal;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn degree_stats_on_star() {
@@ -77,36 +48,5 @@ mod tests {
     fn degree_stats_empty() {
         let s = degree_stats(&Graph::new(0));
         assert_eq!(s, DegreeStats { min: 0, max: 0, mean: 0.0 });
-    }
-
-    #[test]
-    fn density_of_complete_graph_is_one() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = generators::complete(6, 5, &mut rng);
-        assert!((density(&g) - 1.0).abs() < 1e-12);
-        assert_eq!(density(&Graph::new(1)), 0.0);
-    }
-
-    #[test]
-    fn path_diameter_is_length() {
-        let mut g = Graph::new(6);
-        let mut edges = Vec::new();
-        for i in 0..5 {
-            edges.push(g.add_edge(i, i + 1, 1).unwrap());
-        }
-        assert_eq!(tree_diameter(&g, &edges, 3), 5);
-        assert_eq!(tree_eccentricity(&g, &edges, 0), 5);
-        assert_eq!(tree_eccentricity(&g, &edges, 3), 3);
-    }
-
-    #[test]
-    fn diameter_independent_of_start_node() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = generators::connected_gnp(30, 0.1, 50, &mut rng);
-        let f = kruskal(&g);
-        let d0 = tree_diameter(&g, &f.edges, 0);
-        let d7 = tree_diameter(&g, &f.edges, 7);
-        assert_eq!(d0, d7);
-        assert!(d0 >= 1);
     }
 }

@@ -35,18 +35,6 @@ impl SpanningForest {
     pub fn contains(&self, e: EdgeId) -> bool {
         self.edges.binary_search(&e).is_ok()
     }
-
-    /// Per-node marking: `marked[x]` lists the forest edges incident to `x`.
-    /// This is exactly the "properly marked network" state of the paper.
-    pub fn markings(&self, g: &Graph) -> Vec<Vec<EdgeId>> {
-        let mut marked = vec![Vec::new(); g.node_count()];
-        for &e in &self.edges {
-            let edge = g.edge(e);
-            marked[edge.u].push(e);
-            marked[edge.v].push(e);
-        }
-        marked
-    }
 }
 
 /// Kruskal's algorithm over the distinct unique-weight order.
@@ -255,20 +243,5 @@ mod tests {
         let side: Vec<bool> = (0..20).map(|i| i % 3 == 0).collect();
         let expected = g.cut(&side).into_iter().min_by_key(|&e| g.unique_weight(e));
         assert_eq!(min_cut_edge(&g, &side), expected);
-    }
-
-    #[test]
-    fn markings_are_properly_marked() {
-        let g = diamond();
-        let f = kruskal(&g);
-        let marks = f.markings(&g);
-        // Every forest edge appears in exactly the two endpoint lists.
-        for &e in &f.edges {
-            let edge = g.edge(e);
-            assert!(marks[edge.u].contains(&e));
-            assert!(marks[edge.v].contains(&e));
-        }
-        let total: usize = marks.iter().map(|v| v.len()).sum();
-        assert_eq!(total, 2 * f.edges.len());
     }
 }

@@ -5,7 +5,7 @@
 //! provide the sequential oracle for that computation and general tree
 //! navigation used by the simulator's forest bookkeeping.
 
-use crate::edge::{EdgeId, UniqueWeight};
+use crate::edge::EdgeId;
 use crate::graph::{Graph, NodeId};
 
 /// A rooted view of one tree of a spanning forest, restricted to a given set
@@ -149,14 +149,6 @@ pub fn split_by_edge(g: &Graph, t: &RootedTree, removed: EdgeId) -> Vec<bool> {
     side
 }
 
-/// Sorts the unique weights along a path; exposed for tests/benches that want
-/// the full ordering, not just the maximum (cf. C-INTERMEDIATE).
-pub fn path_weights_sorted(g: &Graph, path: &[EdgeId]) -> Vec<UniqueWeight> {
-    let mut w: Vec<UniqueWeight> = path.iter().map(|&e| g.unique_weight(e)).collect();
-    w.sort_unstable();
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,13 +245,5 @@ mod tests {
             let edge = g.edge(e);
             assert_ne!(side[edge.u], side[edge.v]);
         }
-    }
-
-    #[test]
-    fn path_weights_sorted_is_sorted() {
-        let (g, edges) = path_graph(6);
-        let w = path_weights_sorted(&g, &edges);
-        assert!(w.windows(2).all(|p| p[0] <= p[1]));
-        assert_eq!(w.len(), 5);
     }
 }

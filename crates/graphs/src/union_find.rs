@@ -47,15 +47,6 @@ impl UnionFind {
         root
     }
 
-    /// Representative of `x`'s set without mutating (no path compression).
-    pub fn find_immutable(&self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
-        }
-        root
-    }
-
     /// Merges the sets containing `a` and `b`. Returns `true` if they were
     /// previously distinct.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
@@ -104,17 +95,6 @@ mod tests {
         assert!(uf.connected(0, 3));
         assert!(!uf.connected(0, 5));
         assert_eq!(uf.component_count(), 3);
-    }
-
-    #[test]
-    fn immutable_find_matches_mutable() {
-        let mut uf = UnionFind::new(8);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(5, 6);
-        for i in 0..8 {
-            assert_eq!(uf.find_immutable(i), uf.clone().find(i));
-        }
     }
 
     #[test]

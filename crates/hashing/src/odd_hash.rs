@@ -22,9 +22,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// The success-probability constant of the family: it is a (1/8)-odd family.
-pub const ODDNESS: f64 = 0.125;
-
 /// A sampled member of the 1/8-odd multiply-threshold family on 64-bit words.
 ///
 /// The function is fully described by 128 bits (`a`, `t`), so broadcasting it

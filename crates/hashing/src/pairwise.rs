@@ -6,11 +6,12 @@
 //! exactly one cut edge (Lemma 4: such a `j` exists with probability ≥ 1/16).
 //!
 //! We implement the classic Carter–Wegman family `h(x) = ((a·x + b) mod p)
-//! mod r` over a 62-bit prime. The family is exactly 2-wise independent on
-//! `Z_p` and the final reduction `mod r` (a power of two ≤ 2^32) perturbs the
-//! pairwise-collision probabilities by at most `r/p < 2^-29`, which is far
-//! below the 1/16 slack the analysis consumes — we verify the 1/16 isolation
-//! bound empirically in the test suite and in experiment E6.
+//! mod r` over the 61-bit Mersenne prime `p = 2^61 − 1`. The family is
+//! exactly 2-wise independent on `Z_p` and the final reduction `mod r` (a
+//! power of two ≤ 2^32) perturbs the pairwise-collision probabilities by at
+//! most `r/p < 2^-29`, which is far below the 1/16 slack the analysis
+//! consumes — we verify the 1/16 isolation bound empirically in the test
+//! suite and in experiment E6.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

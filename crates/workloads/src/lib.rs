@@ -20,11 +20,13 @@
 //!   batched via [`MaintenancePolicy::BatchedRepair`]), or
 //!   rebuild-from-scratch baselines (`Build MST` rerun, GHS, flooding),
 //!   under synchronous or random-async delivery, verifying against the
-//!   sequential Kruskal oracle at checkpoints.
-//! * **Sweeps** — a [`Sweep`] is cells ([`SweepCell`]: a [`Density`] rung
-//!   with its [`SuiteParams`]) × scenarios × policies. For each cell the
-//!   runner builds the base graph, the harness and each validated trace
-//!   once, then replays every policy ([`Sweep::replay_each`]).
+//!   sequential Kruskal oracle at checkpoints. Every policy runs the same
+//!   event loop.
+//! * **Sweeps** — a [`Sweep`] is cells ([`SuiteParams`], each on a
+//!   [`Density`] rung) × scenarios × policies. For each cell the runner
+//!   builds the base graph and the harness ([`SuiteParams::setup`]) and
+//!   each validated trace once, then replays every policy
+//!   ([`Sweep::replay_each`]).
 //! * **Reports** — per-event and cumulative [`ReplayReport`]s, each with
 //!   its cost split by protocol phase ([`ReplayReport::phases`]), and the
 //!   [`SweepReport`] of a sweep, which the `exp9`, `exp10`, `exp11` and
@@ -41,7 +43,7 @@
 //!   binary sweeps the whole `n × m/n` grid (EXPERIMENTS.md §E13).
 //!
 //! ```rust
-//! use kkt_workloads::{Density, SuiteParams, Sweep, SweepCell};
+//! use kkt_workloads::{Density, SuiteParams, Sweep};
 //!
 //! // The standard battery at the densest rung of the ladder at n = 16: the
 //! // complete graph K_16.
@@ -50,7 +52,7 @@
 //!     verify_every: 2,
 //!     ..SuiteParams::density_preset(16, Density::NOver2)
 //! };
-//! let report = Sweep::battery(SweepCell { density: Density::NOver2, params }).run().unwrap();
+//! let report = Sweep::battery(params).run().unwrap();
 //! assert_eq!(report.points.len(), 5);
 //! assert!(report.points.iter().all(|p| p.m == 16 * 15 / 2 && p.density == "n/2"));
 //! ```
@@ -90,5 +92,5 @@ pub use scenarios::{
     standard_suite, AdversarialTreeCut, MixedPhases, MultiEdgeCuts, PartitionHeal, PoissonChurn,
     Scenario, WeightDrift,
 };
-pub use suite::{CellSetup, Density, SuiteParams, Sweep, SweepCell};
+pub use suite::{CellSetup, Density, SuiteParams, Sweep};
 pub use workload::{Workload, WorkloadStats};

@@ -263,7 +263,7 @@ impl ReplayHarness {
         base: &Graph,
         workload: &Workload,
         policy: MaintenancePolicy,
-        observer: Option<&mut dyn Observer>,
+        mut observer: Option<&mut dyn Observer>,
     ) -> Result<ReplayReport, ReplayError> {
         if !policy.supports(self.config.kind) {
             return Err(ReplayError::UnsupportedPolicy {
@@ -272,21 +272,8 @@ impl ReplayHarness {
             });
         }
         workload.check_applicable(base).map_err(ReplayError::InvalidTrace)?;
-        match policy {
-            MaintenancePolicy::Impromptu | MaintenancePolicy::BatchedRepair => {
-                self.replay_impromptu(base, workload, policy, observer)
-            }
-            _ => self.replay_rebuild(base, workload, policy, observer),
-        }
-    }
-
-    fn report_skeleton(
-        &self,
-        base: &Graph,
-        workload: &Workload,
-        policy: MaintenancePolicy,
-    ) -> ReplayReport {
-        ReplayReport {
+        let (mut maintained, build) = self.initial(base, policy)?;
+        let mut report = ReplayReport {
             scenario: workload.scenario.clone(),
             workload_name: workload.name.clone(),
             workload_fingerprint: workload.fingerprint(),
@@ -297,14 +284,45 @@ impl ReplayHarness {
             m_initial: base.edge_count(),
             top_level_events: workload.len(),
             primitive_events: workload.primitive_count(),
-            build: CostReport::default(),
+            build,
             per_event: Vec::new(),
             total: CostReport::default(),
             phases: PhaseLedger::default(),
             mean_messages_per_event: 0.0,
             max_messages_per_event: 0,
             checkpoints_verified: 0,
+        };
+
+        // The oracle's shadow graph tracks the evolving topology so every
+        // event converts to updates against the current graph, while its
+        // incremental forest prices checkpoints.
+        let mut oracle = ShadowOracle::new(base);
+        let total = workload.len();
+        for (i, event) in workload.events.iter().enumerate() {
+            let updates =
+                primitives_as_updates(event, &mut oracle).map_err(ReplayError::InvalidTrace)?;
+            let (phases, max_message_bits, outcomes) =
+                self.step(&mut maintained, policy, &updates, i)?;
+            report.push_event(i, event.kind(), phases, max_message_bits);
+            let verified = self.checkpoint_due(i, total);
+            if verified {
+                let snapshot = match &maintained {
+                    Maintained::Repaired(forest) => forest.snapshot(),
+                    Maintained::Rebuilt(net) => net.marked_forest_snapshot(),
+                };
+                self.verify_checkpoint(&oracle, &snapshot, i)?;
+                report.checkpoints_verified += 1;
+            }
+            if let Some(obs) = observer.as_deref_mut() {
+                let outcome = outcomes.as_deref().map_or_else(|| "rebuilt".into(), outcomes_label);
+                emit_record(obs, i, event.kind(), outcome, verified, phases);
+            }
         }
+        report.finalize();
+        if let Some(obs) = observer {
+            obs.on_finish();
+        }
+        Ok(report)
     }
 
     /// Verifies a claimed forest snapshot against the incremental shadow
@@ -335,59 +353,65 @@ impl ReplayHarness {
         Ok(())
     }
 
-    // -- impromptu (sequential and batched) --------------------------------
-
-    fn replay_impromptu(
+    /// The structure `policy` starts from, and what building it cost: the
+    /// paper's construction for the impromptu policies, the policy's own
+    /// rebuild on a scratch network otherwise.
+    fn initial(
         &self,
         base: &Graph,
-        workload: &Workload,
         policy: MaintenancePolicy,
-        mut observer: Option<&mut dyn Observer>,
-    ) -> Result<ReplayReport, ReplayError> {
-        let options = MaintainOptions {
-            config: KktConfig::default(),
-            repair_scheduler: self.config.scheduler,
-            seed: self.config.seed,
-            queue: self.config.queue,
-        };
-        let mut forest = MaintainedForest::build(base.clone(), self.config.kind, options)?;
-        let mut report = self.report_skeleton(base, workload, policy);
-        report.build = forest.build_cost();
-
-        // The oracle's shadow graph tracks the evolving topology so
-        // weight-change events convert to the right Update direction even
-        // inside bursts, while its incremental forest prices checkpoints.
-        let mut oracle = ShadowOracle::new(base);
-        let total = workload.len();
-        for (i, event) in workload.events.iter().enumerate() {
-            let updates =
-                primitives_as_updates(event, &mut oracle).map_err(ReplayError::InvalidTrace)?;
-            let ledger_before = forest.phase_ledger();
-            let outcomes = match policy {
-                // One full repair per primitive, even inside bursts.
-                MaintenancePolicy::Impromptu => forest.apply_batch_sequential(&updates)?,
-                // Bursts repaired in one pipelined pass.
-                _ => forest.apply_batch(&updates)?,
+    ) -> Result<(Maintained, CostReport), ReplayError> {
+        if let MaintenancePolicy::Impromptu | MaintenancePolicy::BatchedRepair = policy {
+            let options = MaintainOptions {
+                config: KktConfig::default(),
+                repair_scheduler: self.config.scheduler,
+                seed: self.config.seed,
+                queue: self.config.queue,
             };
-            let phases = forest.phase_ledger() - ledger_before;
-            report.push_event(i, event.kind(), phases, forest.cost().max_message_bits);
-            let verified = self.checkpoint_due(i, total);
-            if verified {
-                self.verify_checkpoint(&oracle, &forest.snapshot(), i)?;
-                report.checkpoints_verified += 1;
-            }
-            if let Some(obs) = observer.as_deref_mut() {
-                emit_record(obs, i, event.kind(), outcomes_label(&outcomes), verified, phases);
-            }
+            let forest = MaintainedForest::build(base.clone(), self.config.kind, options)?;
+            let build = forest.build_cost();
+            return Ok((Maintained::Repaired(forest), build));
         }
-        report.finalize();
-        if let Some(obs) = observer {
-            obs.on_finish();
-        }
-        Ok(report)
+        // One scratch network per replay, reset (not re-cloned) per event.
+        // Its graph mirrors the oracle's update-for-update, so `EdgeId`s
+        // stay aligned with the oracle's forest across the whole trace.
+        let mut scratch = Network::new(base.clone(), NetworkConfig::default());
+        let build = self.rebuild_in(&mut scratch, policy, usize::MAX)?;
+        Ok((Maintained::Rebuilt(scratch), build))
     }
 
-    // -- rebuild policies --------------------------------------------------
+    /// Applies the updates of top-level event `index` and returns the
+    /// event's phase ledger, the largest message the maintained structure
+    /// has sent (the repaired forest's so far, or this rebuild's) and the
+    /// updates' outcomes (`None` for a rebuild).
+    fn step(
+        &self,
+        maintained: &mut Maintained,
+        policy: MaintenancePolicy,
+        updates: &[Update],
+        index: usize,
+    ) -> Result<(PhaseLedger, u64, Option<Vec<UpdateOutcome>>), ReplayError> {
+        match maintained {
+            Maintained::Repaired(forest) => {
+                let ledger_before = forest.phase_ledger();
+                let outcomes = match policy {
+                    // One full repair per primitive, even inside bursts.
+                    MaintenancePolicy::Impromptu => forest.apply_batch_sequential(updates)?,
+                    // Bursts repaired in one pipelined pass.
+                    _ => forest.apply_batch(updates)?,
+                };
+                let phases = forest.phase_ledger() - ledger_before;
+                Ok((phases, forest.cost().max_message_bits, Some(outcomes)))
+            }
+            Maintained::Rebuilt(scratch) => {
+                mirror_updates(scratch, updates)?;
+                let cost = self.rebuild_in(scratch, policy, index)?;
+                // `Network::reset` zeroed the ledger, so the scratch ledger
+                // *is* this event's cost.
+                Ok((scratch.phase_ledger(), cost.max_message_bits, None))
+            }
+        }
+    }
 
     /// Runs one from-scratch construction on the reusable scratch network.
     ///
@@ -438,52 +462,18 @@ impl ReplayHarness {
                 }
             }
             (MaintenancePolicy::Impromptu | MaintenancePolicy::BatchedRepair, _) => {
-                unreachable!("handled by replay_impromptu")
+                unreachable!("the impromptu policies repair instead")
             }
         }
         Ok(net.cost())
     }
+}
 
-    fn replay_rebuild(
-        &self,
-        base: &Graph,
-        workload: &Workload,
-        policy: MaintenancePolicy,
-        mut observer: Option<&mut dyn Observer>,
-    ) -> Result<ReplayReport, ReplayError> {
-        let mut report = self.report_skeleton(base, workload, policy);
-        let mut oracle = ShadowOracle::new(base);
-        // One scratch network per policy, reset (not re-cloned) per event.
-        // Its graph mirrors the oracle's update-for-update, so `EdgeId`s stay
-        // aligned with the oracle's forest across the whole trace.
-        let mut scratch = Network::new(base.clone(), NetworkConfig::default());
-        report.build = self.rebuild_in(&mut scratch, policy, usize::MAX)?;
-
-        let total = workload.len();
-        for (i, event) in workload.events.iter().enumerate() {
-            let updates =
-                primitives_as_updates(event, &mut oracle).map_err(ReplayError::InvalidTrace)?;
-            mirror_updates(&mut scratch, &updates)?;
-            let cost = self.rebuild_in(&mut scratch, policy, i)?;
-            // `Network::reset` zeroed the ledger, so the scratch ledger *is*
-            // this event's cost.
-            let phases = scratch.phase_ledger();
-            report.push_event(i, event.kind(), phases, cost.max_message_bits);
-            let verified = self.checkpoint_due(i, total);
-            if verified {
-                self.verify_checkpoint(&oracle, &scratch.marked_forest_snapshot(), i)?;
-                report.checkpoints_verified += 1;
-            }
-            if let Some(obs) = observer.as_deref_mut() {
-                emit_record(obs, i, event.kind(), "rebuilt".to_string(), verified, phases);
-            }
-        }
-        report.finalize();
-        if let Some(obs) = observer {
-            obs.on_finish();
-        }
-        Ok(report)
-    }
+/// What a replay maintains: the forest the impromptu policies repair, or the
+/// scratch network a rebuild policy rebuilds after every event.
+enum Maintained {
+    Repaired(MaintainedForest),
+    Rebuilt(Network),
 }
 
 /// Builds one event's trace record and hands it to the observer.

@@ -68,8 +68,9 @@ impl Density {
 pub struct SuiteParams {
     /// Nodes of the base graph.
     pub n: usize,
-    /// Target live edges of the base graph.
-    pub m: usize,
+    /// The density rung, which sets the base graph's edge budget and labels
+    /// the run in reports.
+    pub density: Density,
     /// Maximum raw weight.
     pub max_weight: u64,
     /// Top-level events per scenario.
@@ -91,14 +92,12 @@ impl Default for SuiteParams {
 }
 
 impl SuiteParams {
-    /// Default-shaped parameters for an arbitrary `n`: the target edge count
-    /// is *derived* from `n` at the default density ratio `m/n = 4` (the
-    /// old `Default` hard-coded `m = 4 * 48` as a literal, so overriding `n`
-    /// silently kept a 48-node edge budget).
+    /// Default-shaped parameters for an arbitrary `n` at the default density
+    /// ratio `m/n = 4`.
     pub fn with_n(n: usize) -> Self {
         SuiteParams {
             n,
-            m: 4 * n,
+            density: Density::Ratio(4),
             max_weight: 1_000,
             events: 16,
             seed: 0xC0DE,
@@ -131,13 +130,12 @@ impl SuiteParams {
     }
 
     /// The density axis of the dynamic sweeps (E13): `scale_preset`-shaped
-    /// parameters at network size `n` with the edge budget set by the
-    /// [`Density`] rung instead of the default `m/n = 4`. Event budget and
-    /// checkpoint interval taper with `n` exactly as in
-    /// [`SuiteParams::scale_preset`], so a rung's cost differences come from
-    /// density alone.
+    /// parameters at network size `n` on the [`Density`] rung `density`
+    /// instead of the default `m/n = 4`. Event budget and checkpoint
+    /// interval taper with `n` exactly as in [`SuiteParams::scale_preset`],
+    /// so a rung's cost differences come from density alone.
     pub fn density_preset(n: usize, density: Density) -> Self {
-        SuiteParams { m: density.target_edges(n), ..Self::scale_preset(n) }
+        SuiteParams { density, ..Self::scale_preset(n) }
     }
 
     /// The same parameters replayed under a different master seed — the
@@ -149,7 +147,8 @@ impl SuiteParams {
         SuiteParams { seed, ..self }
     }
 
-    /// The deterministic base graph of the run.
+    /// The deterministic base graph of the run, with the rung's target edge
+    /// count ([`Density::target_edges`]).
     ///
     /// Sparse budgets use the rejection-sampling builder
     /// ([`generators::connected_with_edges`]); budgets at or above a quarter
@@ -162,54 +161,25 @@ impl SuiteParams {
     /// configs at n ≤ 33 with that ratio land above it and route dense.
     pub fn base_graph(&self) -> Graph {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xBA5E_6AF0);
-        let max_edges = if self.n < 2 { 0 } else { self.n * (self.n - 1) / 2 };
-        if self.m * 4 >= max_edges.max(1) {
-            generators::connected_dense(self.n, self.m, self.max_weight, &mut rng)
+        let (n, m) = (self.n, self.density.target_edges(self.n));
+        let max_edges = if n < 2 { 0 } else { n * (n - 1) / 2 };
+        if m * 4 >= max_edges.max(1) {
+            generators::connected_dense(n, m, self.max_weight, &mut rng)
         } else {
-            generators::connected_with_edges(self.n, self.m, self.max_weight, &mut rng)
+            generators::connected_with_edges(n, m, self.max_weight, &mut rng)
         }
     }
-}
 
-/// One cell of a sweep: a density rung, which labels the cell in reports,
-/// and the suite parameters it runs at (`params.m` is the rung's target).
-#[derive(Debug, Clone, Copy)]
-pub struct SweepCell {
-    /// The density rung of the cell.
-    pub density: Density,
-    /// Everything else: size, events, seed, tree kind, scheduler, checkpoints.
-    pub params: SuiteParams,
-}
-
-impl SweepCell {
-    /// The [`SuiteParams::density_preset`] cell at `(n, density)` under
-    /// `seed`.
-    pub fn preset(n: usize, density: Density, seed: u64) -> Self {
-        SweepCell { density, params: SuiteParams::density_preset(n, density).with_seed(seed) }
-    }
-
-    /// Builds the cell's base graph and replay harness.
-    ///
-    /// # Panics
-    ///
-    /// If `params.m` is not the rung's target: a report must never label a
-    /// cell with the wrong density.
+    /// Builds the run's base graph and replay harness.
     pub fn setup(self) -> CellSetup {
-        let p = self.params;
-        assert_eq!(
-            p.m,
-            self.density.target_edges(p.n),
-            "m is not the {:?} rung's target",
-            self.density
-        );
         let harness = ReplayHarness::new(ReplayConfig {
-            kind: p.kind,
-            scheduler: p.scheduler,
-            verify_every: p.verify_every,
-            seed: p.seed,
+            kind: self.kind,
+            scheduler: self.scheduler,
+            verify_every: self.verify_every,
+            seed: self.seed,
             ..ReplayConfig::default()
         });
-        CellSetup { cell: self, base: p.base_graph(), harness }
+        CellSetup { params: self, base: self.base_graph(), harness }
     }
 }
 
@@ -218,7 +188,7 @@ impl SweepCell {
 #[derive(Debug, Clone)]
 pub struct CellSetup {
     /// The cell these were built for.
-    pub cell: SweepCell,
+    pub params: SuiteParams,
     /// The base graph every trace of the cell starts from.
     pub base: Graph,
     /// The harness every replay of the cell runs under.
@@ -232,7 +202,7 @@ impl CellSetup {
     ///
     /// [`ReplayError::InvalidTrace`] if an event does not apply in order.
     pub fn trace(&self, scenario: &dyn Scenario) -> Result<(Workload, WorkloadStats), ReplayError> {
-        let p = self.cell.params;
+        let p = self.params;
         let workload = scenario.generate(&self.base, p.events, p.seed);
         let stats = workload.validate(&self.base).map_err(ReplayError::InvalidTrace)?;
         Ok((workload, stats))
@@ -243,7 +213,7 @@ impl CellSetup {
 /// replayed under every policy, each list in report order.
 pub struct Sweep {
     /// The cells; they share the seed, tree kind and scheduler of the report.
-    pub cells: Vec<SweepCell>,
+    pub cells: Vec<SuiteParams>,
     /// The trace generators.
     pub scenarios: Vec<Box<dyn Scenario>>,
     /// The maintenance policies.
@@ -253,10 +223,10 @@ pub struct Sweep {
 impl Sweep {
     /// The standard battery ([`standard_suite`]) in one cell, under every
     /// policy applicable to the cell's tree kind.
-    pub fn battery(cell: SweepCell) -> Self {
+    pub fn battery(cell: SuiteParams) -> Self {
         Sweep {
-            scenarios: standard_suite(cell.params.max_weight),
-            policies: MaintenancePolicy::all_for(cell.params.kind),
+            scenarios: standard_suite(cell.max_weight),
+            policies: MaintenancePolicy::all_for(cell.kind),
             cells: vec![cell],
         }
     }
@@ -289,7 +259,7 @@ impl Sweep {
                     density: cell.density.label(),
                     m_over_n: m_over_n(&setup.base),
                     events: workload.len(),
-                    verify_every: cell.params.verify_every,
+                    verify_every: cell.verify_every,
                     scenario: workload.scenario.clone(),
                     workload_fingerprint: workload.fingerprint(),
                     stats,
@@ -321,7 +291,7 @@ impl Sweep {
             .into_iter()
             .map(|(point, reports)| SweepPoint { reports, ..point })
             .collect();
-        let first = self.cells[0].params;
+        let first = self.cells[0];
         let mut report = SweepReport {
             seed: first.seed,
             tree_kind: tree_kind_label(first.kind),
@@ -340,11 +310,8 @@ mod tests {
 
     /// The battery at n = 16, m/n = 2, with a short trace.
     fn tiny(seed: u64) -> Sweep {
-        let cell = SweepCell::preset(16, Density::Ratio(2), seed);
-        Sweep::battery(SweepCell {
-            params: SuiteParams { events: 4, verify_every: 2, ..cell.params },
-            ..cell
-        })
+        let cell = SuiteParams::density_preset(16, Density::Ratio(2)).with_seed(seed);
+        Sweep::battery(SuiteParams { events: 4, verify_every: 2, ..cell })
     }
 
     #[test]
@@ -365,8 +332,8 @@ mod tests {
     fn replay_each_builds_one_trace_per_cell_and_scenario() {
         let sweep = Sweep {
             cells: vec![
-                SweepCell::preset(16, Density::Ratio(2), 7),
-                SweepCell::preset(16, Density::NOver2, 7),
+                SuiteParams::density_preset(16, Density::Ratio(2)).with_seed(7),
+                SuiteParams::density_preset(16, Density::NOver2).with_seed(7),
             ],
             scenarios: standard_suite(1_000).into_iter().take(2).collect(),
             policies: vec![MaintenancePolicy::Impromptu, MaintenancePolicy::RebuildGhs],
@@ -374,7 +341,7 @@ mod tests {
         let mut calls = Vec::new();
         let rows = sweep
             .replay_each(|setup, workload, policy| {
-                calls.push((setup.cell.density.label(), workload.scenario.clone(), policy));
+                calls.push((setup.params.density.label(), workload.scenario.clone(), policy));
                 Ok(workload.len())
             })
             .unwrap();
@@ -402,21 +369,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rung's target")]
-    fn a_cell_off_its_rung_is_rejected() {
-        let params = SuiteParams { m: 40, ..SuiteParams::with_n(16) };
-        SweepCell { density: Density::Ratio(2), params }.setup();
-    }
-
-    #[test]
     fn with_n_keeps_the_density_ratio() {
         let d = SuiteParams::default();
         assert_eq!(d.n, 48);
-        assert_eq!(d.m, 4 * d.n, "default m is derived from n");
+        assert_eq!(d.density, Density::Ratio(4));
         for n in [16usize, 48, 256, 1024, 4096] {
             let p = SuiteParams::with_n(n);
             assert_eq!(p.n, n);
-            assert_eq!(p.m, 4 * n, "with_n must keep m/n = 4");
+            assert_eq!(p.density, Density::Ratio(4), "with_n must keep m/n = 4");
             assert_eq!(p.events, d.events);
             assert_eq!(p.verify_every, d.verify_every);
             assert_eq!(p.seed, d.seed);
@@ -428,7 +388,7 @@ mod tests {
         let rungs: Vec<SuiteParams> =
             [256, 1024, 4096, 16384, 65536].map(SuiteParams::scale_preset).into();
         for p in &rungs {
-            assert_eq!(p.m, 4 * p.n, "presets keep the density ratio");
+            assert_eq!(p.density, Density::Ratio(4), "presets keep the density ratio");
         }
         assert!(rungs.windows(2).all(|w| w[0].events >= w[1].events), "event budgets taper");
         for p in &rungs[2..] {
@@ -446,7 +406,10 @@ mod tests {
         let p = SuiteParams::density_preset(64, Density::Ratio(8));
         let q = p.with_seed(0xABCD);
         assert_eq!(q.seed, 0xABCD);
-        assert_eq!((q.n, q.m, q.events, q.verify_every), (p.n, p.m, p.events, p.verify_every));
+        assert_eq!(
+            (q.n, q.density, q.events, q.verify_every),
+            (p.n, p.density, p.events, p.verify_every)
+        );
         assert_eq!(q.max_weight, p.max_weight);
         // Different seeds must actually produce different base graphs (the
         // whole point of a seed fleet) while keeping the same shape targets.
@@ -489,7 +452,7 @@ mod tests {
             for &density in &Density::LADDER {
                 let p = SuiteParams::density_preset(n, density);
                 assert_eq!(p.n, n);
-                assert_eq!(p.m, density.target_edges(n), "{}", density.label());
+                assert_eq!(p.density, density, "{}", density.label());
                 // Everything but the edge budget matches the scale preset.
                 let scale = SuiteParams::scale_preset(n);
                 assert_eq!(p.events, scale.events);
@@ -499,7 +462,7 @@ mod tests {
         }
         // density_preset at the default rung is exactly the scale preset.
         let p = SuiteParams::density_preset(256, Density::Ratio(4));
-        assert_eq!(p.m, SuiteParams::scale_preset(256).m);
+        assert_eq!(p.density, SuiteParams::scale_preset(256).density);
     }
 
     #[test]
@@ -538,7 +501,7 @@ mod tests {
             verify_every: 2,
             ..SuiteParams::density_preset(16, Density::NOver2)
         };
-        let report = Sweep::battery(SweepCell { density: Density::NOver2, params }).run().unwrap();
+        let report = Sweep::battery(params).run().unwrap();
         assert_eq!(report.points.len(), 5);
         for p in &report.points {
             assert_eq!(p.m, 16 * 15 / 2, "the n/2 rung is the complete graph");

@@ -64,15 +64,6 @@ impl Workload {
         self.events.iter().map(WorkloadEvent::primitive_count).sum()
     }
 
-    /// Appends another trace (scenario ids are joined with `+`).
-    #[must_use]
-    pub fn concat(mut self, other: Workload) -> Workload {
-        self.scenario = format!("{}+{}", self.scenario, other.scenario);
-        self.name = format!("{}+{}", self.name, other.name);
-        self.events.extend(other.events);
-        self
-    }
-
     /// A stable 64-bit FNV-1a fingerprint of the canonical JSON encoding.
     /// Equal traces fingerprint equal; a one-event difference changes it.
     pub fn fingerprint(&self) -> String {
@@ -219,15 +210,6 @@ mod tests {
         let mut other = w.clone();
         other.events.pop();
         assert_ne!(w.fingerprint(), other.fingerprint());
-    }
-
-    #[test]
-    fn concat_joins_events_and_names() {
-        let g = base();
-        let w = tiny_workload(&g);
-        let combined = w.clone().concat(w.clone());
-        assert_eq!(combined.len(), 2 * w.len());
-        assert_eq!(combined.scenario, "hand_rolled+hand_rolled");
     }
 
     #[test]

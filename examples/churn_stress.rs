@@ -13,7 +13,7 @@
 //! ```
 
 use kkt::core::TreeKind;
-use kkt::workloads::{Density, MixedPhases, Scenario, SuiteParams, Sweep, SweepCell, SweepReport};
+use kkt::workloads::{MixedPhases, Scenario, SuiteParams, Sweep, SweepReport};
 
 fn summarise(params: &SuiteParams, report: &SweepReport) {
     println!(
@@ -51,15 +51,15 @@ fn summarise(params: &SuiteParams, report: &SweepReport) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mst = SuiteParams { n: 48, m: 192, events: 12, verify_every: 3, ..SuiteParams::default() };
-    let cell = SweepCell { density: Density::Ratio(4), params: mst };
-    let mst_report = Sweep::battery(cell).run()?;
+    // n = 48 at m/n = 4.
+    let mst = SuiteParams { events: 12, verify_every: 3, ..SuiteParams::with_n(48) };
+    let mst_report = Sweep::battery(mst).run()?;
     summarise(&mst, &mst_report);
 
     // The same battery on an unweighted spanning tree: repairs use FindAny
     // (expected O(n)) and the rebuild baseline is Θ(m) flooding.
     let st = SuiteParams { kind: TreeKind::St, max_weight: 1, ..mst };
-    summarise(&st, &Sweep::battery(SweepCell { params: st, ..cell }).run()?);
+    summarise(&st, &Sweep::battery(st).run()?);
 
     // KKT_TRACE=1: each MST policy's bits on the mixed lifecycle, by phase.
     // Every replay report carries its phase split, so this reads the MST

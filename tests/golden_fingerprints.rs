@@ -17,7 +17,7 @@
 
 use kkt_bench::{experiments, Scale, DEFAULT_SEED};
 use kkt_core::TreeKind;
-use kkt_workloads::{fingerprint_hex, Density, ReplayReport, SuiteParams, Sweep, SweepCell};
+use kkt_workloads::{fingerprint_hex, ReplayReport, SuiteParams, Sweep};
 use serde_json::Value;
 
 /// The cost golden: one fingerprint over every replay report's own
@@ -97,7 +97,7 @@ fn st_quick_battery_fingerprint_is_golden() {
         seed: DEFAULT_SEED,
         ..SuiteParams::with_n(48)
     };
-    let report = Sweep::battery(SweepCell { density: Density::Ratio(4), params }).run().unwrap();
+    let report = Sweep::battery(params).run().unwrap();
     assert_eq!(report.fingerprint, "6e35e73b04ec69ba");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "22befe0f52485943");
