@@ -3,6 +3,8 @@
 //! battery and the quick exp16 seed fleet, at the default seed, reproduce
 //! their sealed reports exactly. exp13's report carries the phase ledgers
 //! E14 tabulates, so its whole-report golden pins the cost anatomy too.
+//! Six generators' traces at n = 1024 and perfbench's two n = 4096 traces
+//! are pinned with the statistics [`Workload::validate`] computes for them.
 //!
 //! Simulated cost (bits, messages, rounds) is the paper's quantity, and a
 //! refactor must never move it. Each report's fingerprint seals every cost
@@ -17,7 +19,10 @@
 
 use kkt_bench::{experiments, Scale, DEFAULT_SEED};
 use kkt_core::TreeKind;
-use kkt_workloads::{fingerprint_hex, ReplayReport, SuiteParams, Sweep};
+use kkt_workloads::{
+    fingerprint_hex, AdversarialTreeCut, MixedPhases, MultiEdgeCuts, PartitionHeal, PoissonChurn,
+    ReplayReport, Scenario, SuiteParams, Sweep, WeightDrift, Workload, WorkloadStats,
+};
 use serde_json::Value;
 
 /// The cost golden: one fingerprint over every replay report's own
@@ -112,4 +117,111 @@ fn st_quick_battery_fingerprint_is_golden() {
 fn exp16_quick_seed_fleet_fingerprint_is_golden() {
     let (_, report) = experiments::exp16_seed_fleet(Scale::Quick, DEFAULT_SEED, None, 1);
     assert_eq!(report.fingerprint, "c508a9b0a0af76e6");
+}
+
+/// `scenario`'s trace of `events` events over the `scale_preset(n)` base
+/// graph at the default seed, and its statistics.
+fn preset_trace(n: usize, scenario: &dyn Scenario, events: usize) -> (Workload, WorkloadStats) {
+    let params = SuiteParams::scale_preset(n).with_seed(DEFAULT_SEED);
+    let base = params.base_graph();
+    let trace = scenario.generate(&base, events, DEFAULT_SEED);
+    let stats = trace.validate(&base).unwrap();
+    (trace, stats)
+}
+
+/// The statistics of a trace, in [`WorkloadStats`]' field order.
+fn stats(
+    deletions: usize,
+    tree_edge_deletions: usize,
+    insertions: usize,
+    weight_changes: usize,
+    bursts: usize,
+    max_components: usize,
+    final_edges: usize,
+) -> WorkloadStats {
+    WorkloadStats {
+        deletions,
+        tree_edge_deletions,
+        insertions,
+        weight_changes,
+        bursts,
+        max_components,
+        final_edges,
+    }
+}
+
+/// Each generator family's trace at n = 1024 (96 events, 64 for the burst
+/// families): its fingerprint pins every emitted event, and its statistics
+/// pin what validation measures along the way (tree-edge hits against the
+/// evolving minimum spanning forest, the largest component count).
+#[test]
+fn n1024_generator_traces_are_golden() {
+    let max_weight = SuiteParams::scale_preset(1024).max_weight;
+    let cases: Vec<(Box<dyn Scenario>, usize, &str, WorkloadStats)> = vec![
+        (
+            Box::new(PoissonChurn { delete_fraction: 0.5, max_weight }),
+            96,
+            "c8f23042c60bf2c5",
+            stats(46, 12, 50, 0, 0, 1, 4100),
+        ),
+        (
+            Box::new(AdversarialTreeCut { max_weight }),
+            96,
+            "6552ef87583ea866",
+            stats(64, 64, 32, 0, 0, 1, 4064),
+        ),
+        (
+            Box::new(PartitionHeal { max_weight }),
+            64,
+            "b037e1b217711b22",
+            stats(39747, 12540, 39747, 0, 64, 7, 4096),
+        ),
+        (
+            Box::new(MultiEdgeCuts { burst_size: 8, max_weight }),
+            64,
+            "8bf79a6a6b1d757a",
+            stats(256, 256, 256, 0, 64, 1, 4096),
+        ),
+        (
+            Box::new(WeightDrift { max_weight, ..WeightDrift::default() }),
+            96,
+            "b388fb0802585da2",
+            stats(0, 0, 0, 96, 0, 1, 4096),
+        ),
+        (
+            Box::new(MixedPhases::standard(max_weight)),
+            96,
+            "259e42d732b97963",
+            stats(15454, 4783, 15456, 24, 24, 4, 4098),
+        ),
+    ];
+    for (scenario, events, fingerprint, expected) in cases {
+        let (trace, got) = preset_trace(1024, scenario.as_ref(), events);
+        assert_eq!(
+            (trace.fingerprint().as_str(), got),
+            (fingerprint, expected),
+            "{}",
+            scenario.id()
+        );
+    }
+}
+
+/// perfbench's two n = 4096 traces at the default seed: `repair`'s
+/// 96-event `AdversarialTreeCut` and `burst`'s 64-event `MultiEdgeCuts`
+/// with bursts of 8.
+#[test]
+#[ignore = "seconds in release, minutes in debug; \
+            run with `cargo test --release --test golden_fingerprints -- --ignored`"]
+fn n4096_perfbench_traces_are_golden() {
+    let max_weight = SuiteParams::scale_preset(4096).max_weight;
+    let (trace, got) = preset_trace(4096, &AdversarialTreeCut { max_weight }, 96);
+    assert_eq!(
+        (trace.fingerprint().as_str(), got),
+        ("045ba0e6c12a6770", stats(64, 64, 32, 0, 0, 1, 16352))
+    );
+    let (trace, got) = preset_trace(4096, &MultiEdgeCuts { burst_size: 8, max_weight }, 64);
+    assert_eq!(
+        (trace.fingerprint().as_str(), got),
+        ("22c267cb17bc0ad4", stats(256, 256, 256, 0, 64, 1, 16384))
+    );
 }
