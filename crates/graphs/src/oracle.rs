@@ -4,20 +4,26 @@
 //! cloning the shadow graph and re-running Kruskal — an `O(m log m)` sort per
 //! checkpoint that dominates wall-clock once `n` reaches the thousands.
 //! [`ShadowOracle`] replaces that: it owns the evolving shadow graph and
-//! maintains its (unique) minimum spanning forest *incrementally*, paying
-//! `O(n + deg(S))` per update via the classic cut/cycle rules instead of a
-//! full recomputation:
+//! maintains its (unique) minimum spanning forest *incrementally* via the
+//! classic cut/cycle rules instead of a full recomputation. The trace
+//! generators and trace validation of `kkt-workloads` keep one too, so they
+//! read tree membership and component counts in O(1).
 //!
 //! * **insert** — if the endpoints are in different trees, the new edge
 //!   links them (cut rule); otherwise it swaps with the heaviest edge on the
-//!   tree path between its endpoints if it is lighter (cycle rule);
+//!   tree path between its endpoints if it is lighter (cycle rule). One
+//!   search of the tree holding the endpoints: `O(n)`;
 //! * **delete** of a tree edge — the lightest live edge crossing the severed
-//!   cut re-links the two sides, found by traversing the severed endpoint's
-//!   side and scanning its incident edges (cut rule); non-tree deletions are
-//!   free;
+//!   cut re-links the two sides (cut rule). Both sides are searched in
+//!   lockstep, and only the side that is exhausted first has its incident
+//!   edges scanned: `O(S + deg(S))` for the smaller side `S`. The cut is the
+//!   same seen from either side and weights are unique, so either side gives
+//!   the same edge — the sequential twin of the paper's deletion repair
+//!   (Theorem 1.2). Non-tree deletions are free;
 //! * **weight change** — an increase on a tree edge re-justifies it against
-//!   the cut it covers; a decrease on a non-tree edge re-tests the cycle it
-//!   closes; the two remaining directions cannot change the forest.
+//!   the cut it covers (the same smaller-side search); a decrease on a
+//!   non-tree edge re-tests the cycle it closes; the two remaining
+//!   directions cannot change the forest.
 //!
 //! Because all [`UniqueWeight`]s are distinct the minimum spanning forest is
 //! unique, so the incremental forest and Kruskal's output are comparable
@@ -46,8 +52,8 @@ pub struct ShadowOracle {
     /// Epoch-stamped visit marks for the BFS scratch space (O(1) reset).
     visited: Vec<u64>,
     epoch: u64,
-    /// BFS queue scratch, reused across updates.
-    queue: Vec<NodeId>,
+    /// BFS queue scratch, reused across updates: one per side of a cut.
+    queues: [Vec<NodeId>; 2],
     /// BFS parent-edge scratch (valid where `visited` matches the epoch).
     parent_edge: Vec<Option<EdgeId>>,
     paranoid: bool,
@@ -66,7 +72,7 @@ impl ShadowOracle {
             tree_edge_count: 0,
             visited: vec![0; n],
             epoch: 0,
-            queue: Vec::with_capacity(n),
+            queues: [Vec::with_capacity(n), Vec::with_capacity(n)],
             parent_edge: vec![None; n],
             paranoid: false,
         };
@@ -102,11 +108,13 @@ impl ShadowOracle {
         SpanningForest { edges }
     }
 
-    // -- forest bookkeeping -------------------------------------------------
-
-    fn is_tree_edge(&self, e: EdgeId) -> bool {
+    /// Whether `e` is an edge of the maintained forest. O(1); a deleted edge
+    /// never is.
+    pub fn is_tree_edge(&self, e: EdgeId) -> bool {
         self.in_tree.get(e.0).copied().unwrap_or(false)
     }
+
+    // -- forest bookkeeping -------------------------------------------------
 
     fn link(&mut self, e: EdgeId) {
         if self.in_tree.len() <= e.0 {
@@ -129,29 +137,28 @@ impl ShadowOracle {
         self.tree_edge_count -= 1;
     }
 
-    /// BFS over forest edges from `from`, stopping early if `until` is
-    /// reached. Marks visited nodes with the current epoch and records
-    /// parent edges. Returns whether `until` was reached.
-    fn bfs_tree(&mut self, from: NodeId, until: Option<NodeId>) -> bool {
+    /// BFS over forest edges from `from` until `to` is reached. Marks
+    /// visited nodes with the current epoch and records parent edges.
+    /// Returns whether `to` was reached.
+    fn bfs_tree(&mut self, from: NodeId, to: NodeId) -> bool {
         self.epoch += 1;
-        self.queue.clear();
-        self.queue.push(from);
+        let queue = &mut self.queues[0];
+        queue.clear();
+        queue.push(from);
         self.visited[from] = self.epoch;
         self.parent_edge[from] = None;
         let mut head = 0;
-        while head < self.queue.len() {
-            let x = self.queue[head];
+        while let Some(&x) = queue.get(head) {
             head += 1;
-            if Some(x) == until {
+            if x == to {
                 return true;
             }
-            for i in 0..self.tree_adj[x].len() {
-                let e = self.tree_adj[x][i];
+            for &e in &self.tree_adj[x] {
                 let y = self.graph.edge(e).other(x);
                 if self.visited[y] != self.epoch {
                     self.visited[y] = self.epoch;
                     self.parent_edge[y] = Some(e);
-                    self.queue.push(y);
+                    queue.push(y);
                 }
             }
         }
@@ -161,7 +168,7 @@ impl ShadowOracle {
     /// The heaviest edge on the forest path between `a` and `b`, or `None`
     /// if they are in different trees.
     fn heaviest_on_path(&mut self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        if a == b || !self.bfs_tree(a, Some(b)) {
+        if a == b || !self.bfs_tree(a, b) {
             return None;
         }
         let mut heaviest: Option<(UniqueWeight, EdgeId)> = None;
@@ -176,17 +183,41 @@ impl ShadowOracle {
         heaviest.map(|(_, e)| e)
     }
 
-    /// The lightest live edge leaving the tree containing `from` (computed
-    /// after the severed edge has been unlinked/removed): one BFS marks the
-    /// side, then its nodes' incident edges are scanned.
-    fn lightest_leaving(&mut self, from: NodeId) -> Option<EdgeId> {
-        self.bfs_tree(from, None);
+    /// The lightest live edge across the cut between the trees of `u` and
+    /// `v`, the endpoints of a tree edge just unlinked: `O(S + deg(S))` for
+    /// the smaller side `S`.
+    ///
+    /// One BFS per side, each marked with its own epoch, takes a node in
+    /// turn until one of them runs out; that side is then complete, and only
+    /// its nodes' incident edges are scanned. Every edge leaving it crosses
+    /// the cut, and weights are unique, so the answer does not depend on the
+    /// side scanned.
+    fn lightest_leaving(&mut self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        self.epoch += 2;
+        let marks = [self.epoch - 1, self.epoch];
+        let mut heads = [0; 2];
+        for (side, start) in [u, v].into_iter().enumerate() {
+            self.queues[side].clear();
+            self.queues[side].push(start);
+            self.visited[start] = marks[side];
+        }
+        let done = 'search: loop {
+            for side in 0..2 {
+                let Some(&x) = self.queues[side].get(heads[side]) else { break 'search side };
+                heads[side] += 1;
+                for &e in &self.tree_adj[x] {
+                    let y = self.graph.edge(e).other(x);
+                    if self.visited[y] != marks[side] {
+                        self.visited[y] = marks[side];
+                        self.queues[side].push(y);
+                    }
+                }
+            }
+        };
         let mut best: Option<(UniqueWeight, EdgeId)> = None;
-        for i in 0..self.queue.len() {
-            let x = self.queue[i];
-            for e in self.graph.incident(x) {
-                let y = self.graph.edge(e).other(x);
-                if self.visited[y] != self.epoch {
+        for &x in &self.queues[done] {
+            for (e, y) in self.graph.incident_with_neighbors(x) {
+                if self.visited[y] != marks[done] {
                     let w = self.graph.unique_weight(e);
                     if best.is_none_or(|(bw, _)| w < bw) {
                         best = Some((w, e));
@@ -241,7 +272,7 @@ impl ShadowOracle {
         }
         self.graph.remove_edge(u, v);
         if was_tree {
-            if let Some(replacement) = self.lightest_leaving(u) {
+            if let Some(replacement) = self.lightest_leaving(u, v) {
                 self.link(replacement);
             }
         }
@@ -266,7 +297,8 @@ impl ShadowOracle {
             // The tree edge got heavier: it stays only if it is still the
             // lightest edge across the cut it covers.
             self.unlink(e);
-            let replacement = self.lightest_leaving(u).expect("severed side sees at least `e`");
+            let replacement =
+                self.lightest_leaving(u, v).expect("either side of the cut sees at least `e`");
             self.link(replacement);
         } else if !self.is_tree_edge(e) && weight < old {
             // A non-tree edge got lighter: cycle rule against its tree path.
@@ -397,7 +429,7 @@ impl ShadowOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, paths};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -454,6 +486,126 @@ mod tests {
         oracle.insert(3, 0, 7).unwrap();
         oracle.self_check().unwrap();
         assert_eq!(oracle.component_count(), 1);
+    }
+
+    /// Each tree edge of `oracle`'s forest, with the side of the forest
+    /// minus that edge which holds the edge's `u` end.
+    fn tree_edge_sides(oracle: &ShadowOracle) -> Vec<(EdgeId, Vec<bool>)> {
+        let (g, forest) = (oracle.graph(), oracle.forest());
+        let sides = forest.edges.iter().map(|&e| {
+            let tree = paths::root_tree(g, &forest.edges, g.edge(e).u);
+            (e, paths::split_by_edge(g, &tree, e))
+        });
+        sides.collect()
+    }
+
+    /// The endpoints of `e`, the one on the larger side of its cut first.
+    fn larger_side_first(g: &Graph, e: EdgeId, u_side: &[bool]) -> (NodeId, NodeId) {
+        let edge = *g.edge(e);
+        let u_count = u_side.iter().filter(|&&s| s).count();
+        if 2 * u_count > g.node_count() {
+            (edge.u, edge.v)
+        } else {
+            (edge.v, edge.u)
+        }
+    }
+
+    /// The lightest edge other than `e` across the cut `side`.
+    fn lightest_rival(g: &Graph, e: EdgeId, side: &[bool]) -> Option<EdgeId> {
+        g.cut_iter(side).filter(|&f| f != e).min_by_key(|&f| g.unique_weight(f))
+    }
+
+    #[test]
+    fn tree_edge_delete_named_from_its_larger_side_finds_the_lightest_replacement() {
+        let mut lockstep_cases = 0;
+        for seed in [11, 12] {
+            let g = graph(seed);
+            let mut base = ShadowOracle::new(&g);
+            base.set_paranoid(true);
+            for (e, side) in tree_edge_sides(&base) {
+                let Some(expected) = lightest_rival(&g, e, &side) else { continue };
+                let (big, small) = larger_side_first(&g, e, &side);
+                let u_count = side.iter().filter(|&&s| s).count();
+                lockstep_cases += usize::from(u_count.min(g.node_count() - u_count) > 1);
+                let mut oracle = base.clone();
+                // Paranoid mode checks the forest against Kruskal.
+                oracle.delete(big, small).unwrap();
+                assert!(oracle.is_tree_edge(expected), "seed {seed}, edge {e}");
+                assert!(!oracle.is_tree_edge(e));
+                assert_eq!(oracle.component_count(), 1);
+            }
+        }
+        assert!(lockstep_cases > 0, "some smaller side has more than one node");
+    }
+
+    #[test]
+    fn bridge_delete_to_a_single_node_side_finds_no_replacement() {
+        for seed in [21, 22] {
+            let mut g = graph(seed);
+            // Leave node `leaf` a single edge, a bridge.
+            let leaf = 5;
+            let edges: Vec<EdgeId> = g.incident(leaf).collect();
+            for &e in &edges[1..] {
+                let edge = *g.edge(e);
+                g.remove_edge(edge.u, edge.v).unwrap();
+            }
+            assert_eq!(g.component_count(), 1, "seed {seed}");
+            let bridge = edges[0];
+            let anchor = g.edge(bridge).other(leaf);
+            let mut oracle = ShadowOracle::new(&g);
+            oracle.set_paranoid(true);
+            assert!(oracle.is_tree_edge(bridge));
+            oracle.delete(anchor, leaf).unwrap();
+            assert_eq!(oracle.component_count(), 2, "seed {seed}");
+            assert_eq!(oracle.forest().edges.len(), g.node_count() - 2);
+        }
+    }
+
+    #[test]
+    fn tree_edge_that_gets_heavier_stays_while_still_lightest_across_its_cut() {
+        let mut checked = 0;
+        for seed in [31, 32] {
+            let g = graph(seed);
+            let mut base = ShadowOracle::new(&g);
+            base.set_paranoid(true);
+            let before = base.forest();
+            for (e, side) in tree_edge_sides(&base) {
+                let raw = g.edge(e).weight;
+                let rival = lightest_rival(&g, e, &side).map(|f| g.edge(f).weight);
+                // One unit heavier still beats every rival (or there is none).
+                if rival.is_some_and(|w| w < raw + 2) {
+                    continue;
+                }
+                let (big, small) = larger_side_first(&g, e, &side);
+                let mut oracle = base.clone();
+                oracle.change_weight(big, small, raw + 1).unwrap();
+                assert_eq!(oracle.forest(), before, "seed {seed}, edge {e}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    #[test]
+    fn tree_edge_that_gets_heavier_than_a_rival_is_swapped_out() {
+        let mut checked = 0;
+        for seed in [41, 42] {
+            let g = graph(seed);
+            let mut base = ShadowOracle::new(&g);
+            base.set_paranoid(true);
+            for (e, side) in tree_edge_sides(&base) {
+                let Some(rival) = lightest_rival(&g, e, &side) else { continue };
+                let (big, small) = larger_side_first(&g, e, &side);
+                let mut oracle = base.clone();
+                // Heavier than every edge of the graph.
+                oracle.change_weight(big, small, g.max_weight() + 1).unwrap();
+                assert!(!oracle.is_tree_edge(e), "seed {seed}, edge {e}");
+                assert!(oracle.is_tree_edge(rival));
+                assert_eq!(oracle.component_count(), 1);
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
     }
 
     #[test]

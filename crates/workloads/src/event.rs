@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use kkt_graphs::generators::Update;
-use kkt_graphs::{Graph, NodeId, Weight};
+use kkt_graphs::{Graph, NodeId, ShadowOracle, Weight};
 
 /// One step of a dynamic-network scenario.
 ///
@@ -103,20 +103,43 @@ impl WorkloadEvent {
     /// missing edge, inserting a duplicate, reweighting a missing edge).
     pub fn apply_to_graph(&self, g: &mut Graph) -> Result<(), String> {
         match *self {
-            WorkloadEvent::DeleteEdge { u, v } => {
-                g.remove_edge(u, v).map(|_| ()).ok_or(format!("delete of missing edge ({u}, {v})"))
-            }
+            WorkloadEvent::DeleteEdge { u, v } => g
+                .remove_edge(u, v)
+                .map(|_| ())
+                .ok_or_else(|| format!("delete of missing edge ({u}, {v})")),
             WorkloadEvent::InsertEdge { u, v, weight } => g
                 .add_edge(u, v, weight)
                 .map(|_| ())
-                .ok_or(format!("insert of duplicate or invalid edge ({u}, {v})")),
+                .ok_or_else(|| format!("insert of duplicate or invalid edge ({u}, {v})")),
             WorkloadEvent::ChangeWeight { u, v, weight } => g
                 .set_weight(u, v, weight)
                 .map(|_| ())
-                .ok_or(format!("weight change of missing edge ({u}, {v})")),
+                .ok_or_else(|| format!("weight change of missing edge ({u}, {v})")),
             WorkloadEvent::Burst { ref events } => {
                 for e in events {
                     e.apply_to_graph(g)?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Applies the event to a shadow oracle, whose graph then changes
+    /// exactly as [`WorkloadEvent::apply_to_graph`] would change a plain
+    /// graph and whose forest stays the graph's minimum spanning forest.
+    /// Used by trace validation and by the generators that target the tree.
+    ///
+    /// # Errors
+    ///
+    /// The same descriptions as [`WorkloadEvent::apply_to_graph`].
+    pub fn apply_to_oracle(&self, oracle: &mut ShadowOracle) -> Result<(), String> {
+        match *self {
+            WorkloadEvent::DeleteEdge { u, v } => oracle.delete(u, v),
+            WorkloadEvent::InsertEdge { u, v, weight } => oracle.insert(u, v, weight),
+            WorkloadEvent::ChangeWeight { u, v, weight } => oracle.change_weight(u, v, weight),
+            WorkloadEvent::Burst { ref events } => {
+                for e in events {
+                    e.apply_to_oracle(oracle)?;
                 }
                 Ok(())
             }
@@ -170,6 +193,29 @@ mod tests {
             .apply_to_graph(&mut g)
             .is_err());
         WorkloadEvent::ChangeWeight { u: 0, v: 1, weight: 8 }.apply_to_graph(&mut g).unwrap();
+    }
+
+    #[test]
+    fn apply_to_oracle_mirrors_apply_to_graph() {
+        let mut g = path3();
+        let mut oracle = ShadowOracle::new(&g);
+        let events = [
+            WorkloadEvent::InsertEdge { u: 0, v: 2, weight: 1 },
+            WorkloadEvent::ChangeWeight { u: 1, v: 2, weight: 9 },
+            WorkloadEvent::DeleteEdge { u: 0, v: 1 },
+            WorkloadEvent::DeleteEdge { u: 0, v: 1 },
+            WorkloadEvent::InsertEdge { u: 0, v: 2, weight: 4 },
+            WorkloadEvent::ChangeWeight { u: 0, v: 1, weight: 2 },
+        ];
+        for event in &events {
+            assert_eq!(event.apply_to_oracle(&mut oracle), event.apply_to_graph(&mut g));
+            assert_eq!(
+                oracle.graph().live_edges().collect::<Vec<_>>(),
+                g.live_edges().collect::<Vec<_>>()
+            );
+            assert_eq!(oracle.component_count(), g.component_count());
+        }
+        assert!(oracle.is_tree_edge(g.edge_between(0, 2).unwrap()));
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   [`kkt_core::MaintainedForest`] (one repair per primitive, or burst-wise
 //!   batched via [`MaintenancePolicy::BatchedRepair`]), or
 //!   rebuild-from-scratch baselines (`Build MST` rerun, GHS, flooding),
-//!   under synchronous or random-async delivery, verifying against the
-//!   sequential Kruskal oracle at checkpoints. Every policy runs the same
-//!   event loop.
+//!   under synchronous or random-async delivery, verifying at checkpoints
+//!   against the incremental [`kkt_graphs::ShadowOracle`], which trace
+//!   validation and the tree-targeting generators keep too. Every policy
+//!   runs the same event loop.
 //! * **Sweeps** — a [`Sweep`] is cells ([`SuiteParams`], each on a
 //!   [`Density`] rung) × scenarios × policies. For each cell the runner
 //!   builds the base graph and the harness ([`SuiteParams::setup`]) and

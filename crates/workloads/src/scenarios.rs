@@ -4,7 +4,10 @@
 //! event budget, seed) to a [`Workload`]. Generators maintain a *shadow*
 //! copy of the evolving graph while emitting events, so every emitted event
 //! is applicable in order — [`Workload::validate`] re-checks this — and the
-//! connectivity regime is controlled deliberately:
+//! connectivity regime is controlled deliberately. The generators that
+//! target the minimum spanning forest ([`AdversarialTreeCut`],
+//! [`MultiEdgeCuts`]) keep a [`ShadowOracle`] as their shadow, so they read
+//! tree membership and connectivity in O(1) instead of re-running Kruskal:
 //!
 //! * [`PoissonChurn`], [`AdversarialTreeCut`], [`WeightDrift`] and
 //!   [`MixedPhases`] keep the network connected (deletions avoid bridges),
@@ -16,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use kkt_graphs::{kruskal, EdgeId, Graph, NodeId, Weight};
+use kkt_graphs::{kruskal, EdgeId, Graph, NodeId, ShadowOracle, Weight};
 
 use crate::event::WorkloadEvent;
 use crate::fingerprint::fnv1a64;
@@ -99,7 +102,9 @@ fn random_absent_pair(g: &Graph, rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
 /// Bridge flags for all live edges (indexed by `EdgeId`), computed with one
 /// iterative Tarjan low-link DFS per component in `O(n + m)` — generators
 /// call this once per emitted deletion, so a per-candidate connectivity
-/// probe would make trace generation quadratic in `m`.
+/// probe would make trace generation quadratic in `m`. Each DFS frame holds
+/// its node's adjacency iterator, which borrows the graph's own slab, so a
+/// frame allocates nothing.
 fn bridge_flags(g: &Graph) -> Vec<bool> {
     let n = g.node_count();
     let cap = g.live_edges().map(|e| e.0 + 1).max().unwrap_or(0);
@@ -107,6 +112,8 @@ fn bridge_flags(g: &Graph) -> Vec<bool> {
     let mut disc = vec![usize::MAX; n];
     let mut low = vec![usize::MAX; n];
     let mut timer = 0usize;
+    // Stack frame: (node, edge into it, its remaining incident edges).
+    let mut stack = Vec::new();
     for start in 0..n {
         if disc[start] != usize::MAX {
             continue;
@@ -114,32 +121,27 @@ fn bridge_flags(g: &Graph) -> Vec<bool> {
         disc[start] = timer;
         low[start] = timer;
         timer += 1;
-        // Stack frame: (node, edge into it, incident edges, next index).
-        let mut stack: Vec<(NodeId, Option<EdgeId>, Vec<EdgeId>, usize)> =
-            vec![(start, None, g.incident(start).collect(), 0)];
-        while let Some(frame) = stack.last_mut() {
-            let (x, parent_edge) = (frame.0, frame.1);
-            if frame.3 < frame.2.len() {
-                let e = frame.2[frame.3];
-                frame.3 += 1;
+        stack.push((start, None, g.incident_with_neighbors(start)));
+        while let Some((x, parent_edge, incident)) = stack.last_mut() {
+            let (x, parent_edge) = (*x, *parent_edge);
+            if let Some((e, y)) = incident.next() {
                 // The graph is simple, so skipping the one parent edge by id
                 // cannot skip a parallel edge.
                 if Some(e) == parent_edge {
                     continue;
                 }
-                let y = g.edge(e).other(x);
                 if disc[y] == usize::MAX {
                     disc[y] = timer;
                     low[y] = timer;
                     timer += 1;
-                    stack.push((y, Some(e), g.incident(y).collect(), 0));
+                    stack.push((y, Some(e), g.incident_with_neighbors(y)));
                 } else {
                     low[x] = low[x].min(disc[y]);
                 }
             } else {
                 stack.pop();
-                if let Some(parent) = stack.last_mut() {
-                    let px = parent.0;
+                if let Some((px, _, _)) = stack.last() {
+                    let px = *px;
                     low[px] = low[px].min(low[x]);
                     if let Some(pe) = parent_edge {
                         if low[x] > disc[px] {
@@ -153,30 +155,62 @@ fn bridge_flags(g: &Graph) -> Vec<bool> {
     is_bridge
 }
 
-/// A random deletable (non-bridge) edge, optionally restricted to the
-/// current minimum spanning forest.
-fn random_deletable_edge(g: &Graph, tree_only: bool, rng: &mut StdRng) -> Option<EdgeId> {
-    let tree = if tree_only { Some(kruskal(g)) } else { None };
-    let bridges = bridge_flags(g);
-    let candidates: Vec<EdgeId> = g
-        .live_edges()
-        .filter(|&e| !bridges[e.0])
-        .filter(|&e| tree.as_ref().is_none_or(|t| t.contains(e)))
-        .collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.gen_range(0..candidates.len())])
-    }
+/// An insertion event for a uniformly random absent pair, or `None` if the
+/// graph is complete.
+fn random_insert_event(g: &Graph, max_weight: Weight, rng: &mut StdRng) -> Option<WorkloadEvent> {
+    let (u, v) = random_absent_pair(g, rng)?;
+    Some(WorkloadEvent::InsertEdge { u, v, weight: random_weight(max_weight, rng) })
 }
 
-/// A deletion event for a random deletable edge (shared by the churn and
-/// adversarial generators so the sampling discipline cannot drift apart).
-fn random_delete_event(g: &Graph, tree_only: bool, rng: &mut StdRng) -> Option<WorkloadEvent> {
-    random_deletable_edge(g, tree_only, rng).map(|e| {
-        let edge = *g.edge(e);
-        WorkloadEvent::DeleteEdge { u: edge.u, v: edge.v }
-    })
+/// A deletion event for a uniformly random deletable (non-bridge) edge of
+/// `g` among those `eligible` accepts (shared by the churn and adversarial
+/// generators so the sampling discipline cannot drift apart).
+fn random_delete_event(
+    g: &Graph,
+    eligible: impl Fn(EdgeId) -> bool,
+    rng: &mut StdRng,
+) -> Option<WorkloadEvent> {
+    let bridges = bridge_flags(g);
+    let candidates: Vec<EdgeId> =
+        g.live_edges().filter(|&e| !bridges[e.0] && eligible(e)).collect();
+    if candidates.is_empty() {
+        return None;
+    }
+    let edge = *g.edge(candidates[rng.gen_range(0..candidates.len())]);
+    Some(WorkloadEvent::DeleteEdge { u: edge.u, v: edge.v })
+}
+
+/// Whether `a` and `b` are still joined in `g` once the `severed` edges are
+/// gone. One search from each end takes a node in turn, and both stop as
+/// soon as they meet or one runs out, so when the edges do cut the graph the
+/// search costs about twice the smaller side. `side` is all zero on entry
+/// and on return.
+fn joined_without(g: &Graph, a: NodeId, b: NodeId, severed: &[EdgeId], side: &mut [u8]) -> bool {
+    let mut queues = [vec![a], vec![b]];
+    let mut heads = [0; 2];
+    side[a] = 1;
+    side[b] = 2;
+    let joined = 'search: loop {
+        for s in 0..2 {
+            let Some(&x) = queues[s].get(heads[s]) else { break 'search false };
+            heads[s] += 1;
+            let mark = s as u8 + 1;
+            for (e, y) in g.incident_with_neighbors(x) {
+                if severed.contains(&e) || side[y] == mark {
+                    continue;
+                }
+                if side[y] != 0 {
+                    break 'search true;
+                }
+                side[y] = mark;
+                queues[s].push(y);
+            }
+        }
+    };
+    for &x in queues.iter().flatten() {
+        side[x] = 0;
+    }
+    joined
 }
 
 /// A connected region grown by BFS from a random start, of the given size.
@@ -239,18 +273,13 @@ impl Scenario for PoissonChurn {
         let mut out = Vec::with_capacity(events);
         for _ in 0..events {
             let delete = rng.gen_bool(self.delete_fraction);
-            let event = if delete { random_delete_event(&shadow, false, &mut rng) } else { None };
+            let event =
+                if delete { random_delete_event(&shadow, |_| true, &mut rng) } else { None };
             // A failed draw (tree-only graph has no deletable edge; complete
             // graph has no absent pair) falls through to the other kind.
             let event = event
-                .or_else(|| {
-                    random_absent_pair(&shadow, &mut rng).map(|(u, v)| WorkloadEvent::InsertEdge {
-                        u,
-                        v,
-                        weight: random_weight(self.max_weight, &mut rng),
-                    })
-                })
-                .or_else(|| random_delete_event(&shadow, false, &mut rng));
+                .or_else(|| random_insert_event(&shadow, self.max_weight, &mut rng))
+                .or_else(|| random_delete_event(&shadow, |_| true, &mut rng));
             let Some(event) = event else { break };
             event.apply_to_graph(&mut shadow).expect("generator emits applicable events");
             out.push(event);
@@ -288,10 +317,13 @@ impl Scenario for AdversarialTreeCut {
     fn generate(&self, base: &Graph, events: usize, seed: u64) -> Workload {
         let id = self.id();
         let mut rng = scenario_rng(&id, seed);
-        let mut shadow = base.clone();
+        let mut shadow = ShadowOracle::new(base);
         let mut out = Vec::with_capacity(events);
         for step in 0..events {
             let replenish = step % 3 == 2;
+            let g = shadow.graph();
+            let cut = |rng: &mut StdRng| random_delete_event(g, |e| shadow.is_tree_edge(e), rng);
+            let insert = |rng: &mut StdRng| random_insert_event(g, self.max_weight, rng);
             // Each phase falls back on the other at the density extremes, so
             // the adversary stays well-defined on the whole ladder: on the
             // complete graph there is no absent pair to replenish (cut a tree
@@ -300,28 +332,13 @@ impl Scenario for AdversarialTreeCut {
             // non-tree edge always has a non-bridge tree edge, so the
             // fallback never fires — and the trace never changes — on the
             // historical sparse presets.
-            let mut event = if replenish {
-                random_absent_pair(&shadow, &mut rng).map(|(u, v)| WorkloadEvent::InsertEdge {
-                    u,
-                    v,
-                    weight: random_weight(self.max_weight, &mut rng),
-                })
+            let event = if replenish {
+                insert(&mut rng).or_else(|| cut(&mut rng))
             } else {
-                random_delete_event(&shadow, true, &mut rng)
+                cut(&mut rng).or_else(|| insert(&mut rng))
             };
-            if event.is_none() {
-                event = if replenish {
-                    random_delete_event(&shadow, true, &mut rng)
-                } else {
-                    random_absent_pair(&shadow, &mut rng).map(|(u, v)| WorkloadEvent::InsertEdge {
-                        u,
-                        v,
-                        weight: random_weight(self.max_weight, &mut rng),
-                    })
-                };
-            }
             let Some(event) = event else { break };
-            event.apply_to_graph(&mut shadow).expect("generator emits applicable events");
+            event.apply_to_oracle(&mut shadow).expect("generator emits applicable events");
             out.push(event);
         }
         finish(id, seed, base, out)
@@ -448,40 +465,46 @@ impl Default for MultiEdgeCuts {
 impl MultiEdgeCuts {
     /// Up to `burst_size` current-tree edges whose *joint* removal keeps the
     /// graph connected, preferring pairwise vertex-disjoint picks.
-    fn pick_burst(&self, g: &Graph, rng: &mut StdRng) -> Vec<(NodeId, NodeId)> {
-        let tree = kruskal(g);
-        let mut candidates: Vec<EdgeId> = g.live_edges().filter(|&e| tree.contains(e)).collect();
+    fn pick_burst(&self, shadow: &ShadowOracle, rng: &mut StdRng) -> Vec<(NodeId, NodeId)> {
+        let g = shadow.graph();
+        let mut candidates: Vec<EdgeId> =
+            g.live_edges().filter(|&e| shadow.is_tree_edge(e)).collect();
         // Deterministic shuffle: the candidate order is a pure function of
         // the scenario RNG state.
         for i in (1..candidates.len()).rev() {
             candidates.swap(i, rng.gen_range(0..=i));
         }
-        let mut probe = g.clone();
+        // A disconnected graph stays disconnected whatever is cut.
+        if shadow.component_count() > 1 {
+            return Vec::new();
+        }
+        let mut side = vec![0; g.node_count()];
         let mut touched = vec![false; g.node_count()];
-        let mut picked = Vec::new();
-        for disjoint_only in [true, false] {
+        // The edges this burst severs; the graph minus them stays connected,
+        // so a candidate keeps it connected iff its ends stay joined.
+        let mut severed: Vec<EdgeId> = Vec::new();
+        'pick: for disjoint_only in [true, false] {
             for &e in &candidates {
-                if picked.len() == self.burst_size {
-                    return picked;
+                if severed.len() == self.burst_size {
+                    break 'pick;
+                }
+                if severed.contains(&e) {
+                    continue;
                 }
                 let edge = *g.edge(e);
-                if probe.edge_between(edge.u, edge.v).is_none() {
-                    continue; // already severed by this burst
-                }
                 if disjoint_only && (touched[edge.u] || touched[edge.v]) {
                     continue;
                 }
-                probe.remove_edge(edge.u, edge.v);
-                if probe.component_count() > 1 {
-                    probe.add_edge(edge.u, edge.v, edge.weight);
+                severed.push(e);
+                if !joined_without(g, edge.u, edge.v, &severed, &mut side) {
+                    severed.pop();
                     continue;
                 }
                 touched[edge.u] = true;
                 touched[edge.v] = true;
-                picked.push((edge.u, edge.v));
             }
         }
-        picked
+        severed.iter().map(|&e| (g.edge(e).u, g.edge(e).v)).collect()
     }
 }
 
@@ -493,7 +516,7 @@ impl Scenario for MultiEdgeCuts {
     fn generate(&self, base: &Graph, events: usize, seed: u64) -> Workload {
         let id = self.id();
         let mut rng = scenario_rng(&id, seed);
-        let mut shadow = base.clone();
+        let mut shadow = ShadowOracle::new(base);
         let mut out = Vec::with_capacity(events);
         while out.len() + 2 <= events {
             let burst = self.pick_burst(&shadow, &mut rng);
@@ -503,18 +526,14 @@ impl Scenario for MultiEdgeCuts {
             let failures = WorkloadEvent::Burst {
                 events: burst.iter().map(|&(u, v)| WorkloadEvent::DeleteEdge { u, v }).collect(),
             };
-            failures.apply_to_graph(&mut shadow).expect("picked edges are live");
-            let mut replenish = Vec::new();
-            for _ in 0..burst.len() {
-                let Some((u, v)) = random_absent_pair(&shadow, &mut rng) else { break };
-                let event = WorkloadEvent::InsertEdge {
-                    u,
-                    v,
-                    weight: random_weight(self.max_weight, &mut rng),
-                };
-                event.apply_to_graph(&mut shadow).expect("absent pair is insertable");
-                replenish.push(event);
-            }
+            failures.apply_to_oracle(&mut shadow).expect("picked edges are live");
+            let replenish: Vec<WorkloadEvent> = (0..burst.len())
+                .map_while(|_| {
+                    let event = random_insert_event(shadow.graph(), self.max_weight, &mut rng)?;
+                    event.apply_to_oracle(&mut shadow).expect("absent pair is insertable");
+                    Some(event)
+                })
+                .collect();
             out.push(failures);
             if !replenish.is_empty() {
                 out.push(WorkloadEvent::Burst { events: replenish });
@@ -765,6 +784,72 @@ mod tests {
                 .collect();
             assert!(!delete_bursts.is_empty());
             assert!(delete_bursts.iter().all(|&len| len == k), "k={k}: {delete_bursts:?}");
+        }
+    }
+
+    /// The burst pick with a full connectivity probe: a copy of the graph,
+    /// cut edge by edge, and a component count per candidate.
+    fn probed_pick_burst(k: usize, g: &Graph, rng: &mut StdRng) -> Vec<(NodeId, NodeId)> {
+        let tree = kruskal(g);
+        let mut candidates: Vec<EdgeId> = g.live_edges().filter(|&e| tree.contains(e)).collect();
+        for i in (1..candidates.len()).rev() {
+            candidates.swap(i, rng.gen_range(0..=i));
+        }
+        let mut probe = g.clone();
+        let mut touched = vec![false; g.node_count()];
+        let mut picked = Vec::new();
+        for disjoint_only in [true, false] {
+            for &e in &candidates {
+                if picked.len() == k {
+                    return picked;
+                }
+                let edge = *g.edge(e);
+                if probe.edge_between(edge.u, edge.v).is_none()
+                    || (disjoint_only && (touched[edge.u] || touched[edge.v]))
+                {
+                    continue;
+                }
+                probe.remove_edge(edge.u, edge.v);
+                if probe.component_count() > 1 {
+                    probe.add_edge(edge.u, edge.v, edge.weight);
+                    continue;
+                }
+                touched[edge.u] = true;
+                touched[edge.v] = true;
+                picked.push((edge.u, edge.v));
+            }
+        }
+        picked
+    }
+
+    #[test]
+    fn burst_picks_match_a_full_connectivity_probe() {
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Sparse graphs, so that bridges and cut pairs reject candidates,
+            // and one disconnected graph, where every candidate fails.
+            let mut g = match seed % 4 {
+                0 => generators::connected_gnp(18, 0.12, 50, &mut rng),
+                1 => generators::connected_with_edges(24, 30, 50, &mut rng),
+                2 => generators::ring(14, 50, &mut rng),
+                _ => generators::connected_gnp(16, 0.3, 50, &mut rng),
+            };
+            if seed == 3 {
+                let e = *g.edge(g.incident(0).next().unwrap());
+                for f in g.incident(e.v).collect::<Vec<_>>() {
+                    let f = *g.edge(f);
+                    g.remove_edge(f.u, f.v);
+                }
+            }
+            let shadow = ShadowOracle::new(&g);
+            for k in [1, 3, 8] {
+                let scenario = MultiEdgeCuts { burst_size: k, max_weight: 50 };
+                let mut a = StdRng::seed_from_u64(seed + 100);
+                let mut b = a.clone();
+                let picked = scenario.pick_burst(&shadow, &mut a);
+                assert_eq!(picked, probed_pick_burst(k, &g, &mut b), "seed {seed}, k = {k}");
+                assert_eq!(a, b, "seed {seed}, k = {k}: the same coins are drawn");
+            }
         }
     }
 

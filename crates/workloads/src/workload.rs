@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use kkt_graphs::{kruskal, Graph};
+use kkt_graphs::{Graph, ShadowOracle};
 
 use crate::event::WorkloadEvent;
 use crate::fingerprint::fingerprint_hex;
@@ -72,8 +72,8 @@ impl Workload {
 
     /// Checks that the trace is applicable to `base` (right node count,
     /// every primitive applicable in order) without computing statistics —
-    /// unlike [`Workload::validate`] this never runs the Kruskal oracle, so
-    /// it is the cheap pre-flight check the replay harness uses.
+    /// unlike [`Workload::validate`] this keeps no spanning forest, so it is
+    /// the cheap pre-flight check the replay harness uses.
     ///
     /// # Errors
     ///
@@ -93,10 +93,12 @@ impl Workload {
         Ok(())
     }
 
-    /// Replays the trace against a shadow copy of `base`, checking that
-    /// every primitive is applicable in order, and collects [`WorkloadStats`]
-    /// (tree-edge hit counts are measured against the evolving Kruskal MST,
-    /// i.e. "at generation time" rather than during distributed replay).
+    /// Replays the trace against a [`ShadowOracle`] over `base`, checking
+    /// that every primitive is applicable in order, and collects
+    /// [`WorkloadStats`]. Tree-edge hits are read from the oracle's forest,
+    /// the evolving graph's minimum spanning forest "at generation time"
+    /// rather than during distributed replay, and component counts from its
+    /// tree count; both are O(1) per primitive.
     ///
     /// # Errors
     ///
@@ -109,7 +111,7 @@ impl Workload {
                 base.node_count()
             ));
         }
-        let mut shadow = base.clone();
+        let mut shadow = ShadowOracle::new(base);
         let mut stats =
             WorkloadStats { max_components: shadow.component_count(), ..WorkloadStats::default() };
         for (i, event) in self.events.iter().enumerate() {
@@ -120,22 +122,20 @@ impl Workload {
                 match *primitive {
                     WorkloadEvent::DeleteEdge { u, v } => {
                         stats.deletions += 1;
-                        let forest = kruskal(&shadow);
-                        if let Some(e) = shadow.edge_between(u, v) {
-                            if forest.contains(e) {
-                                stats.tree_edge_deletions += 1;
-                            }
+                        let edge = shadow.graph().edge_between(u, v);
+                        if edge.is_some_and(|e| shadow.is_tree_edge(e)) {
+                            stats.tree_edge_deletions += 1;
                         }
                     }
                     WorkloadEvent::InsertEdge { .. } => stats.insertions += 1,
                     WorkloadEvent::ChangeWeight { .. } => stats.weight_changes += 1,
                     WorkloadEvent::Burst { .. } => unreachable!("primitives() flattens bursts"),
                 }
-                primitive.apply_to_graph(&mut shadow).map_err(|e| format!("event {i}: {e}"))?;
+                primitive.apply_to_oracle(&mut shadow).map_err(|e| format!("event {i}: {e}"))?;
                 stats.max_components = stats.max_components.max(shadow.component_count());
             }
         }
-        stats.final_edges = shadow.edge_count();
+        stats.final_edges = shadow.graph().edge_count();
         Ok(stats)
     }
 }

@@ -210,7 +210,7 @@ fn n1024_generator_traces_are_golden() {
 /// 96-event `AdversarialTreeCut` and `burst`'s 64-event `MultiEdgeCuts`
 /// with bursts of 8.
 #[test]
-#[ignore = "seconds in release, minutes in debug; \
+#[ignore = "benchmark scale (n = 4096), pinned with the fleet golden; \
             run with `cargo test --release --test golden_fingerprints -- --ignored`"]
 fn n4096_perfbench_traces_are_golden() {
     let max_weight = SuiteParams::scale_preset(4096).max_weight;
