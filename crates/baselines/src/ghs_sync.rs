@@ -20,10 +20,10 @@
 //!
 //! The merge decisions themselves are computed from the simulator's global
 //! view (union–find over fragments); the *communication pattern* is what is
-//! charged, which is what makes the baseline comparable. This is documented
-//! as a substitution in `DESIGN.md`: the full asynchronous GHS protocol state
-//! machine (levels, core edges, deferred replies) changes none of the message
-//! asymptotics being compared.
+//! charged, which is what makes the baseline comparable. This is a
+//! deliberate substitution: the full asynchronous GHS protocol state machine
+//! (levels, core edges, deferred replies) is not simulated, and it would
+//! change none of the message asymptotics being compared.
 
 use kkt_congest::Network;
 use kkt_graphs::{EdgeId, UnionFind};

@@ -1,6 +1,6 @@
-//! Criterion benches for experiments E5/E6/E7: the search primitives, plus
-//! the ablation called out in DESIGN.md §5 (word-parallel interval search vs
-//! binary search, i.e. word width w vs w = 2).
+//! Criterion benches for experiments E5/E6/E7 (see EXPERIMENTS.md): the
+//! search primitives, plus an ablation of FindMin's word-parallel interval
+//! search against binary search (word width w vs w = 2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -53,8 +53,7 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| find_min(&mut net, 0, Budget::Whp, &config, &mut rng).unwrap())
     });
     // Ablation: restrict the word width to 2 sub-intervals (binary search),
-    // removing the log log n speed-up — the design choice DESIGN.md §5 calls
-    // out.
+    // removing the log log n speed-up of word-parallel narrowing.
     let binary_config = KktConfig { word_width: Some(2), ..KktConfig::default() };
     group.bench_function(BenchmarkId::new("find_min_binary_search_ablation", n), |b| {
         let mut net = network_with_half_marks(&g, &mst, 9);

@@ -1,4 +1,4 @@
-//! Experiment binary: see `DESIGN.md` §4 and `EXPERIMENTS.md`.
+//! Experiment binary for E3: see `EXPERIMENTS.md`.
 //!
 //! Scale is controlled by the `KKT_SCALE` environment variable
 //! (`large` for the full sweep, `quick` or unset for the quick one; any

@@ -561,7 +561,7 @@ pub fn exp10_batched_repair(scale: Scale, seed: u64) -> (Table, SweepReport) {
             MaintenancePolicy::RebuildKkt,
         ],
     };
-    let report = sweep.run().expect("every checkpoint verifies against the Kruskal oracle");
+    let report = sweep.run().expect("every checkpoint verifies against the shadow oracle");
 
     let rows: Vec<(usize, &SweepPoint, &ReplayReport)> = (report.points.iter().zip(&burst_sizes))
         .flat_map(|(p, &k)| p.reports.iter().map(move |r| (k, p, r)))

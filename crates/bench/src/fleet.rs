@@ -13,8 +13,10 @@
 //! Seeds come from a splitmix-style [`mix_seed`] over the seed *ordinal*
 //! (not the flat grid index), so the seed set is stable under grid
 //! reordering — adding a rung or a policy never changes which graphs and
-//! workloads the other cells replay, and every policy in an aggregate cell
-//! prices the *same* (graph, workload) pairs.
+//! workloads the other cells replay. The work unit is one (rung, density,
+//! scenario, seed) trace: its base graph and workload are built once and
+//! replayed under every policy, so the aggregate cells that differ only in
+//! policy price the *same* (graph, workload) pairs.
 //!
 //! Statistics are computed in the exact integer tier of
 //! [`crate::stats`] ([`SloSummary`]: `u128` sums, integer nearest-rank,
@@ -61,7 +63,7 @@ pub fn threads_from_env() -> usize {
 pub struct FleetPanic {
     /// Flat grid index of the poisoned cell.
     pub cell: usize,
-    /// Human-readable cell identity (policy, rung, density, seed).
+    /// Human-readable cell identity (rung, density, scenario, seed).
     pub label: String,
     /// The panic payload, if it was a string (the common `panic!` case).
     pub payload: String,
@@ -281,11 +283,11 @@ pub struct AggregateCell {
 }
 
 impl AggregateCell {
-    /// Cell identity for labels and panics.
-    fn label(&self, seed_ordinal: usize, seed: u64) -> String {
+    /// Identity of the cell's trace under one seed, for labels and panics
+    /// (a failed replay's panic payload names the policy).
+    fn trace_label(&self, seed_ordinal: usize, seed: u64) -> String {
         format!(
-            "policy={} n={} density={} scenario={} seed_ordinal={} seed={:#018x}",
-            self.policy.label(),
+            "n={} density={} scenario={} seed_ordinal={} seed={:#018x}",
             self.n,
             self.density.label(),
             self.scenario.label(),
@@ -312,22 +314,28 @@ struct SeedSample {
     checkpoints: u64,
 }
 
-/// Replays one (aggregate cell, seed) work cell. Pure function of its
-/// arguments — the unit the fleet shards across workers.
-fn replay_cell(cell: &AggregateCell, seed: u64) -> SeedSample {
-    let setup = SuiteParams::density_preset(cell.n, cell.density).with_seed(seed).setup();
-    let scenario = cell.scenario.generator(setup.params.max_weight);
+/// Replays one seed's trace under the policy of each of `cells`, which
+/// differ only in policy: the base graph and trace are built once. Pure
+/// function of its arguments — the unit the fleet shards across workers.
+fn replay_trace(cells: &[AggregateCell], seed: u64) -> Vec<SeedSample> {
+    let setup = SuiteParams::density_preset(cells[0].n, cells[0].density).with_seed(seed).setup();
+    let scenario = cells[0].scenario.generator(setup.params.max_weight);
     let (workload, _) = setup.trace(scenario.as_ref()).expect("generated trace is applicable");
-    let report = setup
-        .harness
-        .replay(&setup.base, &workload, cell.policy)
-        .expect("every checkpoint verifies against the shadow oracle");
-    SeedSample {
-        rounds: report.per_event.iter().map(|e| e.time).collect(),
-        bits: report.per_event.iter().map(|e| e.bits).collect(),
-        messages: report.per_event.iter().map(|e| e.messages).collect(),
-        checkpoints: report.checkpoints_verified as u64,
-    }
+    cells
+        .iter()
+        .map(|cell| {
+            let report = setup
+                .harness
+                .replay(&setup.base, &workload, cell.policy)
+                .unwrap_or_else(|e| panic!("policy={}: {e}", cell.policy.label()));
+            SeedSample {
+                rounds: report.per_event.iter().map(|e| e.time).collect(),
+                bits: report.per_event.iter().map(|e| e.bits).collect(),
+                messages: report.per_event.iter().map(|e| e.messages).collect(),
+                checkpoints: report.checkpoints_verified as u64,
+            }
+        })
+        .collect()
 }
 
 /// Bucket ladder for the cross-seed bits-per-event tail histograms:
@@ -399,40 +407,39 @@ impl FleetReport {
     }
 }
 
-/// Runs the whole fleet: shards the (aggregate cell × seed) work grid
-/// across `threads` workers, aggregates each cell's distribution in exact
-/// integer arithmetic, and seals the report. Byte-identical output for any
-/// `threads` ≥ 1.
+/// Runs the whole fleet: shards the work grid, one (rung, density,
+/// scenario, seed) trace per unit, across `threads` workers, regroups the
+/// replays into aggregate cells, aggregates each cell's distribution in
+/// exact integer arithmetic, and seals the report. Byte-identical output
+/// for any `threads` ≥ 1.
 ///
 /// # Panics
 ///
-/// Re-raises a poisoned work cell as a panic carrying the cell's
-/// (policy, rung, density, seed) identity.
+/// Re-raises a poisoned work cell as a panic carrying its (rung, density,
+/// scenario, seed) identity; the payload names the policy.
 pub fn run_replay_fleet(params: &FleetParams, threads: usize) -> FleetReport {
     let aggregates = params.aggregate_cells();
     let seeds = params.mixed_seeds();
     let per_cell = seeds.len();
-    let work: Vec<(usize, usize)> =
-        (0..aggregates.len()).flat_map(|a| (0..per_cell).map(move |s| (a, s))).collect();
+    // `aggregate_cells` puts the policy innermost, so each run of
+    // `policies` cells shares one trace per seed.
+    let policies = MaintenancePolicy::all_for(kkt_core::TreeKind::Mst).len();
+    let traces: Vec<&[AggregateCell]> = aggregates.chunks(policies).collect();
 
     let samples = run_fleet(
-        work.len(),
+        traces.len() * per_cell,
         threads,
-        |i| {
-            let (a, s) = work[i];
-            aggregates[a].label(s, seeds[s])
-        },
-        |i| {
-            let (a, s) = work[i];
-            replay_cell(&aggregates[a], seeds[s])
-        },
+        |i| traces[i / per_cell][0].trace_label(i % per_cell, seeds[i % per_cell]),
+        |i| replay_trace(traces[i / per_cell], seeds[i % per_cell]),
     )
     .unwrap_or_else(|poisoned| panic!("{poisoned}"));
 
     let mut scheduler = String::new();
     let mut cells = Vec::with_capacity(aggregates.len());
     for (a, agg) in aggregates.iter().enumerate() {
-        let group = &samples[a * per_cell..(a + 1) * per_cell];
+        let (t, p) = (a / policies, a % policies);
+        let group: Vec<&SeedSample> =
+            samples[t * per_cell..(t + 1) * per_cell].iter().map(|s| &s[p]).collect();
         let rounds: Vec<Vec<u64>> = group.iter().map(|s| s.rounds.clone()).collect();
         let bits: Vec<Vec<u64>> = group.iter().map(|s| s.bits.clone()).collect();
         let messages: Vec<Vec<u64>> = group.iter().map(|s| s.messages.clone()).collect();

@@ -1,7 +1,7 @@
 //! Experiment harness for the `kkt-spanning` workspace.
 //!
 //! The paper has no empirical tables or figures — its evaluation is a set of
-//! theorems (see `DESIGN.md` §4 and `EXPERIMENTS.md`). Each function in
+//! theorems (see `EXPERIMENTS.md`). Each function in
 //! [`experiments`] regenerates the measurement that checks one of those
 //! claims and returns a printable table; the `exp*` binaries are thin
 //! wrappers, and the Criterion benches in `benches/` time the same code.

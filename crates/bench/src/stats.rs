@@ -40,10 +40,6 @@ pub struct ExactSummary {
     pub sum: u128,
     /// Exact sum of squares.
     pub sum_sq: u128,
-    /// Minimum (0 for an empty sample).
-    pub min: u64,
-    /// Maximum (0 for an empty sample).
-    pub max: u64,
 }
 
 impl ExactSummary {
@@ -55,7 +51,7 @@ impl ExactSummary {
     /// `u64::MAX` — far outside any cost domain in this workspace): the
     /// exact tier fails loudly rather than wrap silently.
     pub fn of_u64(values: &[u64]) -> Self {
-        let mut s = ExactSummary { min: u64::MAX, ..ExactSummary::default() };
+        let mut s = ExactSummary::default();
         for &v in values {
             s.count += 1;
             s.sum += u128::from(v);
@@ -63,61 +59,8 @@ impl ExactSummary {
                 .sum_sq
                 .checked_add(u128::from(v) * u128::from(v))
                 .expect("ExactSummary: sum of squares exceeds u128 — sample out of exact budget");
-            s.min = s.min.min(v);
-            s.max = s.max.max(v);
-        }
-        if s.count == 0 {
-            s.min = 0;
         }
         s
-    }
-
-    /// Mean in micro-units (floor; 0 when empty).
-    pub fn mean_micro(&self) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        (self.sum * MICRO / u128::from(self.count)) as u64
-    }
-
-    /// Sample standard deviation (n − 1 denominator) in micro-units.
-    ///
-    /// Computed from the exact moments: `n·Σx² − (Σx)²` is exact in `u128`;
-    /// micro-scaling happens before the integer square root when the
-    /// product fits (sub-micro precision), after the division by `n(n−1)`
-    /// otherwise, and the readout saturates at `u64::MAX` in the regime
-    /// where the true deviation exceeds the micro-unit range altogether.
-    /// 0 for samples of fewer than two values.
-    pub fn stddev_micro(&self) -> u64 {
-        if self.count < 2 {
-            return 0;
-        }
-        let n = u128::from(self.count);
-        let num = n
-            .checked_mul(self.sum_sq)
-            .expect("ExactSummary: n·Σx² exceeds u128 — sample out of exact budget")
-            - self.sum * self.sum;
-        let denom = n * (n - 1);
-        let scale = MICRO * MICRO;
-        let var_micro_sq = match num.checked_mul(scale) {
-            Some(scaled) => scaled / denom,
-            None => match (num / denom).checked_mul(scale) {
-                Some(scaled) => scaled,
-                None => return u64::MAX, // stddev itself overflows micro-u64
-            },
-        };
-        u64::try_from(isqrt_u128(var_micro_sq)).unwrap_or(u64::MAX)
-    }
-
-    /// Half-width of the normal-approximation 95% confidence interval of the
-    /// mean, in micro-units: `1.96 · s / √n`, all integer arithmetic.
-    pub fn ci95_half_micro(&self) -> u64 {
-        if self.count < 2 {
-            return 0;
-        }
-        // isqrt(n · 10¹²) = √n · 10⁶ to integer precision.
-        let sqrt_n_micro = isqrt_u128(u128::from(self.count) * MICRO * MICRO);
-        (u128::from(self.stddev_micro()) * 196 * MICRO / (100 * sqrt_n_micro)) as u64
     }
 }
 
@@ -288,33 +231,10 @@ mod tests {
     #[test]
     fn exact_summary_moments_and_readouts() {
         let e = ExactSummary::of_u64(&[2, 4, 4, 4, 5, 5, 7, 9]);
-        assert_eq!((e.count, e.sum, e.sum_sq, e.min, e.max), (8, 40, 232, 2, 9));
-        assert_eq!(e.mean_micro(), 5_000_000);
-        // stddev = sqrt(32/7) ≈ 2.13808993…; micro readout floors.
-        assert_eq!(e.stddev_micro(), 2_138_089);
-        // 1.96 · 2.138089… / √8 ≈ 1.481597…
-        let ci = e.ci95_half_micro();
-        assert!((1_481_000..1_482_200).contains(&ci), "{ci}");
-        let empty = ExactSummary::of_u64(&[]);
-        assert_eq!((empty.count, empty.min, empty.max), (0, 0, 0));
-        assert_eq!(empty.mean_micro(), 0);
-        assert_eq!(ExactSummary::of_u64(&[7]).stddev_micro(), 0);
-    }
-
-    #[test]
-    fn exact_summary_survives_huge_spreads() {
-        // The coarse branch of stddev_micro: a spread large enough that
-        // num·10¹² overflows u128, so scaling moves after the division.
-        // 16 zeros + 16 copies of 6·10¹² → stddev = 6·10¹²·√(8·32/(31·32))
-        // (pinned via exact integer arithmetic).
-        let mut values = vec![0u64; 16];
-        values.extend(vec![6_000_000_000_000u64; 16]);
-        let e = ExactSummary::of_u64(&values);
-        assert_eq!(e.stddev_micro(), 3_048_003_048_004_572_007);
-        // Beyond even that: a deviation that overflows the micro-u64
-        // readout itself saturates instead of wrapping.
-        let e = ExactSummary::of_u64(&[0, 1_000_000_000_000_000]);
-        assert_eq!(e.stddev_micro(), u64::MAX);
+        assert_eq!((e.count, e.sum, e.sum_sq), (8, 40, 232));
+        assert_eq!(ExactSummary::of_u64(&[]), ExactSummary::default());
+        // Order-free: the moments of a permuted sample are identical.
+        assert_eq!(ExactSummary::of_u64(&[9, 7, 5, 5, 4, 4, 4, 2]), e);
     }
 
     #[test]
@@ -353,7 +273,7 @@ mod tests {
         }
         assert_eq!(h.count(), p.count);
         assert_eq!(h.max(), p.max, "histogram max is exact");
-        assert!(h.p50() >= p.p50, "bucketed quantiles are upper bounds");
+        assert!(h.p99() >= p.p99, "the bucketed p99 is an upper bound");
         assert_eq!(format!("{p}"), "n=100 p50<=50 p99<=99 max=100");
     }
 

@@ -1,14 +1,11 @@
 //! Fixed-bucket histograms with deterministic readouts.
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
 /// A fixed-bucket histogram over `u64` samples. Bucket `i` counts samples
 /// `<= bounds[i]` (and above the previous bound); one implicit overflow
 /// bucket catches everything larger. Bounds are fixed at construction so two
-/// runs recording the same samples produce identical state — quantile
-/// readouts are bucket upper bounds, deterministic and seed-stable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// runs recording the same samples produce identical state — the p99
+/// readout is a bucket upper bound, deterministic and seed-stable.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Ascending inclusive upper bounds of the finite buckets.
     bounds: Vec<u64>,
@@ -17,8 +14,6 @@ pub struct Histogram {
     counts: Vec<u64>,
     /// Total samples recorded.
     count: u64,
-    /// Sum of all samples.
-    sum: u64,
     /// Largest sample recorded (exact, not bucketed).
     max: u64,
 }
@@ -27,13 +22,7 @@ impl Histogram {
     /// A histogram with the given finite bucket bounds (must be ascending).
     pub fn with_bounds(bounds: &[u64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
+        Histogram { bounds: bounds.to_vec(), counts: vec![0; bounds.len() + 1], count: 0, max: 0 }
     }
 
     /// Powers-of-two bounds `1, 2, 4, …, 2^max_exp` — the default ladder for
@@ -47,7 +36,6 @@ impl Histogram {
         let slot = self.bounds.partition_point(|&b| b < value);
         self.counts[slot] += 1;
         self.count += 1;
-        self.sum += value;
         self.max = self.max.max(value);
     }
 
@@ -56,40 +44,8 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Largest sample recorded.
     pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The `q`-quantile as a bucket upper bound: the smallest bound whose
-    /// cumulative count covers a `q` fraction of the samples. Samples landing
-    /// in the overflow bucket report the exact maximum. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i < self.bounds.len() { self.bounds[i] } else { self.max };
-            }
-        }
         self.max
     }
 
@@ -104,32 +60,23 @@ impl Histogram {
             *mine += theirs;
         }
         self.count += other.count;
-        self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
 
-    /// Median readout (bucket-resolution).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// Tail readout (bucket-resolution).
+    /// Tail readout (bucket resolution): the smallest bound whose cumulative
+    /// count reaches the nearest rank `⌈99·count/100⌉`, computed in
+    /// integers. Samples landing in the overflow bucket report the exact
+    /// maximum. Returns 0 when empty.
     pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50<={} p99<={} max={}",
-            self.count,
-            self.mean(),
-            self.p50(),
-            self.p99(),
-            self.max
-        )
+        let rank = (99 * self.count).div_ceil(100).max(1);
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return self.bounds.get(i).copied().unwrap_or(self.max);
+            }
+        }
+        self.max
     }
 }
 
@@ -144,22 +91,32 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 65);
         assert_eq!(h.max(), 40);
         // Ranks: 1,1 → ≤1; 2 → ≤2; 3,4 → ≤4; 5 → ≤8; 9 → ≤16; 40 → overflow.
-        assert_eq!(h.p50(), 4, "4th of 8 samples sits in the ≤4 bucket");
         assert_eq!(h.p99(), 40, "tail lands in the overflow bucket → exact max");
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(1.0), 40);
+    }
+
+    #[test]
+    fn p99_takes_the_integer_nearest_rank() {
+        // One bucket per value, so the readout is the ranked sample itself:
+        // ⌈0.99·n⌉ exactly, at the sizes where a float rank can slip.
+        let bounds: Vec<u64> = (1..=10_000).collect();
+        for (n, want) in [(1u64, 1u64), (2, 2), (99, 99), (100, 99), (101, 100), (200, 198)] {
+            let mut h = Histogram::with_bounds(&bounds);
+            (1..=n).for_each(|v| h.record(v));
+            assert_eq!(h.p99(), want, "n={n}");
+        }
+        let mut h = Histogram::with_bounds(&bounds);
+        (1..=10_000).for_each(|v| h.record(v));
+        assert_eq!(h.p99(), 9_900);
     }
 
     #[test]
     fn empty_histogram_reads_zero() {
         let h = Histogram::with_bounds(&[1, 10]);
-        assert_eq!(h.p50(), 0);
         assert_eq!(h.p99(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.count(), 0);
     }
 
     #[test]
@@ -212,6 +169,6 @@ mod tests {
             b.record(v);
         }
         assert_eq!(a, b);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(a.p99(), b.p99());
     }
 }

@@ -51,7 +51,7 @@ impl Phase {
         Phase::RebuildSweep,
     ];
 
-    /// Stable snake_case label, used in trace records and report JSON.
+    /// Stable snake_case label, used in report JSON.
     pub fn label(self) -> &'static str {
         match self {
             Phase::Delivery => "delivery",
@@ -347,7 +347,7 @@ mod tests {
         ledger.charge_message(Phase::RebuildSweep, 12);
         ledger.charge_broadcast_echo(Phase::BroadcastEcho);
         let text = serde_json::to_string(&ledger).unwrap();
-        // Every phase serialises, even all-zero ones: the trace schema is
+        // Every phase serialises, even all-zero ones: a sealed ledger is
         // fixed-shape so byte-compares never depend on which phases fired.
         for phase in Phase::ALL {
             assert!(text.contains(phase.label()), "{text}");

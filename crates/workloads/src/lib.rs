@@ -29,7 +29,9 @@
 //!   each validated trace once, then replays every policy
 //!   ([`Sweep::replay_each`]).
 //! * **Reports** — per-event and cumulative [`ReplayReport`]s, each with
-//!   its cost split by protocol phase ([`ReplayReport::phases`]), and the
+//!   its cost split by protocol phase ([`ReplayReport::phases`]) and one
+//!   [`EventCost`] per top-level event ([`ReplayReport::per_event`], the
+//!   replay's only per-event record), and the
 //!   [`SweepReport`] of a sweep, which the `exp9`, `exp10`, `exp11` and
 //!   `exp13` binaries serialise as deterministic JSON (`exp13` also prints
 //!   E14's phase table from it).
@@ -86,7 +88,6 @@ pub mod workload;
 
 pub use event::WorkloadEvent;
 pub use fingerprint::{fingerprint_hex, fnv1a64};
-pub use kkt_obs::{JsonlObserver, Observer, TraceRecord};
 pub use replay::{MaintenancePolicy, ReplayConfig, ReplayError, ReplayHarness};
 pub use report::{EventCost, ReplayReport, SweepPoint, SweepReport};
 pub use scenarios::{

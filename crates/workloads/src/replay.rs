@@ -21,12 +21,11 @@ use kkt_congest::{
     CongestError, CostReport, DeliveryQueueKind, Network, NetworkConfig, PhaseLedger, Scheduler,
 };
 use kkt_core::{
-    build_mst, build_st, BatchError, CoreError, DeleteOutcome, InsertOutcome, KktConfig,
-    MaintainOptions, MaintainedForest, TreeKind, UpdateOutcome,
+    build_mst, build_st, BatchError, CoreError, KktConfig, MaintainOptions, MaintainedForest,
+    TreeKind,
 };
 use kkt_graphs::generators::Update;
 use kkt_graphs::{verify_mst, verify_spanning_forest, Graph, ShadowOracle, SpanningForest};
-use kkt_obs::{Observer, TraceRecord};
 
 use crate::event::WorkloadEvent;
 use crate::report::{scheduler_label, tree_kind_label, ReplayReport};
@@ -226,44 +225,12 @@ impl ReplayHarness {
     /// # Errors
     ///
     /// See [`ReplayError`]; in particular every checkpoint compares against
-    /// the sequential Kruskal oracle and fails loudly on divergence.
+    /// the incremental [`ShadowOracle`] and fails loudly on divergence.
     pub fn replay(
         &self,
         base: &Graph,
         workload: &Workload,
         policy: MaintenancePolicy,
-    ) -> Result<ReplayReport, ReplayError> {
-        self.replay_with(base, workload, policy, None)
-    }
-
-    /// Like [`Self::replay`], but additionally emits one [`TraceRecord`] per
-    /// top-level event to `observer` (and a final [`Observer::on_finish`]).
-    /// The report's [`ReplayReport::phases`] already holds the run's phase
-    /// split, so an observer is for the per-event view.
-    ///
-    /// Observation is pure: the returned report is bit-identical to the one
-    /// [`Self::replay`] produces, and the records' ledgers sum to the
-    /// report's `phases`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::replay`].
-    pub fn replay_observed(
-        &self,
-        base: &Graph,
-        workload: &Workload,
-        policy: MaintenancePolicy,
-        observer: &mut dyn Observer,
-    ) -> Result<ReplayReport, ReplayError> {
-        self.replay_with(base, workload, policy, Some(observer))
-    }
-
-    fn replay_with(
-        &self,
-        base: &Graph,
-        workload: &Workload,
-        policy: MaintenancePolicy,
-        mut observer: Option<&mut dyn Observer>,
     ) -> Result<ReplayReport, ReplayError> {
         if !policy.supports(self.config.kind) {
             return Err(ReplayError::UnsupportedPolicy {
@@ -301,11 +268,9 @@ impl ReplayHarness {
         for (i, event) in workload.events.iter().enumerate() {
             let updates =
                 primitives_as_updates(event, &mut oracle).map_err(ReplayError::InvalidTrace)?;
-            let (phases, max_message_bits, outcomes) =
-                self.step(&mut maintained, policy, &updates, i)?;
+            let (phases, max_message_bits) = self.step(&mut maintained, policy, &updates, i)?;
             report.push_event(i, event.kind(), phases, max_message_bits);
-            let verified = self.checkpoint_due(i, total);
-            if verified {
+            if self.checkpoint_due(i, total) {
                 let snapshot = match &maintained {
                     Maintained::Repaired(forest) => forest.snapshot(),
                     Maintained::Rebuilt(net) => net.marked_forest_snapshot(),
@@ -313,15 +278,8 @@ impl ReplayHarness {
                 self.verify_checkpoint(&oracle, &snapshot, i)?;
                 report.checkpoints_verified += 1;
             }
-            if let Some(obs) = observer.as_deref_mut() {
-                let outcome = outcomes.as_deref().map_or_else(|| "rebuilt".into(), outcomes_label);
-                emit_record(obs, i, event.kind(), outcome, verified, phases);
-            }
         }
         report.finalize();
-        if let Some(obs) = observer {
-            obs.on_finish();
-        }
         Ok(report)
     }
 
@@ -381,34 +339,33 @@ impl ReplayHarness {
     }
 
     /// Applies the updates of top-level event `index` and returns the
-    /// event's phase ledger, the largest message the maintained structure
-    /// has sent (the repaired forest's so far, or this rebuild's) and the
-    /// updates' outcomes (`None` for a rebuild).
+    /// event's phase ledger and the largest message the maintained structure
+    /// has sent (the repaired forest's so far, or this rebuild's).
     fn step(
         &self,
         maintained: &mut Maintained,
         policy: MaintenancePolicy,
         updates: &[Update],
         index: usize,
-    ) -> Result<(PhaseLedger, u64, Option<Vec<UpdateOutcome>>), ReplayError> {
+    ) -> Result<(PhaseLedger, u64), ReplayError> {
         match maintained {
             Maintained::Repaired(forest) => {
                 let ledger_before = forest.phase_ledger();
-                let outcomes = match policy {
+                match policy {
                     // One full repair per primitive, even inside bursts.
                     MaintenancePolicy::Impromptu => forest.apply_batch_sequential(updates)?,
                     // Bursts repaired in one pipelined pass.
                     _ => forest.apply_batch(updates)?,
                 };
                 let phases = forest.phase_ledger() - ledger_before;
-                Ok((phases, forest.cost().max_message_bits, Some(outcomes)))
+                Ok((phases, forest.cost().max_message_bits))
             }
             Maintained::Rebuilt(scratch) => {
                 mirror_updates(scratch, updates)?;
                 let cost = self.rebuild_in(scratch, policy, index)?;
                 // `Network::reset` zeroed the ledger, so the scratch ledger
                 // *is* this event's cost.
-                Ok((scratch.phase_ledger(), cost.max_message_bits, None))
+                Ok((scratch.phase_ledger(), cost.max_message_bits))
             }
         }
     }
@@ -474,48 +431,6 @@ impl ReplayHarness {
 enum Maintained {
     Repaired(MaintainedForest),
     Rebuilt(Network),
-}
-
-/// Builds one event's trace record and hands it to the observer.
-fn emit_record(
-    observer: &mut dyn Observer,
-    index: usize,
-    kind: String,
-    outcome: String,
-    verified: bool,
-    phases: PhaseLedger,
-) {
-    let record = TraceRecord {
-        index,
-        kind,
-        outcome,
-        checkpoint: if verified { "verified" } else { "skipped" }.to_string(),
-        phases,
-        total: phases.total(),
-    };
-    observer.on_event(&record);
-}
-
-/// Deterministic per-event outcome label: the applied primitives' outcomes
-/// joined with `+` (bursts), `noop` for an empty event.
-fn outcomes_label(outcomes: &[UpdateOutcome]) -> String {
-    if outcomes.is_empty() {
-        return "noop".to_string();
-    }
-    outcomes.iter().map(outcome_label).collect::<Vec<_>>().join("+")
-}
-
-fn outcome_label(outcome: &UpdateOutcome) -> &'static str {
-    match outcome {
-        UpdateOutcome::Deleted(DeleteOutcome::NotATreeEdge) => "non_tree_delete",
-        UpdateOutcome::Deleted(DeleteOutcome::Bridge) => "bridge",
-        UpdateOutcome::Deleted(DeleteOutcome::Replaced(_)) => "replaced",
-        UpdateOutcome::Deleted(DeleteOutcome::BatchRepaired) => "batch_repaired",
-        UpdateOutcome::Inserted(InsertOutcome::MergedFragments) => "merged",
-        UpdateOutcome::Inserted(InsertOutcome::Swapped { .. }) => "swapped",
-        UpdateOutcome::Inserted(InsertOutcome::NotNeeded) => "not_needed",
-        UpdateOutcome::Reweighted => "reweighted",
-    }
 }
 
 /// Applies the oracle-validated updates of one top-level event to the scratch

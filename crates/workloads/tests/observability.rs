@@ -1,23 +1,21 @@
-//! The observability layer's contract, end-to-end:
+//! The replay report's per-event record, end to end:
 //!
-//! * **Determinism** — two observed replays of the same seeded workload emit
-//!   byte-identical JSONL trace streams.
-//! * **Purity** — installing an observer changes nothing: the replay report
-//!   (and its fingerprint) is equal with and without one, for every policy.
+//! * **Determinism** — two replays of the same seeded workload seal
+//!   byte-identical reports, with one `per_event` record per top-level
+//!   event, in index order.
 //! * **Conservation** — on a 64-case seeded sweep over scenarios × policies
-//!   × kinds × schedulers, the events' trace ledgers sum to the report's
-//!   `phases`, whose sums are the report's `total`, and no event charges the
-//!   unattributed delivery phase.
+//!   × kinds × schedulers, the report's `phases` sum to its `total`, the
+//!   events' messages, bits and time sum to the same total, and no replay
+//!   charges the unattributed delivery phase.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use kkt_congest::{Phase, PhaseCost, PhaseLedger, Scheduler};
+use kkt_congest::{Phase, PhaseCost, Scheduler};
 use kkt_core::TreeKind;
 use kkt_graphs::{generators, Graph};
 use kkt_workloads::{
-    JsonlObserver, MaintenancePolicy, MixedPhases, Observer, PoissonChurn, ReplayConfig,
-    ReplayHarness, Scenario, TraceRecord, Workload,
+    MaintenancePolicy, MixedPhases, PoissonChurn, ReplayConfig, ReplayHarness, Scenario, Workload,
 };
 
 fn base(n: usize, seed: u64) -> Graph {
@@ -35,57 +33,17 @@ fn mixed_lifecycle_traces_are_byte_identical_across_runs() {
     let w = mixed_workload(&g, 10, 17);
     let harness = ReplayHarness::default();
     for policy in MaintenancePolicy::all_for(TreeKind::Mst) {
-        let mut streams: Vec<Vec<u8>> = Vec::new();
-        for _ in 0..2 {
-            let mut obs = JsonlObserver::with_flush_every(Vec::new(), 3);
-            harness.replay_observed(&g, &w, policy, &mut obs).unwrap();
-            streams.push(obs.into_inner());
+        let report = harness.replay(&g, &w, policy).unwrap();
+        let again = harness.replay(&g, &w, policy).unwrap();
+        let sealed = serde_json::to_string(&report).unwrap();
+        assert_eq!(sealed, serde_json::to_string(&again).unwrap(), "{}", policy.label());
+        assert_eq!(report.per_event.len(), w.len(), "one record per top-level event");
+        for (i, (record, event)) in report.per_event.iter().zip(&w.events).enumerate() {
+            assert_eq!((record.index, &record.kind), (i, &event.kind()), "{}", policy.label());
         }
-        assert!(!streams[0].is_empty(), "{}: trace has records", policy.label());
-        assert_eq!(streams[0], streams[1], "{}: same seed ⇒ same bytes", policy.label());
-        // Every line is a well-formed, conserving record of the schema.
-        let text = String::from_utf8(streams[0].clone()).unwrap();
-        assert_eq!(text.lines().count(), w.len(), "one record per top-level event");
-        for (i, line) in text.lines().enumerate() {
-            let record: TraceRecord = serde_json::from_str(line).unwrap();
-            assert_eq!(record.index, i);
-            assert_eq!(record.total, record.phases.total());
-            assert!(record.checkpoint == "verified" || record.checkpoint == "skipped");
-        }
-    }
-}
-
-#[test]
-fn observation_is_pure_reports_and_fingerprints_match() {
-    let g = base(24, 0x0B6);
-    let w = mixed_workload(&g, 8, 23);
-    let harness = ReplayHarness::default();
-    for policy in MaintenancePolicy::all_for(TreeKind::Mst) {
-        let plain = harness.replay(&g, &w, policy).unwrap();
-        let mut check = ConservationCheck::default();
-        let observed = harness.replay_observed(&g, &w, policy, &mut check).unwrap();
-        assert_eq!(plain, observed, "{}: observer must not perturb the replay", policy.label());
-        assert_eq!(plain.fingerprint(), observed.fingerprint());
-        assert_eq!(check.events, w.len(), "{}: one record per event", policy.label());
-    }
-}
-
-/// An observer that checks every event's record (its total is its ledger's
-/// sum, and nothing lands in the unattributed delivery phase) and sums the
-/// events' ledgers for the run-level comparison.
-#[derive(Default)]
-struct ConservationCheck {
-    ledger: PhaseLedger,
-    events: usize,
-}
-
-impl Observer for ConservationCheck {
-    fn on_event(&mut self, record: &TraceRecord) {
-        assert_eq!(record.total, record.phases.total(), "event {} conserves", record.index);
-        let stray = record.phases.get(Phase::Delivery);
-        assert_eq!(stray, PhaseCost::default(), "event {} is unattributed", record.index);
-        self.ledger += record.phases;
-        self.events += 1;
+        // The default harness checkpoints every event, and a failed
+        // checkpoint aborts the replay before any report exists.
+        assert_eq!(report.checkpoints_verified, w.len(), "{}", policy.label());
     }
 }
 
@@ -109,14 +67,23 @@ fn phase_ledger_conserves_across_the_64_case_sweep() {
                         ..ReplayConfig::default()
                     });
                     for policy in MaintenancePolicy::all_for(kind) {
-                        let mut check = ConservationCheck::default();
-                        let report = harness.replay_observed(&g, &w, policy, &mut check).unwrap();
-                        assert_eq!(check.ledger, report.phases, "{}", policy.label());
+                        let report = harness.replay(&g, &w, policy).unwrap();
+                        let label = policy.label();
+                        // `finalize` panics on a delivery charge; costs are
+                        // unsigned, so a zero run-level slot means no event
+                        // charged it either.
+                        let stray = report.phases.get(Phase::Delivery);
+                        assert_eq!(stray, PhaseCost::default(), "{label} is unattributed");
                         let sum = report.phases.total();
                         assert_eq!(sum.messages, report.total.messages);
                         assert_eq!(sum.bits, report.total.bits);
                         assert_eq!(sum.time, report.total.time);
                         assert_eq!(sum.broadcast_echoes, report.total.broadcast_echoes);
+                        assert_eq!(report.per_event.len(), w.len(), "{label}");
+                        let events = report.per_event.iter().fold((0, 0, 0), |acc, e| {
+                            (acc.0 + e.messages, acc.1 + e.bits, acc.2 + e.time)
+                        });
+                        assert_eq!(events, (sum.messages, sum.bits, sum.time), "{label}");
                         cases += 1;
                     }
                 }
