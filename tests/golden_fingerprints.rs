@@ -5,6 +5,7 @@
 //! E14 tabulates, so its whole-report golden pins the cost anatomy too.
 //! Six generators' traces at n = 1024 and perfbench's two n = 4096 traces
 //! are pinned with the statistics [`Workload::validate`] computes for them.
+//! The quick exp1–exp8 tables are pinned as printed.
 //!
 //! Simulated cost (bits, messages, rounds) is the paper's quantity, and a
 //! refactor must never move it. Each report's fingerprint seals every cost
@@ -75,6 +76,57 @@ fn exp13_quick_n48_density_sweep_fingerprint_is_golden() {
     assert_eq!(report.fingerprint, "93e2ecd739601de4");
     let costs = cost_fingerprint(report.points.iter().flat_map(|p| &p.reports));
     assert_eq!(costs, "e14132d8c9c0a21f");
+}
+
+// The quick E1–E8 tables at the default seed, each as its `exp*` binary
+// prints it: nothing else pins these claims' costs.
+
+#[test]
+fn exp1_quick_table_is_golden() {
+    let table = experiments::exp1_mst_construction(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "fe49574dd813e96a");
+}
+
+#[test]
+fn exp2_quick_table_is_golden() {
+    let table = experiments::exp2_st_construction(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "81a4741aa199c236");
+}
+
+#[test]
+fn exp3_quick_table_is_golden() {
+    let table = experiments::exp3_mst_repair(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "e316ce2374413bf5");
+}
+
+#[test]
+fn exp4_quick_table_is_golden() {
+    let table = experiments::exp4_st_repair(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "eb3e87f3c243ae60");
+}
+
+#[test]
+fn exp5_quick_table_is_golden() {
+    let table = experiments::exp5_testout_probability(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "ec867f89259e2aee");
+}
+
+#[test]
+fn exp6_quick_table_is_golden() {
+    let table = experiments::exp6_find_primitives(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "198e60e372807065");
+}
+
+#[test]
+fn exp7_quick_table_is_golden() {
+    let table = experiments::exp7_superpoly_weights(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "856ebf716c0ac756");
+}
+
+#[test]
+fn exp8_quick_table_is_golden() {
+    let table = experiments::exp8_density_crossover(Scale::Quick, DEFAULT_SEED);
+    assert_eq!(fingerprint_hex(&table.to_string()), "4798fd05ae155a69");
 }
 
 /// exp12 at its quick n = 64 rung, with every wall-clock `seconds` zeroed:
