@@ -1,15 +1,6 @@
-//! Experiment binary for E2: see `EXPERIMENTS.md`.
-//!
-//! Scale is controlled by the `KKT_SCALE` environment variable
-//! (`large` for the full sweep, `quick` or unset for the quick one; any
-//! other value panics) and the seed by `KKT_SEED`.
-
-use kkt_bench::experiments;
-use kkt_bench::Scale;
+//! E2, ST construction messages, KKT vs flooding (Theorem 1.1, Lemma 6): the
+//! table on stderr, the sealed claims report on stdout (`EXPERIMENTS.md`).
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = kkt_bench::seed_from_env();
-    let table = experiments::exp2_st_construction(scale, seed);
-    println!("{table}");
+    kkt_bench::claims::print(kkt_bench::claims::Claim::E2);
 }

@@ -1,15 +1,6 @@
-//! Experiment binary for E3: see `EXPERIMENTS.md`.
-//!
-//! Scale is controlled by the `KKT_SCALE` environment variable
-//! (`large` for the full sweep, `quick` or unset for the quick one; any
-//! other value panics) and the seed by `KKT_SEED`.
-
-use kkt_bench::experiments;
-use kkt_bench::Scale;
+//! E3, messages per MST deletion and insertion (Theorem 1.2, Lemma 2): the
+//! table on stderr, the sealed claims report on stdout (`EXPERIMENTS.md`).
 
 fn main() {
-    let scale = Scale::from_env();
-    let seed = kkt_bench::seed_from_env();
-    let table = experiments::exp3_mst_repair(scale, seed);
-    println!("{table}");
+    kkt_bench::claims::print(kkt_bench::claims::Claim::E3);
 }

@@ -1,448 +1,22 @@
-//! The experiment suite: one function per quantitative claim of the paper.
+//! The later experiments, E9–E16: one function per measurement.
 //!
 //! Every function is deterministic given its seed, prints nothing, and
-//! returns a [`Table`] whose rows are exactly what the corresponding `exp*`
-//! binary writes to stdout (and what `EXPERIMENTS.md` records).
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! returns a [`Table`] (what the corresponding `exp*` binary writes to
+//! stderr and `EXPERIMENTS.md` records) together with the JSON report the
+//! binary writes to stdout.
+//! The paper's own claims, E1–E8, are measured by [`crate::claims`].
 
 use serde::{Deserialize, Serialize};
 
-use kkt_baselines::{build_mst_ghs, build_st_by_flooding, flood_repair_delete};
-use kkt_congest::{Network, NetworkConfig, Phase};
-use kkt_core::{
-    apply_update, build_mst, build_st, find_any, find_min, hp_test_out, test_out, Budget,
-    DeleteOutcome, KktConfig, TreeKind, UpdateOutcome, WeightInterval,
-};
-use kkt_graphs::generators::Update;
-use kkt_graphs::{generators, kruskal, Graph};
+use kkt_congest::Phase;
 use kkt_workloads::{
     Density, MaintenancePolicy, MixedPhases, MultiEdgeCuts, ReplayReport, Scenario, SuiteParams,
     Sweep, SweepPoint, SweepReport,
 };
 
 use crate::fleet::FleetScenario;
-use crate::stats::ExactSummary;
 use crate::table::Table;
 use crate::Scale;
-
-fn fresh_net(g: Graph, seed: u64) -> Network {
-    Network::new(g, NetworkConfig { seed, ..NetworkConfig::default() })
-}
-
-/// The mean of an integer sample, for display: the exact `u128` sum over
-/// the count, converted to `f64` once, so it does not depend on the order
-/// of `values`. 0 for an empty sample.
-fn mean(values: &[u64]) -> f64 {
-    let exact = ExactSummary::of_u64(values);
-    exact.sum as f64 / exact.count.max(1) as f64
-}
-
-/// A two-cluster complete graph whose weights force GHS into its Θ(m)
-/// rejection-heavy regime (light intra-cluster edges, heavy inter-cluster
-/// edges).
-pub fn clustered_complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    let mut next = 1u64;
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let same = (u < n / 2) == (v < n / 2);
-            let w = if same { next } else { 10_000_000 + next };
-            next += 1;
-            g.add_edge(u, v, w);
-        }
-    }
-    g
-}
-
-/// E1 — MST construction messages: KKT vs GHS vs the edge count `m`
-/// (Theorem 1.1 / Lemma 3). Two density regimes per `n`, plus the
-/// GHS-adversarial clustered instance.
-pub fn exp1_mst_construction(scale: Scale, seed: u64) -> Table {
-    let config = KktConfig::default();
-    let mut table = Table::new(
-        "E1: MST construction messages (KKT O(n log^2 n / log log n) vs GHS O(m + n log n))",
-        &["n", "workload", "m", "kkt_msgs", "ghs_msgs", "kkt/n", "ghs/m"],
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    for n in scale.construction_sizes() {
-        let workloads: Vec<(&str, Graph)> = vec![
-            ("sparse m≈4n", generators::connected_with_edges(n, 4 * n, 1_000, &mut rng)),
-            (
-                "dense m≈n^1.5",
-                generators::connected_with_edges(n, (n as f64).powf(1.5) as usize, 1_000, &mut rng),
-            ),
-            ("clustered K_n", clustered_complete(n.min(512))),
-        ];
-        for (name, g) in workloads {
-            let n_actual = g.node_count();
-            let m = g.edge_count() as u64;
-            let mut kkt_net = fresh_net(g.clone(), seed ^ 1);
-            let mut r = StdRng::seed_from_u64(seed ^ 2);
-            build_mst(&mut kkt_net, &config, &mut r).expect("construction converges");
-            kkt_graphs::verify_mst(kkt_net.graph(), &kkt_net.marked_forest_snapshot()).unwrap();
-            let kkt_msgs = kkt_net.cost().messages;
-
-            let mut ghs_net = fresh_net(g, seed ^ 3);
-            build_mst_ghs(&mut ghs_net);
-            kkt_graphs::verify_mst(ghs_net.graph(), &ghs_net.marked_forest_snapshot()).unwrap();
-            let ghs_msgs = ghs_net.cost().messages;
-
-            table.push_row(vec![
-                n_actual.to_string(),
-                name.to_string(),
-                m.to_string(),
-                kkt_msgs.to_string(),
-                ghs_msgs.to_string(),
-                format!("{:.1}", kkt_msgs as f64 / n_actual as f64),
-                format!("{:.2}", ghs_msgs as f64 / m as f64),
-            ]);
-        }
-    }
-    table
-}
-
-/// E2 — ST construction messages: KKT `Build ST` vs flooding (Theorem 1.1 /
-/// Lemma 6 vs the Ω(m) folk theorem).
-pub fn exp2_st_construction(scale: Scale, seed: u64) -> Table {
-    let config = KktConfig::default();
-    let mut table = Table::new(
-        "E2: ST construction messages (KKT O(n log n) vs flooding Θ(m))",
-        &["n", "m", "kkt_msgs", "flood_msgs", "kkt/(n lg n)", "flood/m"],
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    for n in scale.construction_sizes() {
-        let m_target = ((n as f64).powf(1.5) as usize).max(4 * n);
-        let g = generators::connected_with_edges(n, m_target, 1, &mut rng);
-        let m = g.edge_count() as u64;
-
-        let mut kkt_net = fresh_net(g.clone(), seed ^ 11);
-        let mut r = StdRng::seed_from_u64(seed ^ 12);
-        build_st(&mut kkt_net, &config, &mut r).expect("construction converges");
-        kkt_graphs::verify_spanning_forest(kkt_net.graph(), &kkt_net.marked_forest_snapshot())
-            .unwrap();
-        let kkt_msgs = kkt_net.cost().messages;
-
-        let mut flood_net = fresh_net(g, seed ^ 13);
-        build_st_by_flooding(&mut flood_net, 0).unwrap();
-        let flood_msgs = flood_net.cost().messages;
-
-        let nlogn = n as f64 * (n as f64).log2();
-        table.push_row(vec![
-            n.to_string(),
-            m.to_string(),
-            kkt_msgs.to_string(),
-            flood_msgs.to_string(),
-            format!("{:.2}", kkt_msgs as f64 / nlogn),
-            format!("{:.2}", flood_msgs as f64 / m as f64),
-        ]);
-    }
-    table
-}
-
-/// E3 — impromptu MST repair: expected messages per tree-edge deletion and
-/// per insertion vs the flood-repair baseline (Theorem 1.2 / Lemma 2).
-pub fn exp3_mst_repair(scale: Scale, seed: u64) -> Table {
-    let config = KktConfig::default();
-    let mut table = Table::new(
-        "E3: MST repair messages per update (impromptu O(n log n / log log n) vs flooding Θ(m))",
-        &["n", "m", "delete_kkt(mean)", "delete_flood(mean)", "insert_kkt(mean)", "kkt/n"],
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    for n in scale.repair_sizes() {
-        let m_target = ((n as f64).powf(1.5) as usize).max(4 * n);
-        let g = generators::connected_with_edges(n, m_target, 1_000, &mut rng);
-        let m = g.edge_count() as u64;
-        let mst = kruskal(&g);
-        let trials = scale.trials().max(3);
-
-        let mut kkt_deletes = Vec::new();
-        let mut flood_deletes = Vec::new();
-        let mut kkt_inserts = Vec::new();
-        for t in 0..trials {
-            // KKT delete + re-insert cycle, asynchronous delivery.
-            let mut net = Network::new(g.clone(), NetworkConfig::asynchronous(seed ^ t as u64, 8));
-            net.mark_all(&mst.edges);
-            let mut r = StdRng::seed_from_u64(seed ^ (100 + t as u64));
-            let victim = mst.edges[(t * 7919) % mst.edges.len()];
-            let edge = *net.graph().edge(victim);
-            let before = net.cost();
-            let delete = Update::Delete { u: edge.u, v: edge.v };
-            let outcome = apply_update(&mut net, TreeKind::Mst, &delete, &config, &mut r).unwrap();
-            assert_ne!(outcome, UpdateOutcome::Deleted(DeleteOutcome::NotATreeEdge));
-            kkt_deletes.push((net.cost() - before).messages);
-
-            let before = net.cost();
-            let insert = Update::Insert { u: edge.u, v: edge.v, weight: edge.weight };
-            apply_update(&mut net, TreeKind::Mst, &insert, &config, &mut r).unwrap();
-            kkt_inserts.push((net.cost() - before).messages);
-            kkt_graphs::verify_mst(net.graph(), &net.marked_forest_snapshot()).unwrap();
-
-            // Flood-repair baseline on the same deletion.
-            let mut base = Network::new(g.clone(), NetworkConfig::synchronous(seed ^ t as u64));
-            base.mark_all(&mst.edges);
-            let outcome = flood_repair_delete(&mut base, edge.u, edge.v).unwrap();
-            flood_deletes.push(outcome.messages);
-        }
-        let kd = mean(&kkt_deletes);
-        table.push_row(vec![
-            n.to_string(),
-            m.to_string(),
-            format!("{kd:.0}"),
-            format!("{:.0}", mean(&flood_deletes)),
-            format!("{:.0}", mean(&kkt_inserts)),
-            format!("{:.1}", kd / n as f64),
-        ]);
-    }
-    table
-}
-
-/// E4 — impromptu ST repair: expected messages per tree-edge deletion
-/// (Theorem 1.2 / Lemma 5: O(n)).
-pub fn exp4_st_repair(scale: Scale, seed: u64) -> Table {
-    let config = KktConfig::default();
-    let mut table = Table::new(
-        "E4: ST repair messages per deleted tree edge (expected O(n))",
-        &["n", "m", "delete_st(mean)", "delete_st(max)", "mean/n"],
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    for n in scale.repair_sizes() {
-        let g = generators::connected_with_edges(n, 6 * n, 1, &mut rng);
-        let m = g.edge_count() as u64;
-        let st = kruskal(&g);
-        let trials = scale.trials().max(3);
-        let mut costs = Vec::new();
-        for t in 0..trials {
-            let mut net = Network::new(g.clone(), NetworkConfig::asynchronous(seed ^ t as u64, 8));
-            net.mark_all(&st.edges);
-            let mut r = StdRng::seed_from_u64(seed ^ (200 + t as u64));
-            let victim = st.edges[(t * 104729) % st.edges.len()];
-            let edge = *net.graph().edge(victim);
-            let before = net.cost();
-            let delete = Update::Delete { u: edge.u, v: edge.v };
-            apply_update(&mut net, TreeKind::St, &delete, &config, &mut r).unwrap();
-            costs.push((net.cost() - before).messages);
-            kkt_graphs::verify_spanning_forest(net.graph(), &net.marked_forest_snapshot()).unwrap();
-        }
-        let s = mean(&costs);
-        table.push_row(vec![
-            n.to_string(),
-            m.to_string(),
-            format!("{s:.0}"),
-            costs.iter().copied().max().unwrap_or(0).to_string(),
-            format!("{:.2}", s / n as f64),
-        ]);
-    }
-    table
-}
-
-/// E5 — primitive success probabilities: TestOut detection rate per cut size
-/// (claim: ≥ 1/8, one-sided) and HP-TestOut miss rate (claim: ≤ ε(n) ≈ 0).
-pub fn exp5_testout_probability(scale: Scale, seed: u64) -> Table {
-    let mut table = Table::new(
-        "E5: TestOut / HP-TestOut detection rates (Lemma 1, §2)",
-        &["cut_size", "trials", "testout_rate", "hp_rate", "false_positives"],
-    );
-    let trials = scale.probability_trials();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for cut_size in [0usize, 1, 2, 4, 16, 64] {
-        // Two 8-node paths with `cut_size` extra edges between them.
-        let mut g = Graph::new(16);
-        let mut marked = Vec::new();
-        for i in 0..7 {
-            marked.push(g.add_edge(i, i + 1, 1).unwrap());
-            marked.push(g.add_edge(8 + i, 8 + i + 1, 1).unwrap());
-        }
-        let mut added = 0;
-        'outer: for a in 0..8usize {
-            for b in 8..16usize {
-                if added >= cut_size {
-                    break 'outer;
-                }
-                if g.add_edge(a, b, 10 + (a * 16 + b) as u64).is_some() {
-                    added += 1;
-                }
-            }
-        }
-        let mut net = Network::new(g, NetworkConfig::default());
-        net.mark_all(&marked);
-        let mut testout_hits = 0u64;
-        let mut hp_hits = 0u64;
-        let mut false_positives = 0u64;
-        for _ in 0..trials {
-            let t = test_out(&mut net, 0, WeightInterval::everything(), &mut rng).unwrap();
-            let h = hp_test_out(&mut net, 0, WeightInterval::everything(), &mut rng).unwrap();
-            if t {
-                testout_hits += 1;
-                if cut_size == 0 {
-                    false_positives += 1;
-                }
-            }
-            if h {
-                hp_hits += 1;
-                if cut_size == 0 {
-                    false_positives += 1;
-                }
-            }
-        }
-        table.push_row(vec![
-            cut_size.to_string(),
-            trials.to_string(),
-            format!("{:.3}", testout_hits as f64 / trials as f64),
-            format!("{:.3}", hp_hits as f64 / trials as f64),
-            false_positives.to_string(),
-        ]);
-    }
-    table
-}
-
-/// E6 — FindAny-C success rate (claim: ≥ 1/16 per attempt) and FindMin
-/// broadcast-and-echo count scaling (claim: `O(log n / log log n)`).
-pub fn exp6_find_primitives(scale: Scale, seed: u64) -> Table {
-    let config = KktConfig::default();
-    let mut table = Table::new(
-        "E6: FindAny-C success rate and FindMin search iterations",
-        &["n", "findany_c_rate", "findmin_iters(mean)", "findmin_be(mean)", "lg(n)/lglg(n)"],
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    for n in scale.construction_sizes() {
-        let g = generators::connected_with_edges(n, 4 * n, 1_000, &mut rng);
-        let mst = kruskal(&g);
-        let trials = (scale.trials() * 10).max(20);
-        let mut successes = 0u64;
-        let mut iterations = Vec::new();
-        let mut broadcast_echoes = Vec::new();
-        for t in 0..trials {
-            let mut net = Network::new(g.clone(), NetworkConfig::synchronous(seed ^ t as u64));
-            // Mark half the MST so the fragment of node 0 has outgoing edges.
-            net.mark_all(&mst.edges[..mst.edges.len() / 2]);
-            let mut r = StdRng::seed_from_u64(seed ^ (300 + t as u64));
-            if find_any(&mut net, 0, Budget::Constant, &config, &mut r).unwrap().edge().is_some() {
-                successes += 1;
-            }
-            let before = net.cost();
-            let (outcome, trace) = find_min(&mut net, 0, Budget::Whp, &config, &mut r).unwrap();
-            assert!(outcome.edge().is_some());
-            iterations.push(trace.iterations as u64);
-            broadcast_echoes.push((net.cost() - before).broadcast_echoes);
-        }
-        let lg = (n as f64).log2();
-        table.push_row(vec![
-            n.to_string(),
-            format!("{:.2}", successes as f64 / trials as f64),
-            format!("{:.1}", mean(&iterations)),
-            format!("{:.1}", mean(&broadcast_echoes)),
-            format!("{:.1}", lg / lg.log2()),
-        ]);
-    }
-    table
-}
-
-/// E7 — superpolynomial edge weights (Appendix A / Theorem A.1): FindMin with
-/// weights drawn from ever larger universes; the iteration count grows like
-/// `log(maxWt)/log w`, not like `log(maxWt)`.
-pub fn exp7_superpoly_weights(scale: Scale, seed: u64) -> Table {
-    let config = KktConfig::default();
-    let mut table = Table::new(
-        "E7: FindMin under growing weight universes (Appendix A)",
-        &["n", "weight_bits", "iters(mean)", "narrowings(mean)", "lg(maxWt)/lg(w)"],
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = *scale.construction_sizes().last().unwrap_or(&256);
-    for weight_bits in [8u32, 16, 32, 48, 63] {
-        let max_weight = if weight_bits >= 63 { u64::MAX / 2 } else { (1u64 << weight_bits) - 1 };
-        let g = generators::connected_with_edges(n, 4 * n, max_weight, &mut rng);
-        let mst = kruskal(&g);
-        let trials = scale.trials().max(3);
-        let mut iters = Vec::new();
-        let mut narrowings = Vec::new();
-        for t in 0..trials {
-            let mut net = Network::new(g.clone(), NetworkConfig::synchronous(seed ^ t as u64));
-            net.mark_all(&mst.edges[..mst.edges.len() / 2]);
-            let mut r = StdRng::seed_from_u64(seed ^ (400 + t as u64));
-            let (outcome, trace) = find_min(&mut net, 0, Budget::Whp, &config, &mut r).unwrap();
-            assert!(outcome.edge().is_some());
-            iters.push(trace.iterations as u64);
-            narrowings.push(trace.narrowings as u64);
-        }
-        let w = config.effective_word_width(n) as f64;
-        let total_bits = weight_bits as f64 + 2.0 * (n as f64).log2().ceil();
-        table.push_row(vec![
-            n.to_string(),
-            weight_bits.to_string(),
-            format!("{:.1}", mean(&iters)),
-            format!("{:.1}", mean(&narrowings)),
-            format!("{:.1}", total_bits / w.log2()),
-        ]);
-    }
-    table
-}
-
-/// E8 — density crossover at fixed `n`: messages of KKT construction vs the
-/// baselines as `m/n` grows (the "o(m)" headline).
-pub fn exp8_density_crossover(scale: Scale, seed: u64) -> Table {
-    let config = KktConfig::default();
-    let n = match scale {
-        Scale::Quick => 192,
-        Scale::Large => 1024,
-    };
-    let mut table = Table::new(
-        "E8: density sweep at fixed n — messages vs m (who wins where)",
-        &["n", "m", "kkt_mst", "ghs(clustered)", "kkt_st", "flooding"],
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let densities: Vec<usize> = match scale {
-        Scale::Quick => vec![2, 8, 32, usize::MAX],
-        Scale::Large => vec![2, 4, 8, 16, 32, 64, 128, usize::MAX],
-    };
-    for avg_degree in densities {
-        let m_target = if avg_degree == usize::MAX {
-            n * (n - 1) / 2
-        } else {
-            (n * avg_degree / 2).min(n * (n - 1) / 2)
-        };
-        let weighted = generators::connected_with_edges(n, m_target, 1_000, &mut rng);
-        let m = weighted.edge_count() as u64;
-
-        let mut kkt_net = fresh_net(weighted.clone(), seed ^ 21);
-        let mut r = StdRng::seed_from_u64(seed ^ 22);
-        build_mst(&mut kkt_net, &config, &mut r).unwrap();
-        let kkt_mst = kkt_net.cost().messages;
-
-        // GHS on a rejection-heavy instance with the same m (clustered
-        // weights laid over the same topology).
-        let mut clustered = weighted.clone();
-        for e in clustered.live_edges().collect::<Vec<_>>() {
-            let edge = *clustered.edge(e);
-            let same = (edge.u < n / 2) == (edge.v < n / 2);
-            let w = if same { 1 + e.0 as u64 } else { 10_000_000 + e.0 as u64 };
-            clustered.set_weight(edge.u, edge.v, w);
-        }
-        let mut ghs_net = fresh_net(clustered, seed ^ 23);
-        build_mst_ghs(&mut ghs_net);
-        let ghs = ghs_net.cost().messages;
-
-        let mut st_net = fresh_net(weighted.clone(), seed ^ 24);
-        let mut r = StdRng::seed_from_u64(seed ^ 25);
-        build_st(&mut st_net, &config, &mut r).unwrap();
-        let kkt_st = st_net.cost().messages;
-
-        let mut flood_net = fresh_net(weighted, seed ^ 26);
-        build_st_by_flooding(&mut flood_net, 0).unwrap();
-        let flooding = flood_net.cost().messages;
-
-        table.push_row(vec![
-            n.to_string(),
-            m.to_string(),
-            kkt_mst.to_string(),
-            ghs.to_string(),
-            kkt_st.to_string(),
-            flooding.to_string(),
-        ]);
-    }
-    table
-}
 
 /// The rungs of `ladder` that a `KKT_EXP*_N` restriction (`var`) keeps.
 ///
@@ -716,15 +290,7 @@ pub fn exp12_wallclock(scale: Scale, seed: u64, only_n: Option<usize>) -> (Table
             policies,
         })
         .collect();
-    let report = WallclockReport {
-        schema: 1,
-        seed,
-        scale: match scale {
-            Scale::Quick => "quick".to_string(),
-            Scale::Large => "large".to_string(),
-        },
-        rungs,
-    };
+    let report = WallclockReport { schema: 1, seed, scale: scale.label().to_string(), rungs };
 
     let rows: Vec<(&WallclockRung, &WallclockPolicy)> =
         report.rungs.iter().flat_map(|rung| rung.policies.iter().map(move |p| (rung, p))).collect();
@@ -909,23 +475,6 @@ pub fn exp16_seed_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clustered_complete_is_complete() {
-        let g = clustered_complete(10);
-        assert_eq!(g.edge_count(), 45);
-        assert!(g.is_connected());
-    }
-
-    #[test]
-    fn exp5_smoke_runs_and_reports_no_false_positives() {
-        // Tiny trial count: the point is exercising the pipeline end-to-end.
-        let table = exp5_testout_probability(Scale::Quick, 1);
-        assert_eq!(table.len(), 6);
-        for row in table.rows() {
-            assert_eq!(row[4], "0", "TestOut/HP-TestOut must never report a phantom edge");
-        }
-    }
 
     #[test]
     fn exp9_repair_beats_rebuild_on_poisson_churn() {
@@ -1137,39 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_is_order_independent() {
-        // The regression the exact sum exists for: a pathological mix of
-        // magnitudes summed in different orders must produce *bit-identical*
-        // means (a per-value f64 accumulation does not).
-        let mut values: Vec<u64> = vec![u64::MAX / 1024; 64];
-        values.extend([1u64, 3, 7, 11, 13, 17].repeat(11));
-        let forward = mean(&values);
-        let mut reversed = values.clone();
-        reversed.reverse();
-        let mut interleaved = values.clone();
-        interleaved.sort_unstable_by_key(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for other in [mean(&reversed), mean(&interleaved)] {
-            assert_eq!(forward.to_bits(), other.to_bits());
-        }
-        assert_eq!(mean(&[2, 4, 4, 4, 5, 5, 7, 9]), 5.0);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
     fn exp13_only_n_restriction_must_match_a_rung() {
         let result = std::panic::catch_unwind(|| {
             exp13_dynamic_density(Scale::Quick, 1, Some(1234));
         });
         assert!(result.is_err(), "an unmatched KKT_EXP13_N must fail loudly");
-    }
-
-    #[test]
-    fn exp2_smoke_shows_flooding_scaling_with_m() {
-        let table = exp2_st_construction(Scale::Quick, 2);
-        assert_eq!(table.len(), Scale::Quick.construction_sizes().len());
-        // Flooding messages grow at least linearly in m; the last row's m is
-        // the largest, so its flooding count must be the largest too.
-        let flood: Vec<f64> = table.rows().iter().map(|r| r[3].parse().unwrap()).collect();
-        assert!(flood.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -1,15 +1,16 @@
 //! Experiment harness for the `kkt-spanning` workspace.
 //!
 //! The paper has no empirical tables or figures — its evaluation is a set of
-//! theorems (see `EXPERIMENTS.md`). Each function in
-//! [`experiments`] regenerates the measurement that checks one of those
-//! claims and returns a printable table; the `exp*` binaries are thin
-//! wrappers, and the Criterion benches in `benches/` time the same code.
+//! theorems (see `EXPERIMENTS.md`). [`claims`] measures E1–E8 into one
+//! sealed integer report per claim, and [`experiments`] E9–E16. Each `exp*`
+//! binary is a thin wrapper printing a table on stderr and JSON on stdout;
+//! the Criterion benches in `benches/` time the same code.
 //!
 //! Scale is controlled by [`Scale`]: the default keeps every binary under a
 //! few seconds; `KKT_SCALE=large` (environment variable) runs the sweeps the
 //! numbers in `EXPERIMENTS.md` were recorded with.
 
+pub mod claims;
 pub mod experiments;
 pub mod fleet;
 pub mod stats;
@@ -82,6 +83,14 @@ impl Scale {
             Scale::Large
         } else {
             panic!("KKT_SCALE={value:?} is not `quick` or `large`")
+        }
+    }
+
+    /// `quick` or `large`, as sealed reports record it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Large => "large",
         }
     }
 

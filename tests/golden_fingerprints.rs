@@ -5,7 +5,8 @@
 //! E14 tabulates, so its whole-report golden pins the cost anatomy too.
 //! Six generators' traces at n = 1024 and perfbench's two n = 4096 traces
 //! are pinned with the statistics [`Workload::validate`] computes for them.
-//! The quick exp1–exp8 tables are pinned as printed.
+//! The quick exp1–exp8 claims reports are pinned, and so are their tables as
+//! printed.
 //!
 //! Simulated cost (bits, messages, rounds) is the paper's quantity, and a
 //! refactor must never move it. Each report's fingerprint seals every cost
@@ -18,6 +19,7 @@
 //! report's layout: a change that only reshapes a report moves the
 //! whole-report fingerprint but not the cost golden.
 
+use kkt_bench::claims::{self, Claim};
 use kkt_bench::{experiments, Scale, DEFAULT_SEED};
 use kkt_core::TreeKind;
 use kkt_workloads::{
@@ -78,55 +80,64 @@ fn exp13_quick_n48_density_sweep_fingerprint_is_golden() {
     assert_eq!(costs, "e14132d8c9c0a21f");
 }
 
-// The quick E1–E8 tables at the default seed, each as its `exp*` binary
-// prints it: nothing else pins these claims' costs.
+// The quick E1–E8 claims reports at the default seed, and each table as its
+// `exp*` binary prints it (the tables were pinned before the claims report
+// existed, on the code that printed them from private trial loops).
 
 #[test]
 fn exp1_quick_table_is_golden() {
-    let table = experiments::exp1_mst_construction(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E1, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "fe49574dd813e96a");
+    assert_eq!(report.fingerprint, "178138f65edce223");
 }
 
 #[test]
 fn exp2_quick_table_is_golden() {
-    let table = experiments::exp2_st_construction(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E2, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "81a4741aa199c236");
+    assert_eq!(report.fingerprint, "7d0ec6173231d52e");
 }
 
 #[test]
 fn exp3_quick_table_is_golden() {
-    let table = experiments::exp3_mst_repair(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E3, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "e316ce2374413bf5");
+    assert_eq!(report.fingerprint, "e31e0b349fa4ed19");
 }
 
 #[test]
 fn exp4_quick_table_is_golden() {
-    let table = experiments::exp4_st_repair(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E4, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "eb3e87f3c243ae60");
+    assert_eq!(report.fingerprint, "64851b841a2a53be");
 }
 
 #[test]
 fn exp5_quick_table_is_golden() {
-    let table = experiments::exp5_testout_probability(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E5, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "ec867f89259e2aee");
+    assert_eq!(report.fingerprint, "68f819d0d182996c");
 }
 
 #[test]
 fn exp6_quick_table_is_golden() {
-    let table = experiments::exp6_find_primitives(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E6, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "198e60e372807065");
+    assert_eq!(report.fingerprint, "00bb43620b2f8bf0");
 }
 
 #[test]
 fn exp7_quick_table_is_golden() {
-    let table = experiments::exp7_superpoly_weights(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E7, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "856ebf716c0ac756");
+    assert_eq!(report.fingerprint, "6aeaa0f1915536ae");
 }
 
 #[test]
 fn exp8_quick_table_is_golden() {
-    let table = experiments::exp8_density_crossover(Scale::Quick, DEFAULT_SEED);
+    let (table, report) = claims::run(Claim::E8, Scale::Quick, DEFAULT_SEED);
     assert_eq!(fingerprint_hex(&table.to_string()), "4798fd05ae155a69");
+    assert_eq!(report.fingerprint, "c8e6f76187e54501");
 }
 
 /// exp12 at its quick n = 64 rung, with every wall-clock `seconds` zeroed:
