@@ -227,13 +227,14 @@ fn verify(kind: TreeKind, net: &Network) {
 /// coins from `seeds.1`.
 fn build(op: &str, graph: Graph, workload: &str, seed: u64, seeds: (u64, u64)) -> ClaimCell {
     let (config, mut coins) = (KktConfig::default(), StdRng::seed_from_u64(seeds.1));
-    let mut net = marked(&graph, &[], NetworkConfig { seed: seeds.0, ..NetworkConfig::default() });
+    let mut net = Network::new(graph, NetworkConfig { seed: seeds.0, ..NetworkConfig::default() });
     let mut cell = ClaimCell::new(&net, workload, seed, op);
     cell.run(&mut net, |net| match op {
         "kkt_mst" => build_mst(net, &config, &mut coins).map(drop).expect("Build MST converges"),
         "kkt_st" => build_st(net, &config, &mut coins).map(drop).expect("Build ST converges"),
         "ghs" => drop(build_mst_ghs(net)),
-        _ => build_st_by_flooding(net, 0).map(drop).expect("flooding spans"),
+        "flooding" => build_st_by_flooding(net, 0).map(drop).expect("flooding spans"),
+        _ => panic!("no build named {op}"),
     });
     verify(if matches!(op, "kkt_mst" | "ghs") { TreeKind::Mst } else { TreeKind::St }, &net);
     cell
@@ -339,7 +340,7 @@ pub fn clustered_complete(n: usize) -> Graph {
 /// network and coin stream `seed` XORed with a fixed offset.
 fn cells(claim: Claim, scale: Scale, seed: u64) -> Cells {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (sizes, trials) = (scale.construction_sizes(), scale.trials().max(3) as u64);
+    let (sizes, trials) = (scale.construction_sizes(), scale.trials() as u64);
     let n_to_the_1_5 = |n: usize| ((n as f64).powf(1.5) as usize).max(4 * n);
     let mut cells = Vec::new();
     match claim {
@@ -383,7 +384,7 @@ fn cells(claim: Claim, scale: Scale, seed: u64) -> Cells {
         Claim::E6 => {
             for n in sizes {
                 let g = connected_with_edges(n, 4 * n, 1_000, &mut rng);
-                cells.extend(searches(&g, "m=4n", seed, 300, (trials * 10).max(20), true));
+                cells.extend(searches(&g, "m=4n", seed, 300, trials * 10, true));
             }
         }
         Claim::E7 => {

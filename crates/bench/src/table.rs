@@ -16,7 +16,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    fn new(title: &str, header: &[&str]) -> Self {
         Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -35,7 +35,7 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    fn push_row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
 

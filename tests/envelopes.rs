@@ -122,8 +122,7 @@ fn mst_deletion_messages_stay_within_n_lgn_over_lglgn() {
         name: "messages per MST deletion / (n lg n / lg lg n)",
         measure: |n, seed| messages(n, MST, seed, "delete"),
         shape: |n| n * n.log2() / n.log2().log2(),
-        // Fitted: 10.61 to 20.17, growing 1.00x (7.51 to 19.60 and 0.85x
-        // when the cuts ran in sequence on one maintained forest).
+        // Fitted: 10.61 to 20.17, growing 1.00x.
         ceiling: 27.5,
         growth: 1.5,
     }
@@ -137,8 +136,7 @@ fn st_deletion_messages_stay_within_n() {
         name: "messages per ST deletion / n",
         measure: |n, seed| messages(n, ST, seed, "delete"),
         shape: |n| n,
-        // Fitted: 9.41 to 13.59, growing 1.25x (5.80 to 13.29 and 1.12x
-        // when the cuts ran in sequence on one maintained forest).
+        // Fitted: 9.41 to 13.59, growing 1.25x.
         ceiling: 18.5,
         growth: 1.5,
     }

@@ -81,8 +81,8 @@ fn exp13_quick_n48_density_sweep_fingerprint_is_golden() {
 }
 
 // The quick E1–E8 claims reports at the default seed, and each table as its
-// `exp*` binary prints it (the tables were pinned before the claims report
-// existed, on the code that printed them from private trial loops).
+// `exp*` binary prints it: a change to how a table renders its report moves
+// the table golden alone.
 
 #[test]
 fn exp1_quick_table_is_golden() {
