@@ -10,10 +10,10 @@
 //! bound).
 //!
 //! Most read the envelope preset: the builds (Theorem 1.1, Lemmas 3 and 6)
-//! and the impromptu repairs (Theorem 1.2) on `connected_with_edges(n, 4n,
-//! ·)` graphs at n ∈ {64, 128, 256} with two seeds, where each repair cuts
-//! a Kruskal forest edge on a fresh `RandomAsync { max_delay: 8 }` network
-//! and re-inserts it, through E3's and E4's repair code. Two checks pin the
+//! and the impromptu repairs (Theorem 1.2) on random connected graphs with
+//! m = 4n at n ∈ {64, 128, 256} with two seeds, where each repair cuts a
+//! Kruskal forest edge on a fresh `RandomAsync { max_delay: 8 }` network and
+//! re-inserts it, through E3's and E4's repair code. Two checks pin the
 //! model rather than a count: the o(m) separation, and every message fitting
 //! in a constant number of CONGEST words. The search primitives' bounds
 //! (Lemmas 1 and 4, §3.1, Appendix A) read the quick E5–E7 reports.
