@@ -26,7 +26,7 @@
 //! change none of the message asymptotics being compared.
 
 use kkt_congest::Network;
-use kkt_graphs::{EdgeId, UnionFind};
+use kkt_graphs::{EdgeId, UnionFind, UniqueWeight};
 
 use serde::{Deserialize, Serialize};
 
@@ -68,6 +68,23 @@ pub fn build_mst_ghs(net: &mut Network) -> GhsOutcome {
         let mut tree_edges: Vec<EdgeId> = Vec::new();
         let mut phases = Vec::new();
 
+        // Each node probes its incident edges cheapest first, as in GHS.
+        // Nothing changes the graph during a build (marking a tree edge
+        // leaves its weight alone), so every node's edges are sorted once
+        // here, by cached unique weight, and each phase reads the same
+        // order: node `x`'s edges are `by_weight[starts[x]..starts[x + 1]]`.
+        let g = net.graph();
+        let mut by_weight: Vec<(UniqueWeight, EdgeId)> = Vec::new();
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        for x in 0..n {
+            let begin = by_weight.len();
+            by_weight.extend(g.incident(x).map(|e| (g.unique_weight(e), e)));
+            by_weight[begin..].sort_unstable();
+            starts.push(by_weight.len());
+        }
+        let max_degree = kkt_graphs::metrics::degree_stats(g).max as u64;
+
         for phase in 1..=(2 * (usize::BITS - n.leading_zeros()) + 2) {
             let fragments = uf.component_count();
             if fragments == net.graph().component_count() {
@@ -76,15 +93,12 @@ pub fn build_mst_ghs(net: &mut Network) -> GhsOutcome {
             let mut probes = 0u64;
             let mut newly_rejected = 0u64;
 
-            // Each node probes its incident edges (cheapest first, as in GHS)
-            // until it finds one that leaves its fragment. Each probe costs a
-            // test message and a reply.
-            let mut best_per_fragment: Vec<Option<(kkt_graphs::UniqueWeight, EdgeId)>> =
-                vec![None; n];
+            // Each node probes its incident edges in that order until it
+            // finds one that leaves its fragment. Each probe costs a test
+            // message and a reply.
+            let mut best_per_fragment: Vec<Option<(UniqueWeight, EdgeId)>> = vec![None; n];
             for x in 0..n {
-                let mut incident: Vec<EdgeId> = net.graph().incident(x).collect();
-                incident.sort_by_key(|&e| net.graph().unique_weight(e));
-                for e in incident {
+                for &(w, e) in &by_weight[starts[x]..starts[x + 1]] {
                     if net.forest().is_marked(e) {
                         continue;
                     }
@@ -106,7 +120,7 @@ pub fn build_mst_ghs(net: &mut Network) -> GhsOutcome {
                     // Outgoing edge found: remember it as this node's candidate
                     // and stop probing (GHS nodes stop at their local minimum).
                     let root = uf.find(x);
-                    let candidate = (net.graph().unique_weight(e), e);
+                    let candidate = (w, e);
                     if best_per_fragment[root].is_none_or(|cur| candidate < cur) {
                         best_per_fragment[root] = Some(candidate);
                     }
@@ -122,7 +136,6 @@ pub fn build_mst_ghs(net: &mut Network) -> GhsOutcome {
                 net.cost_mut().record_message(word);
                 net.cost_mut().record_message(word);
             }
-            let max_degree = kkt_graphs::metrics::degree_stats(net.graph()).max as u64;
             net.cost_mut().record_time(2 * (max_degree + 1));
 
             // Merge along the chosen edges.

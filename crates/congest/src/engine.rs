@@ -166,9 +166,9 @@ pub struct RunStats {
 /// state. During the run the engine routes through the pooled `u32` slot
 /// table in `EngineScratch` (two array indexations per delivery, no hash,
 /// no per-run `memset` — the table is repaired O(touched) at run end); the
-/// returned map carries the activation-ordered entries plus a small
-/// node-sorted index, so [`ProgramMap::get`] stays O(log touched) without
-/// borrowing engine state. Program state (and the cached KT1 view the engine
+/// returned map carries the activation-ordered entries plus a node-ordered
+/// index, so [`ProgramMap::get`] stays O(log touched) without borrowing
+/// engine state. Program state (and the cached KT1 view the engine
 /// keeps alongside) is still materialised only for nodes that were actually
 /// activated — simulating an operation on a small fragment stays
 /// proportional to the fragment.
@@ -181,10 +181,22 @@ pub struct ProgramMap<P> {
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// The node-sorted index of a run's entries: the touched nodes, sorted as
-/// compact `u32`s, then mapped to their entry indices through the slot
-/// table. Must run before [`EngineScratch::end_run`] clears the table.
+/// The node-ordered index of a run's entries: their entry indices in
+/// ascending node order, read through the slot table. Must run before
+/// [`EngineScratch::end_run`] clears the table.
+///
+/// A run that touched `t` of the table's `n` nodes gets the cheaper of two
+/// ways to the same `Vec` (capacity `t`): when `t·⌈lg t⌉ ≥ n` (a wave over a
+/// whole tree), one O(n) pass over the table in node order; otherwise (the
+/// many small fragment runs of a build) the touched nodes sorted as compact
+/// `u32`s, O(t log t), then mapped through the table.
 fn index_by_node<P>(entries: &[(NodeId, P)], slots: &[u32]) -> Vec<u32> {
+    let t = entries.len();
+    if t * t.next_power_of_two().trailing_zeros() as usize >= slots.len() {
+        let mut by_node = Vec::with_capacity(t);
+        by_node.extend(slots.iter().copied().filter(|&slot| slot != EMPTY_SLOT));
+        return by_node;
+    }
     let mut by_node: Vec<u32> = entries.iter().map(|&(x, _)| x as u32).collect();
     by_node.sort_unstable();
     for handle in &mut by_node {
@@ -307,7 +319,7 @@ fn drain_staged<M>(
 ) -> Result<(), CongestError> {
     for staged in out.staged.drain(..) {
         let to = staged.to as NodeId;
-        if view.edge_to(to).is_none() {
+        if !view.has_neighbor(to) {
             return Err(CongestError::NotANeighbor { from: view.node, to });
         }
         if let Some(limit) = config.bandwidth_limit {
@@ -728,6 +740,8 @@ mod tests {
 
     #[test]
     fn program_map_lookup_matches_iteration() {
+        // A run over every node: t = n = 40 and t·⌈lg t⌉ ≥ n, so
+        // `index_by_node` reads the slot table in node order.
         let mut network = net(40, 0.15, 6);
         let (programs, _) = Engine::run_all(&mut network, |_| CountTokens { received: 0 }).unwrap();
         assert_eq!(programs.len(), 40);
@@ -741,8 +755,9 @@ mod tests {
         assert!(programs.get(usize::MAX - 1).is_none());
 
         // A partial run: a relay from node 0 touches a handful of nodes, in
-        // an activation order that is not node order. The index answers for
-        // exactly those nodes.
+        // an activation order that is not node order. At most 7 nodes, so
+        // t·⌈lg t⌉ ≤ 21 < n and `index_by_node` sorts them. The index answers
+        // for exactly those nodes.
         let (programs, _) = Engine::run(&mut network, &[0], |_| Relay { hops_left: 6 }).unwrap();
         let touched: Vec<NodeId> = programs.iter().map(|(x, _)| x).collect();
         assert!(touched.len() > 1 && touched.len() < 40, "a partial run, got {touched:?}");

@@ -111,8 +111,10 @@ pub struct IncidentEdge {
 /// Alongside the incident-edge list the view carries two derived indexes
 /// built once at view-construction time: the marked degree (O(1)
 /// [`NodeView::tree_degree`], consulted by every broadcast-and-echo
-/// activation) and a neighbour-sorted index (O(log deg)
-/// [`NodeView::edge_to`], consulted by the engine for every staged message).
+/// activation) and the sorted neighbour handles, the engine's O(log deg)
+/// adjacency check for every staged message. One binary search over that
+/// compact array answers the check without touching `incident`; the rarer
+/// [`NodeView::edge_to`] scans `incident` for the edge itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeView {
     /// Simulation handle of this node.
@@ -126,8 +128,9 @@ pub struct NodeView {
     pub id_bits: u32,
     /// All live incident edges.
     pub incident: Vec<IncidentEdge>,
-    /// Indices into `incident`, sorted by neighbour handle.
-    by_neighbor: Vec<u32>,
+    /// The neighbour handles of `incident`, sorted (handles fit in `u32`:
+    /// [`Graph`] caps the node count there).
+    neighbors: Vec<u32>,
     /// Number of marked incident edges.
     tree_deg: u32,
 }
@@ -141,10 +144,10 @@ impl NodeView {
         id_bits: u32,
         incident: Vec<IncidentEdge>,
     ) -> NodeView {
-        let mut by_neighbor: Vec<u32> = (0..incident.len() as u32).collect();
-        by_neighbor.sort_unstable_by_key(|&i| incident[i as usize].neighbor);
+        let mut neighbors: Vec<u32> = incident.iter().map(|e| e.neighbor as u32).collect();
+        neighbors.sort_unstable();
         let tree_deg = incident.iter().filter(|e| e.marked).count() as u32;
-        NodeView { node, id, n, id_bits, incident, by_neighbor, tree_deg }
+        NodeView { node, id, n, id_bits, incident, neighbors, tree_deg }
     }
 
     /// Incident edges that are currently marked (tree edges).
@@ -167,16 +170,19 @@ impl NodeView {
         self.incident.len()
     }
 
-    /// Index into [`NodeView::incident`] of the edge leading to `neighbor`,
-    /// if any. O(log deg) via the neighbour-sorted index.
-    pub fn incident_index_to(&self, neighbor: NodeId) -> Option<usize> {
-        self.by_neighbor
-            .binary_search_by_key(&neighbor, |&i| self.incident[i as usize].neighbor)
-            .ok()
-            .map(|pos| self.by_neighbor[pos] as usize)
+    /// Whether an edge leads to `neighbor`: one binary search over the
+    /// sorted neighbour handles. O(log deg).
+    pub(crate) fn has_neighbor(&self, neighbor: NodeId) -> bool {
+        u32::try_from(neighbor).is_ok_and(|handle| self.neighbors.binary_search(&handle).is_ok())
     }
 
-    /// The incident edge leading to `neighbor`, if any. O(log deg).
+    /// Index into [`NodeView::incident`] of the edge leading to `neighbor`,
+    /// if any. O(deg): a scan of `incident`.
+    pub fn incident_index_to(&self, neighbor: NodeId) -> Option<usize> {
+        self.incident.iter().position(|e| e.neighbor == neighbor)
+    }
+
+    /// The incident edge leading to `neighbor`, if any. O(deg).
     pub fn edge_to(&self, neighbor: NodeId) -> Option<&IncidentEdge> {
         self.incident_index_to(neighbor).map(|i| &self.incident[i])
     }
@@ -640,17 +646,24 @@ mod tests {
         let mut net = network();
         let mst = kkt_graphs::kruskal(net.graph());
         net.mark_all(&mst.edges);
-        let v = net.view(1);
-        let tn: Vec<NodeId> = v.tree_neighbors().collect();
-        assert_eq!(tn.len(), v.tree_degree());
-        for inc in &v.incident {
-            assert_eq!(v.edge_to(inc.neighbor).unwrap().edge, inc.edge, "indexed lookup");
-            assert_eq!(
-                v.incident_index_to(inc.neighbor).map(|i| v.incident[i].edge),
-                Some(inc.edge)
-            );
+        let g = net.graph();
+        for x in g.nodes() {
+            let v = net.view(x);
+            let tn: Vec<NodeId> = v.tree_neighbors().collect();
+            assert_eq!(tn.len(), v.tree_degree());
+            for inc in &v.incident {
+                assert_eq!(v.edge_to(inc.neighbor).unwrap().edge, inc.edge, "node {x}");
+                assert_eq!(
+                    v.incident_index_to(inc.neighbor).map(|i| v.incident[i].edge),
+                    Some(inc.edge)
+                );
+            }
+            let stranger = g.nodes().find(|&y| y != x && g.edge_between(x, y).is_none());
+            let stranger = stranger.expect("a sparse graph leaves every node a non-neighbour");
+            for absent in [stranger, x, usize::MAX] {
+                assert!(v.edge_to(absent).is_none(), "node {x}: {absent}");
+                assert!(v.incident_index_to(absent).is_none(), "node {x}: {absent}");
+            }
         }
-        assert!(v.edge_to(usize::MAX).is_none());
-        assert!(v.edge_to(v.node).is_none(), "no self-loop entry");
     }
 }

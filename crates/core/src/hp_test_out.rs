@@ -23,14 +23,15 @@
 use kkt_congest::broadcast_echo::{run_broadcast_echo, TreeAggregate};
 use kkt_congest::{BitSized, Network, NodeView};
 use kkt_graphs::NodeId;
-use kkt_hashing::set_equality::EdgeSetPoly;
+use kkt_hashing::modular::mul_mod;
+use kkt_hashing::set_equality::{EdgeSetPoly, SetEqualitySketch};
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::weights::{augmented_weight, WeightInterval};
+use crate::weights::{augmented_weight, compact_key, WeightInterval};
 
 /// The predetermined prime `2^61 − 1` used for the polynomial identity test.
-pub const HP_PRIME: u64 = (1u64 << 61) - 1;
+pub const HP_PRIME: u64 = kkt_hashing::modular::P;
 
 /// Broadcast payload of HP-TestOut: the evaluation point and the interval.
 #[derive(Debug, Clone, Copy)]
@@ -83,32 +84,29 @@ impl TreeAggregate for HpAggregate {
     }
 
     fn local(&self, view: &NodeView, down: &HpDown) -> HpUp {
-        let ctx = EdgeSetPoly::new(HP_PRIME, down.alpha);
-        let in_interval =
-            |e: &kkt_congest::IncidentEdge| down.interval.contains(augmented_weight(view, e));
-        // Out-edges: this node is the smaller-ID endpoint (the tail of the
-        // canonical orientation). In-edges: it is the head.
-        let out_keys = view
-            .incident
-            .iter()
-            .filter(|e| in_interval(e) && view.id < e.neighbor_id)
-            .map(|e| crate::weights::compact_key(e.edge_number, view.id_bits));
-        let in_keys = view
-            .incident
-            .iter()
-            .filter(|e| in_interval(e) && view.id > e.neighbor_id)
-            .map(|e| crate::weights::compact_key(e.edge_number, view.id_bits));
-        HpUp { up_product: ctx.eval(out_keys).value(), down_product: ctx.eval(in_keys).value() }
+        let ctx = EdgeSetPoly::new(down.alpha);
+        let (mut out_edges, mut in_edges) = (SetEqualitySketch::EMPTY, SetEqualitySketch::EMPTY);
+        // One pass: each in-interval edge folds into one of the products.
+        for e in &view.incident {
+            if !down.interval.contains(augmented_weight(view, e)) {
+                continue;
+            }
+            let key = compact_key(e.edge_number, view.id_bits);
+            // Out-edges: this node is the smaller-ID endpoint (the tail of
+            // the canonical orientation). In-edges: it is the head.
+            if view.id < e.neighbor_id {
+                out_edges = ctx.add(out_edges, key);
+            } else if view.id > e.neighbor_id {
+                in_edges = ctx.add(in_edges, key);
+            }
+        }
+        HpUp { up_product: out_edges.value(), down_product: in_edges.value() }
     }
 
     fn combine(&self, _view: &NodeView, acc: HpUp, child: HpUp) -> HpUp {
         HpUp {
-            up_product: kkt_hashing::modular::mul_mod(acc.up_product, child.up_product, HP_PRIME),
-            down_product: kkt_hashing::modular::mul_mod(
-                acc.down_product,
-                child.down_product,
-                HP_PRIME,
-            ),
+            up_product: mul_mod(acc.up_product, child.up_product),
+            down_product: mul_mod(acc.down_product, child.down_product),
         }
     }
 

@@ -92,7 +92,9 @@ impl TreeAggregate for TestOutAggregate {
             if !down.interval.contains(aw) {
                 continue;
             }
-            let Some(i) = subintervals.iter().position(|iv| iv.contains(aw)) else { continue };
+            // The sub-intervals are sorted and contiguous and cover
+            // `down.interval`, so the first whose top reaches `aw` holds it.
+            let i = subintervals.partition_point(|iv| iv.hi < aw);
             let key = compact_key(edge.edge_number, view.id_bits);
             for (r, hash) in hashes.iter().enumerate() {
                 if hash.bit(key) {

@@ -110,8 +110,13 @@ impl WeightInterval {
     pub fn split(&self, parts: u32) -> Vec<WeightInterval> {
         let parts = parts.max(1) as u128;
         let width = self.width();
-        // Ceiling division without overflowing near u128::MAX.
-        let chunk = (width / parts + if width.is_multiple_of(parts) { 0 } else { 1 }).max(1);
+        // Ceiling division without overflowing near u128::MAX, in u64 when
+        // the width fits (a hardware divide instead of a 128-bit one).
+        let chunk = match u64::try_from(width) {
+            Ok(width) => width.div_ceil(parts as u64) as u128,
+            Err(_) => width / parts + if width.is_multiple_of(parts) { 0 } else { 1 },
+        }
+        .max(1);
         let mut out = Vec::new();
         let mut lo = self.lo;
         for part in 0..parts {

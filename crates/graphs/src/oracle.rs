@@ -11,8 +11,14 @@
 //!
 //! * **insert** — if the endpoints are in different trees, the new edge
 //!   links them (cut rule); otherwise it swaps with the heaviest edge on the
-//!   tree path between its endpoints if it is lighter (cycle rule). One
-//!   search of the tree holding the endpoints: `O(n)`;
+//!   tree path between its endpoints if it is lighter (cycle rule). The path
+//!   is found by searching the forest from both endpoints in lockstep, one
+//!   node each in turn, until one search reaches the other's region (the
+//!   path is then the two parent chains joined by that edge) or runs out
+//!   (the endpoints are then in different trees). The two searches expand
+//!   equally many nodes, so an insertion between two trees costs at most
+//!   twice the smaller tree, and one inside a tree stops where the searches
+//!   meet instead of exploring the whole tree;
 //! * **delete** of a tree edge — the lightest live edge crossing the severed
 //!   cut re-links the two sides (cut rule). Both sides are searched in
 //!   lockstep, and only the side that is exhausted first has its incident
@@ -22,8 +28,9 @@
 //!   (Theorem 1.2). Non-tree deletions are free;
 //! * **weight change** — an increase on a tree edge re-justifies it against
 //!   the cut it covers (the same smaller-side search); a decrease on a
-//!   non-tree edge re-tests the cycle it closes; the two remaining
-//!   directions cannot change the forest.
+//!   non-tree edge re-tests the cycle it closes (the same two-ended path
+//!   search as an insertion); the two remaining directions cannot change the
+//!   forest.
 //!
 //! Because all [`UniqueWeight`]s are distinct the minimum spanning forest is
 //! unique, so the incremental forest and Kruskal's output are comparable
@@ -52,7 +59,8 @@ pub struct ShadowOracle {
     /// Epoch-stamped visit marks for the BFS scratch space (O(1) reset).
     visited: Vec<u64>,
     epoch: u64,
-    /// BFS queue scratch, reused across updates: one per side of a cut.
+    /// BFS queue scratch, reused across updates: one per side of a cut or
+    /// end of a path.
     queues: [Vec<NodeId>; 2],
     /// BFS parent-edge scratch (valid where `visited` matches the epoch).
     parent_edge: Vec<Option<EdgeId>>,
@@ -137,50 +145,55 @@ impl ShadowOracle {
         self.tree_edge_count -= 1;
     }
 
-    /// BFS over forest edges from `from` until `to` is reached. Marks
-    /// visited nodes with the current epoch and records parent edges.
-    /// Returns whether `to` was reached.
-    fn bfs_tree(&mut self, from: NodeId, to: NodeId) -> bool {
-        self.epoch += 1;
-        let queue = &mut self.queues[0];
-        queue.clear();
-        queue.push(from);
-        self.visited[from] = self.epoch;
-        self.parent_edge[from] = None;
-        let mut head = 0;
-        while let Some(&x) = queue.get(head) {
-            head += 1;
-            if x == to {
-                return true;
-            }
-            for &e in &self.tree_adj[x] {
-                let y = self.graph.edge(e).other(x);
-                if self.visited[y] != self.epoch {
-                    self.visited[y] = self.epoch;
-                    self.parent_edge[y] = Some(e);
-                    queue.push(y);
-                }
-            }
-        }
-        false
-    }
-
     /// The heaviest edge on the forest path between `a` and `b`, or `None`
     /// if they are in different trees.
+    ///
+    /// One BFS per endpoint, each marked with its own epoch and recording
+    /// parent edges, takes a node in turn, as in
+    /// [`ShadowOracle::lightest_leaving`]. The first edge from one search
+    /// into the other's region closes the path: the parent chain back to
+    /// `a`, that edge, and the parent chain back to `b`. Weights are unique,
+    /// so its heaviest edge is the same as a one-ended search finds. If one
+    /// search runs out first, its whole tree was searched without reaching
+    /// the other endpoint.
     fn heaviest_on_path(&mut self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        if a == b || !self.bfs_tree(a, b) {
+        if a == b {
             return None;
         }
-        let mut heaviest: Option<(UniqueWeight, EdgeId)> = None;
-        let mut x = b;
-        while let Some(e) = self.parent_edge[x] {
-            let w = self.graph.unique_weight(e);
-            if heaviest.is_none_or(|(hw, _)| w > hw) {
-                heaviest = Some((w, e));
-            }
-            x = self.graph.edge(e).other(x);
+        self.epoch += 2;
+        let marks = [self.epoch - 1, self.epoch];
+        let mut heads = [0; 2];
+        for (side, start) in [a, b].into_iter().enumerate() {
+            self.queues[side].clear();
+            self.queues[side].push(start);
+            self.visited[start] = marks[side];
+            self.parent_edge[start] = None;
         }
-        heaviest.map(|(_, e)| e)
+        let (meet, ends) = 'search: loop {
+            for side in 0..2 {
+                let &x = self.queues[side].get(heads[side])?;
+                heads[side] += 1;
+                for &e in &self.tree_adj[x] {
+                    let y = self.graph.edge(e).other(x);
+                    if self.visited[y] == marks[1 - side] {
+                        break 'search (e, [x, y]);
+                    }
+                    if self.visited[y] != marks[side] {
+                        self.visited[y] = marks[side];
+                        self.parent_edge[y] = Some(e);
+                        self.queues[side].push(y);
+                    }
+                }
+            }
+        };
+        let mut heaviest = (self.graph.unique_weight(meet), meet);
+        for mut x in ends {
+            while let Some(e) = self.parent_edge[x] {
+                heaviest = heaviest.max((self.graph.unique_weight(e), e));
+                x = self.graph.edge(e).other(x);
+            }
+        }
+        Some(heaviest.1)
     }
 
     /// The lightest live edge across the cut between the trees of `u` and
@@ -464,6 +477,75 @@ mod tests {
         oracle2.insert(0, 2, 99).unwrap();
         oracle2.self_check().unwrap();
         assert!(!oracle2.forest().contains(oracle2.graph().edge_between(0, 2).unwrap()));
+    }
+
+    /// A path `first, first + 1, …, first + len − 1` in `g`, edge `i` of it
+    /// weighing `weight(i)`.
+    fn add_path(g: &mut Graph, first: NodeId, len: usize, weight: impl Fn(usize) -> Weight) {
+        for i in 0..len - 1 {
+            g.add_edge(first + i, first + i + 1, weight(i)).unwrap();
+        }
+    }
+
+    #[test]
+    fn insertion_joining_the_ends_of_a_long_path_evicts_its_heaviest_edge() {
+        // The two searches meet inside the path; the heaviest edge is put in
+        // turn on the chain back to each end and on the meeting edge.
+        let n = 33;
+        for heavy in 0..n - 1 {
+            let mut g = Graph::new(n);
+            add_path(&mut g, 0, n, |i| if i == heavy { 1_000 } else { 100 + i as Weight });
+            let heavy_edge = g.edge_between(heavy, heavy + 1).unwrap();
+            let mut oracle = ShadowOracle::new(&g);
+            oracle.set_paranoid(true);
+            let mut lighter = oracle.clone();
+            // Paranoid mode checks each forest against Kruskal.
+            lighter.insert(0, n - 1, 500).unwrap();
+            assert!(!lighter.is_tree_edge(heavy_edge), "heavy edge {heavy}");
+            assert!(lighter.is_tree_edge(lighter.graph().edge_between(0, n - 1).unwrap()));
+            oracle.insert(n - 1, 0, 2_000).unwrap();
+            assert!(oracle.is_tree_edge(heavy_edge), "heavy edge {heavy}");
+            assert_eq!(oracle.component_count(), 1);
+        }
+    }
+
+    #[test]
+    fn insertion_between_two_trees_links_them() {
+        // A 20-node path and a 5-node path: the search from the short one
+        // runs out first, whichever end the insertion names first.
+        for (u, v) in [(0, 24), (24, 0), (19, 20), (7, 22)] {
+            let mut g = Graph::new(25);
+            add_path(&mut g, 0, 20, |i| 10 + i as Weight);
+            add_path(&mut g, 20, 5, |i| 50 + i as Weight);
+            let mut oracle = ShadowOracle::new(&g);
+            oracle.set_paranoid(true);
+            assert_eq!(oracle.component_count(), 2);
+            oracle.insert(u, v, 1_000).unwrap();
+            assert!(oracle.is_tree_edge(oracle.graph().edge_between(u, v).unwrap()), "({u}, {v})");
+            assert_eq!(oracle.component_count(), 1);
+        }
+    }
+
+    #[test]
+    fn non_tree_weight_decrease_across_a_long_cycle_evicts_its_heaviest_path_edge() {
+        // A 40-node cycle whose closing edge {0, 39} starts out the heaviest.
+        let n = 40;
+        let mut g = Graph::new(n);
+        add_path(&mut g, 0, n, |i| if i == 13 { 900 } else { 100 + i as Weight });
+        let closing = g.add_edge(0, n - 1, 10_000).unwrap();
+        let heavy_edge = g.edge_between(13, 14).unwrap();
+        let mut oracle = ShadowOracle::new(&g);
+        oracle.set_paranoid(true);
+        assert!(!oracle.is_tree_edge(closing));
+        // Still heavier than every path edge: nothing moves.
+        oracle.change_weight(0, n - 1, 950).unwrap();
+        assert!(!oracle.is_tree_edge(closing));
+        assert!(oracle.is_tree_edge(heavy_edge));
+        // Lighter than the heaviest path edge: the two swap.
+        oracle.change_weight(n - 1, 0, 800).unwrap();
+        assert!(oracle.is_tree_edge(closing));
+        assert!(!oracle.is_tree_edge(heavy_edge));
+        assert_eq!(oracle.component_count(), 1);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! * [`set_equality`] — Schwartz–Zippel polynomial identity testing over
 //!   `Z_p`, the engine of `HP-TestOut` (§2.2, citing Blum–Kannan).
 //!
-//! Supporting module: [`modular`] (overflow-free `Z_p` arithmetic). The
-//! pairwise family and HP-TestOut both work modulo the fixed prime
-//! `2^61 − 1`, so no prime is chosen at run time. Node IDs are below `2^32`
-//! (the simulator rejects larger ones), so no ID space needs compressing
+//! Supporting module: [`modular`] (`Z_p` arithmetic for the Mersenne prime
+//! `p = 2^61 − 1`, by shift-and-add). The pairwise family and HP-TestOut
+//! both work modulo that fixed prime, so no prime is chosen at run time.
+//! Node IDs are below `2^30` (the simulator rejects larger ones), so two of
+//! them pack into an edge key below `p` and no ID space needs compressing
 //! either: §1's Karp–Rabin step has no counterpart here.
 //!
 //! # Example: an odd hash detects a non-empty cut with constant probability

@@ -16,11 +16,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::modular::{add_mod, mul_mod};
-
-/// The Mersenne prime `2^61 − 1`. Keys are reduced mod `P` before hashing,
-/// so the family is 2-wise independent on the residues.
-const P: u64 = (1u64 << 61) - 1;
+use crate::modular::{add_mod, mul_mod, P};
 
 /// A member of the pairwise-independent family `x ↦ ((a·x + b) mod p) mod r`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,7 +52,9 @@ impl PairwiseHash {
 
     /// Evaluates the hash in `[0, r)`.
     pub fn eval(&self, x: u64) -> u64 {
-        let v = add_mod(mul_mod(self.a, x % P, P), self.b, P);
+        // Keys are reduced mod `P` first, so the family is 2-wise
+        // independent on the residues.
+        let v = add_mod(mul_mod(self.a, x), self.b);
         v & (self.r - 1)
     }
 

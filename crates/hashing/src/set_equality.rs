@@ -14,39 +14,37 @@
 //!
 //! The sketch is a single element of `Z_p`, multiplicative under disjoint
 //! union, so it aggregates up a broadcast-and-echo tree in `O(log p)`-bit
-//! messages — exactly the cost HP-TestOut is charged in the paper.
+//! messages — exactly the cost HP-TestOut is charged in the paper. The
+//! prime is the fixed Mersenne prime [`crate::modular::P`] `= 2^61 − 1`.
 
 use serde::{Deserialize, Serialize};
 
-use crate::modular::{mul_mod, sub_mod};
+use crate::modular::{mul_mod, reduce, sub_mod};
 
-/// Evaluation context for the characteristic polynomial of an edge multiset:
-/// the prime `p` and the random evaluation point `α`.
+/// Evaluation context for the characteristic polynomial of an edge multiset
+/// over `Z_p`, `p = 2^61 − 1`: the random evaluation point `α`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EdgeSetPoly {
-    p: u64,
     alpha: u64,
 }
 
 impl EdgeSetPoly {
     /// Creates an evaluation context. `alpha` is reduced modulo `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p < 2`.
-    pub fn new(p: u64, alpha: u64) -> Self {
-        assert!(p >= 2, "the modulus must be at least 2");
-        EdgeSetPoly { p, alpha: alpha % p }
+    pub fn new(alpha: u64) -> Self {
+        EdgeSetPoly { alpha: reduce(alpha) }
     }
 
     /// Evaluates `Π (α − key) mod p` over the given multiset of edge keys —
     /// the per-node local computation `Local↑` / `Local↓` of HP-TestOut.
     pub fn eval<I: IntoIterator<Item = u64>>(&self, keys: I) -> SetEqualitySketch {
-        let mut acc = 1u64;
-        for k in keys {
-            acc = mul_mod(acc, sub_mod(self.alpha, k % self.p, self.p), self.p);
-        }
-        SetEqualitySketch { value: acc }
+        keys.into_iter().fold(SetEqualitySketch::EMPTY, |sketch, key| self.add(sketch, key))
+    }
+
+    /// The sketch of `sketch`'s multiset plus one `key`: one more factor
+    /// `(α − key)`. Folding keys in one at a time lets a caller build several
+    /// sketches in one pass over its edges.
+    pub fn add(&self, sketch: SetEqualitySketch, key: u64) -> SetEqualitySketch {
+        SetEqualitySketch { value: mul_mod(sketch.value, sub_mod(self.alpha, key)) }
     }
 }
 
@@ -58,6 +56,9 @@ pub struct SetEqualitySketch {
 }
 
 impl SetEqualitySketch {
+    /// The sketch of the empty multiset: the empty product, 1.
+    pub const EMPTY: SetEqualitySketch = SetEqualitySketch { value: 1 };
+
     /// The raw `Z_p` value (what is put on the wire during the echo). The
     /// sketches of disjoint multisets combine by multiplying their values
     /// in `Z_p` ([`crate::modular::mul_mod`]).
@@ -72,11 +73,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The fixed prime HP-TestOut evaluates over.
-    const P: u64 = (1 << 61) - 1;
+    use crate::modular::P;
 
     fn ctx(alpha: u64) -> EdgeSetPoly {
-        EdgeSetPoly::new(P, alpha)
+        EdgeSetPoly::new(alpha)
     }
 
     #[test]
@@ -126,7 +126,7 @@ mod tests {
         let left: Vec<u64> = (0..20).map(|_| rng.gen_range(1..1u64 << 35)).collect();
         let right: Vec<u64> = (0..33).map(|_| rng.gen_range(1..1u64 << 35)).collect();
         let combined =
-            mul_mod(c.eval(left.iter().copied()).value(), c.eval(right.iter().copied()).value(), P);
+            mul_mod(c.eval(left.iter().copied()).value(), c.eval(right.iter().copied()).value());
         let concatenated = c.eval(left.iter().chain(right.iter()).copied());
         assert_eq!(combined, concatenated.value());
     }
@@ -137,12 +137,24 @@ mod tests {
         let c = ctx(5);
         let s = c.eval([3u64, 14, 15]);
         assert_eq!(c.eval(std::iter::empty()).value(), 1);
-        assert_eq!(mul_mod(s.value(), 1, P), s.value());
+        assert_eq!(mul_mod(s.value(), 1), s.value());
+        assert_eq!(c.eval(std::iter::empty()), SetEqualitySketch::EMPTY);
     }
 
     #[test]
-    #[should_panic]
-    fn tiny_modulus_rejected() {
-        EdgeSetPoly::new(1, 0);
+    fn keys_and_alpha_are_read_modulo_p() {
+        // α and every key enter as residues, as the u128 `%` path took them.
+        let c = ctx(P + 5);
+        assert_eq!(c, ctx(5));
+        assert_eq!(c.eval([3u64, P + 14]), c.eval([P + 3, 14]));
+    }
+
+    #[test]
+    fn adding_keys_one_at_a_time_matches_eval() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let c = ctx(rng.gen());
+        let keys: Vec<u64> = (0..40).map(|_| rng.gen()).collect();
+        let folded = keys.iter().fold(SetEqualitySketch::EMPTY, |s, &k| c.add(s, k));
+        assert_eq!(folded, c.eval(keys));
     }
 }
