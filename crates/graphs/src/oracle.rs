@@ -490,9 +490,11 @@ mod tests {
     #[test]
     fn insertion_joining_the_ends_of_a_long_path_evicts_its_heaviest_edge() {
         // The two searches meet inside the path; the heaviest edge is put in
-        // turn on the chain back to each end and on the meeting edge.
-        let n = 33;
-        for heavy in 0..n - 1 {
+        // turn on the chain back to each end and on the meeting edge, and
+        // either end may be named first, on paths of odd and even length.
+        for (n, heavy, ends) in (32..34)
+            .flat_map(|n| (0..n - 1).flat_map(move |h| [(n, h, (0, n - 1)), (n, h, (n - 1, 0))]))
+        {
             let mut g = Graph::new(n);
             add_path(&mut g, 0, n, |i| if i == heavy { 1_000 } else { 100 + i as Weight });
             let heavy_edge = g.edge_between(heavy, heavy + 1).unwrap();
@@ -500,11 +502,11 @@ mod tests {
             oracle.set_paranoid(true);
             let mut lighter = oracle.clone();
             // Paranoid mode checks each forest against Kruskal.
-            lighter.insert(0, n - 1, 500).unwrap();
-            assert!(!lighter.is_tree_edge(heavy_edge), "heavy edge {heavy}");
+            lighter.insert(ends.0, ends.1, 500).unwrap();
+            assert!(!lighter.is_tree_edge(heavy_edge), "n {n}, heavy edge {heavy}, {ends:?}");
             assert!(lighter.is_tree_edge(lighter.graph().edge_between(0, n - 1).unwrap()));
-            oracle.insert(n - 1, 0, 2_000).unwrap();
-            assert!(oracle.is_tree_edge(heavy_edge), "heavy edge {heavy}");
+            oracle.insert(ends.0, ends.1, 2_000).unwrap();
+            assert!(oracle.is_tree_edge(heavy_edge), "n {n}, heavy edge {heavy}, {ends:?}");
             assert_eq!(oracle.component_count(), 1);
         }
     }
