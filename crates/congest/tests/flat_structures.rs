@@ -138,7 +138,7 @@ impl Protocol for Probe {
 fn cached_network_matches_fresh_network_on_dense_graphs() {
     // The E13 dense rung (`m/n = n/2`, the complete graph): every node's
     // cached view carries Θ(n) incident entries, every churn primitive
-    // dirties two views of that size, and the neighbor-sorted `edge_to`
+    // dirties two views of that size, and the sorted neighbour-handle
     // index runs at its widest. The 64-case sweep below tops out around
     // `p = 0.3`; this one holds the network at (and just below) K_n through
     // delete/insert/reweight/mark cycles and demands byte-identical engine

@@ -3,7 +3,7 @@
 //! [`Graph`] is the simulator's ground-truth topology. Nodes are dense indices
 //! `0..n`; each carries a distributed *identifier* drawn from a (possibly much
 //! larger) ID space, matching the KT1 model where IDs live in `{1, .., n^c}`.
-//! The simulator (`kkt_congest::Network::new`) accepts IDs below `2^32`.
+//! The simulator (`kkt_congest::Network::new`) accepts IDs below `2^30`.
 //!
 //! # Data plane
 //!
