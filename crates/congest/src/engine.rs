@@ -18,11 +18,11 @@
 //!
 //! # The hot loop
 //!
-//! Deliveries are driven by the O(1) calendar queue of [`crate::queue`]
-//! (both schedulers bound delays by a small integer, so a `max_delay + 1`
-//! tick wheel replaces the old `BinaryHeap` bit-for-bit — see that module's
-//! order-equivalence argument). Message payloads never move through the
-//! queue: they are interned in the run's `PayloadArena` at
+//! Deliveries are driven by an O(1) calendar queue, the crate's only
+//! delivery queue: both schedulers bound delays by a small integer, so a
+//! ring of `max_delay + 1` tick buckets holds every message in flight and
+//! drains them in exact `(time, seq)` order. Message payloads never move
+//! through the queue: they are interned in the run's `PayloadArena` at
 //! send time and travel as `u32` handles, and the queue, tick buffer,
 //! staging buffer and program-slot table are pooled in the network's
 //! `EngineScratch` across runs — steady-state delivery performs **zero
@@ -61,7 +61,9 @@ pub enum Scheduler {
     Synchronous,
     /// Every message independently takes a uniform delay in `[1, max_delay]`.
     RandomAsync {
-        /// Maximum per-message delay (≥ 1).
+        /// Maximum per-message delay (≥ 1; 0 counts as 1). At most 4095: the
+        /// delivery queue holds delays below 4096, and a [`Network`] given a
+        /// larger one panics.
         max_delay: u64,
     },
 }
@@ -74,8 +76,8 @@ impl Scheduler {
         }
     }
 
-    /// The largest delay [`Scheduler::delay`] can return — the wheel width
-    /// the calendar queue sizes itself to.
+    /// The largest delay [`Scheduler::delay`] can return — the calendar
+    /// queue holds `max_delay_bound() + 1` ticks.
     pub(crate) fn max_delay_bound(&self) -> u64 {
         match *self {
             Scheduler::Synchronous => 1,
@@ -155,9 +157,6 @@ pub struct RunStats {
     pub bits: u64,
     /// Time of the last delivery (rounds under the synchronous scheduler).
     pub makespan: u64,
-    /// Delivered events (equals `messages`; kept separate for clarity when the
-    /// event limit trips).
-    pub events: u64,
 }
 
 /// The per-node program states touched by a run.
@@ -262,11 +261,11 @@ pub(crate) struct EngineScratch {
 }
 
 impl EngineScratch {
-    fn begin_run(&mut self, n: usize, config: &NetworkConfig, initiators: usize) {
+    fn begin_run(&mut self, n: usize, config: &NetworkConfig) {
         if self.slots.len() < n {
             self.slots.resize(n, EMPTY_SLOT);
         }
-        self.queue.prepare(config.scheduler, config.queue, initiators);
+        self.queue.prepare(config.scheduler);
     }
 
     fn end_run(&mut self, touched: impl Iterator<Item = NodeId>) {
@@ -384,8 +383,7 @@ fn run_core<P: Protocol>(
             while i < scratch.tick.len() && scratch.tick[i].to as NodeId == node {
                 let rec = scratch.tick[i];
                 i += 1;
-                stats.events += 1;
-                if stats.events > config.event_limit {
+                if stats.messages == config.event_limit {
                     return Err(CongestError::EventLimitExceeded(config.event_limit));
                 }
                 stats.messages += 1;
@@ -446,7 +444,7 @@ impl Engine {
         // RNG so runs are reproducible and do not fight the borrow checker for
         // access to `net` mid-activation.
         let mut delay_rng = StdRng::seed_from_u64(net.rng_mut().gen());
-        scratch.begin_run(net.node_count(), &config, initiators.len());
+        scratch.begin_run(net.node_count(), &config);
         let mut out: Outbox<P::Msg> =
             Outbox { staged: std::mem::take(&mut scratch.staged), arena: PayloadArena::new() };
         let mut entries: Vec<(NodeId, P)> = Vec::new();
@@ -692,6 +690,19 @@ mod tests {
             Network::new(g, NetworkConfig { event_limit: 100, ..NetworkConfig::default() });
         let err = Engine::run(&mut network, &[0], |_| Forever).unwrap_err();
         assert!(matches!(err, CongestError::EventLimitExceeded(100)));
+    }
+
+    #[test]
+    fn event_limit_admits_exactly_its_count() {
+        // A relay of `hops` hops delivers exactly `hops` messages.
+        let mut g = Graph::new(2);
+        g.add_edge(0, 1, 1);
+        let mut network =
+            Network::new(g, NetworkConfig { event_limit: 10, ..NetworkConfig::default() });
+        let (_, stats) = Engine::run(&mut network, &[0], |_| Relay { hops_left: 10 }).unwrap();
+        assert_eq!(stats.messages, 10);
+        let err = Engine::run(&mut network, &[0], |_| Relay { hops_left: 11 }).unwrap_err();
+        assert!(matches!(err, CongestError::EventLimitExceeded(10)));
     }
 
     #[test]

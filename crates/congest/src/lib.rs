@@ -58,7 +58,7 @@ pub mod forest;
 pub mod leader;
 pub mod message;
 pub mod model;
-pub mod queue;
+mod queue;
 
 pub use cost::{CostReport, CostTracker};
 pub use engine::{Engine, Protocol, RunStats, Scheduler};
@@ -67,4 +67,3 @@ pub use forest::MarkedForest;
 pub use kkt_obs::{Histogram, Phase, PhaseCost, PhaseLedger};
 pub use message::{bits_for_value, BitSized};
 pub use model::{IncidentEdge, Network, NetworkConfig, NodeView};
-pub use queue::DeliveryQueueKind;

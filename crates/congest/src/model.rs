@@ -36,7 +36,7 @@ use crate::cost::{CostReport, CostTracker};
 use crate::engine::{EngineScratch, Scheduler};
 use crate::forest::MarkedForest;
 use crate::message::bits_for_value;
-use crate::queue::DeliveryQueueKind;
+use crate::queue::MAX_WHEEL_TICKS;
 
 /// Simulation configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,12 +49,9 @@ pub struct NetworkConfig {
     /// Seed for all simulation-side randomness (delivery delays) and for the
     /// protocols' coin flips when they draw from the network RNG.
     pub seed: u64,
-    /// Safety cap on delivered events per engine run.
+    /// Safety cap on delivered messages per engine run: a run that would
+    /// deliver one more fails with [`crate::CongestError::EventLimitExceeded`].
     pub event_limit: u64,
-    /// Delivery-queue implementation (execution strategy only — the choice is
-    /// invisible to delivery order, costs, and fingerprints; see
-    /// [`DeliveryQueueKind`]).
-    pub queue: DeliveryQueueKind,
 }
 
 impl Default for NetworkConfig {
@@ -64,7 +61,6 @@ impl Default for NetworkConfig {
             bandwidth_limit: None,
             seed: 0xC0FFEE,
             event_limit: 50_000_000,
-            queue: DeliveryQueueKind::Auto,
         }
     }
 }
@@ -228,6 +224,17 @@ impl ViewCache {
     }
 }
 
+/// Rejects a scheduler whose delays the delivery queue cannot hold: every
+/// configuration enters a [`Network`] through here.
+fn check_delay_bound(config: &NetworkConfig) {
+    let bound = config.scheduler.max_delay_bound();
+    assert!(
+        bound < MAX_WHEEL_TICKS,
+        "max_delay {bound} does not fit the delivery queue, which holds delays below \
+         {MAX_WHEEL_TICKS}"
+    );
+}
+
 /// The simulated CONGEST network.
 #[derive(Debug)]
 pub struct Network {
@@ -248,8 +255,11 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// If a node identifier is 2³⁰ or larger (see [`Network::id_bits`]).
+    /// If a node identifier is 2³⁰ or larger (see [`Network::id_bits`]), or
+    /// if `config`'s scheduler has a `max_delay` of 4096 or more (see
+    /// [`Scheduler::RandomAsync`]).
     pub fn new(graph: Graph, config: NetworkConfig) -> Self {
+        check_delay_bound(&config);
         let rng = StdRng::seed_from_u64(config.seed);
         let max_id = graph.nodes().map(|x| graph.id_of(x)).max().unwrap_or(1);
         assert!(
@@ -324,7 +334,12 @@ impl Network {
     }
 
     /// Replaces the configuration (e.g. to switch scheduler between phases).
+    ///
+    /// # Panics
+    ///
+    /// If `config`'s scheduler has a `max_delay` of 4096 or more.
     pub fn set_config(&mut self, config: NetworkConfig) {
+        check_delay_bound(&config);
         self.config = config;
     }
 
@@ -333,7 +348,12 @@ impl Network {
     /// from the new configuration — observationally identical to
     /// `Network::new(graph, config)` without cloning the graph. The scratch
     /// arena the rebuild replay policies reuse between events.
+    ///
+    /// # Panics
+    ///
+    /// If `config`'s scheduler has a `max_delay` of 4096 or more.
     pub fn reset(&mut self, config: NetworkConfig) {
+        check_delay_bound(&config);
         self.clear_marks();
         self.cost = CostTracker::new();
         self.rng = StdRng::seed_from_u64(config.seed);
@@ -598,6 +618,48 @@ mod tests {
         let mut g = Graph::with_ids(vec![1, 1 << 30]);
         g.add_edge(0, 1, 1).unwrap();
         Network::new(g, NetworkConfig::default());
+    }
+
+    /// A config whose delays the widest delivery queue cannot hold.
+    fn too_slow() -> NetworkConfig {
+        NetworkConfig::asynchronous(1, MAX_WHEEL_TICKS)
+    }
+
+    #[test]
+    fn the_widest_wheel_costs_what_synchronous_delivery_costs() {
+        use crate::broadcast_echo::{run_broadcast_echo, TreeStats};
+        let mut net = network();
+        let mst = kkt_graphs::kruskal(net.graph());
+        let mut run = |config: NetworkConfig| {
+            net.reset(config);
+            net.mark_all(&mst.edges);
+            let stats = run_broadcast_echo(&mut net, 3, TreeStats).unwrap();
+            (stats, net.cost())
+        };
+        let (sync_stats, sync) = run(NetworkConfig::synchronous(4));
+        let (wide_stats, wide) = run(NetworkConfig::asynchronous(4, MAX_WHEEL_TICKS - 1));
+        assert_eq!(wide_stats, sync_stats);
+        assert_eq!((wide.messages, wide.bits), (sync.messages, sync.bits));
+        assert_eq!(sync.messages, 2 * 19);
+        assert!(wide.time > sync.time, "delays up to 4095 stretch the makespan");
+    }
+
+    #[test]
+    #[should_panic(expected = "max_delay 4096 does not fit the delivery queue")]
+    fn new_rejects_a_delay_bound_past_the_wheel() {
+        Network::new(Graph::new(2), too_slow());
+    }
+
+    #[test]
+    #[should_panic(expected = "max_delay 4096 does not fit the delivery queue")]
+    fn set_config_rejects_a_delay_bound_past_the_wheel() {
+        network().set_config(too_slow());
+    }
+
+    #[test]
+    #[should_panic(expected = "max_delay 4096 does not fit the delivery queue")]
+    fn reset_rejects_a_delay_bound_past_the_wheel() {
+        network().reset(too_slow());
     }
 
     #[test]

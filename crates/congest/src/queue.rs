@@ -4,14 +4,13 @@
 //! synchronous model delivers after exactly one tick, the random-async model
 //! draws uniformly from `[1, max_delay]`. Delivery times are therefore always
 //! inside the window `(now, now + max_delay]`, which a circular array of
-//! `max_delay + 1` tick buckets covers exactly — push and pop become O(1)
-//! array operations instead of the O(log q) binary-heap sifts the engine
-//! used to pay per message.
+//! `max_delay + 1` tick buckets covers exactly — push and pop are O(1)
+//! array operations.
 //!
-//! # Order equivalence with the heap
+//! # Delivery order
 //!
-//! The engine's observable order is the heap's `(time, seq)` order. The
-//! wheel reproduces it exactly:
+//! The engine's observable order is `(time, seq)`: by delivery time, then by
+//! global send order. The wheel yields exactly that order:
 //!
 //! * **Across ticks** — every delay is ≥ 1, so while tick `t` is being
 //!   drained all new events land strictly after `t`; a tick's bucket is
@@ -19,7 +18,7 @@
 //!   increasing order.
 //! * **Within a tick** — `seq` increases monotonically over the whole run,
 //!   so events arrive at a bucket in ascending-`seq` order and FIFO draining
-//!   yields exactly the heap's secondary order.
+//!   yields exactly the secondary order.
 //! * **Slot aliasing is safe** — with `W = max_delay + 1` slots, events
 //!   pushed while tick `t` drains have times in `[t + 1, t + max_delay]`,
 //!   which map to the `W - 1` slots *other than* `t`'s own (`t + max_delay ≡
@@ -27,42 +26,19 @@
 //!   `t + W`, pushable only once the engine has advanced past `t` — by which
 //!   point the slot's bucket has been swapped out empty.
 //!
-//! A run with `max_delay + 1 > MAX_WHEEL_TICKS` (far beyond both schedulers'
-//! presets) transparently falls back to the reference `EventHeap`; the
-//! differential test in `crates/congest/tests/queue_differential.rs` sweeps
-//! both implementations against each other across schedulers and seeds.
+//! The widest wheel has [`MAX_WHEEL_TICKS`] slots; the network rejects a
+//! scheduler whose delay bound does not fit it. The tests below check the
+//! wheel against a `(time, seq)`-ordered binary heap over seeded traffic.
 //!
 //! Everything here is plain owned data — no hasher-ordered containers, no
 //! floats, no interior mutability (lint rules R1/R3/R5 apply to this file) —
 //! so a queue can be sharded per engine instance by the fleet runner.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use serde::{Deserialize, Serialize};
-
 use crate::engine::Scheduler;
 
-/// Which delivery-queue implementation an engine run uses.
-///
-/// Purely an execution-strategy knob: the two implementations produce
-/// bit-identical delivery orders, costs, and fingerprints (asserted by the
-/// differential tests), so this never needs to appear in a report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeliveryQueueKind {
-    /// Calendar wheel when the scheduler's delay bound fits
-    /// [`MAX_WHEEL_TICKS`], reference heap otherwise. The default.
-    #[default]
-    Auto,
-    /// Always the reference `BinaryHeap` — the baseline side of the
-    /// differential tests.
-    ForceHeap,
-}
-
-/// Widest wheel the auto policy will build (ticks = `max_delay + 1`).
-/// Both schedulers' presets are far below this; a wider delay bound falls
-/// back to the heap, whose ordering the wheel replicates anyway.
-pub const MAX_WHEEL_TICKS: u64 = 4096;
+/// Widest wheel the engine builds (ticks = `max_delay + 1`), so every delay
+/// bound must stay below it.
+pub(crate) const MAX_WHEEL_TICKS: u64 = 4096;
 
 /// One scheduled delivery, queue-side. Non-generic on purpose: the payload
 /// lives in the run's [`crate::arena::PayloadArena`] and travels as a `u32`
@@ -71,7 +47,7 @@ pub const MAX_WHEEL_TICKS: u64 = 4096;
 /// protocols.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EventRec {
-    /// Global send order; the tiebreaker within a tick.
+    /// Global send order; each bucket holds its events in ascending `seq`.
     pub seq: u64,
     /// Semantic message size in bits, computed once at send time.
     pub bits: u64,
@@ -83,31 +59,49 @@ pub(crate) struct EventRec {
     pub payload: u32,
 }
 
-/// The calendar wheel: `max_delay + 1` circular tick buckets.
+/// The engine's delivery queue: `max_delay + 1` circular tick buckets. Lives
+/// in the network's `EngineScratch` between runs so bucket capacities are
+/// paid once per network, not per run.
 #[derive(Debug, Default)]
-pub(crate) struct CalendarWheel {
+pub(crate) struct DeliveryQueue {
     buckets: Vec<Vec<EventRec>>,
     now: u64,
     pending: usize,
 }
 
-impl CalendarWheel {
-    fn new(max_delay: u64) -> Self {
-        let slots = (max_delay + 1) as usize;
+impl DeliveryQueue {
+    fn new(slots: usize) -> Self {
         let mut buckets = Vec::with_capacity(slots);
         buckets.resize_with(slots, Vec::new);
-        CalendarWheel { buckets, now: 0, pending: 0 }
+        DeliveryQueue { buckets, now: 0, pending: 0 }
     }
 
-    fn slots(&self) -> usize {
-        self.buckets.len()
+    /// Shapes the wheel for a run under `scheduler`: a new wheel when the
+    /// delay bound changed, otherwise the existing one rewound (the steady
+    /// state of every replay: same scheduler run after run ⇒ zero allocation
+    /// here).
+    pub(crate) fn prepare(&mut self, scheduler: Scheduler) {
+        let slots = scheduler.max_delay_bound() + 1;
+        debug_assert!(slots <= MAX_WHEEL_TICKS, "the network checks the delay bound");
+        if self.buckets.len() as u64 == slots {
+            debug_assert!(self.pending == 0, "queues are drained between runs");
+            self.now = 0;
+        } else {
+            *self = DeliveryQueue::new(slots as usize);
+        }
     }
 
-    fn push(&mut self, time: u64, rec: EventRec) {
+    /// Schedules `rec` for delivery at `time` (strictly in the future).
+    pub(crate) fn push(&mut self, time: u64, rec: EventRec) {
         let w = self.buckets.len() as u64;
         debug_assert!(time > self.now, "delays are >= 1");
         debug_assert!(time - self.now < w, "delay fits the wheel");
-        self.buckets[(time % w) as usize].push(rec);
+        let bucket = &mut self.buckets[(time % w) as usize];
+        debug_assert!(
+            bucket.last().is_none_or(|last| last.seq < rec.seq),
+            "each bucket fills in send order"
+        );
+        bucket.push(rec);
         self.pending += 1;
     }
 
@@ -115,7 +109,7 @@ impl CalendarWheel {
     /// returns its time, or `None` when the wheel is empty. The swap donates
     /// `buf`'s grown capacity back to the slot, so bucket storage ping-pongs
     /// between the wheel and the engine's tick buffer without reallocating.
-    fn take_tick(&mut self, buf: &mut Vec<EventRec>) -> Option<u64> {
+    pub(crate) fn take_tick(&mut self, buf: &mut Vec<EventRec>) -> Option<u64> {
         if self.pending == 0 {
             return None;
         }
@@ -132,7 +126,14 @@ impl CalendarWheel {
         }
     }
 
-    fn clear(&mut self) {
+    /// True if no deliveries are pending.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending == 0
+    }
+
+    /// Drops all pending deliveries (error-path cleanup; their payloads die
+    /// with the run's arena).
+    pub(crate) fn clear(&mut self) {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
@@ -141,163 +142,24 @@ impl CalendarWheel {
     }
 }
 
-/// The reference implementation: a plain `(time, seq)`-ordered binary heap.
-/// Used when the delay bound exceeds [`MAX_WHEEL_TICKS`], when
-/// [`DeliveryQueueKind::ForceHeap`] is requested, and as the oracle side of
-/// the differential tests.
-#[derive(Debug, Default)]
-pub(crate) struct EventHeap {
-    heap: BinaryHeap<HeapEntry>,
-}
-
-#[derive(Debug)]
-struct HeapEntry {
-    time: u64,
-    rec: EventRec,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.rec.seq == other.rec.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering so the BinaryHeap pops the earliest event first.
-        (other.time, other.rec.seq).cmp(&(self.time, self.rec.seq))
-    }
-}
-
-impl EventHeap {
-    fn push(&mut self, time: u64, rec: EventRec) {
-        self.heap.push(HeapEntry { time, rec });
-    }
-
-    /// Pops every event of the earliest pending tick into `buf` (cleared
-    /// first), in ascending `seq` order, and returns the tick time.
-    fn take_tick(&mut self, buf: &mut Vec<EventRec>) -> Option<u64> {
-        let first = self.heap.pop()?;
-        let time = first.time;
-        buf.clear();
-        buf.push(first.rec);
-        while let Some(next) = self.heap.peek() {
-            if next.time != time {
-                break;
-            }
-            buf.push(self.heap.pop().expect("peeked entry pops").rec);
-        }
-        Some(time)
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-/// The engine's delivery queue: calendar wheel in the hot configurations,
-/// reference heap otherwise. Lives in the network's `EngineScratch` between
-/// runs so bucket/heap capacities are paid once per network, not per run.
-#[derive(Debug)]
-pub(crate) enum DeliveryQueue {
-    /// O(1) calendar wheel (see module docs).
-    Wheel(CalendarWheel),
-    /// Reference binary heap.
-    Heap(EventHeap),
-}
-
-impl Default for DeliveryQueue {
-    fn default() -> Self {
-        DeliveryQueue::Heap(EventHeap::default())
-    }
-}
-
-impl DeliveryQueue {
-    /// Reshapes the queue for a run under `scheduler`/`kind`, reusing the
-    /// existing storage when the shape already matches (the steady state of
-    /// every replay: same scheduler run after run ⇒ zero allocation here).
-    ///
-    /// `initiators` sizes the cold-start heap: a broadcast-style wave keeps
-    /// at most a few in-flight messages per initiator's tree edge, so a small
-    /// multiple of the initiator count avoids the early doubling
-    /// re-allocations without over-committing for small-fragment runs (the
-    /// old engine reserved `clamp(64, 4n)` slots per run from `n` alone,
-    /// which over-allocated for every small-fragment repair on a large
-    /// network — and then threw the buffer away at the end of the run).
-    pub(crate) fn prepare(
-        &mut self,
-        scheduler: Scheduler,
-        kind: DeliveryQueueKind,
-        initiators: usize,
-    ) {
-        let bound = scheduler.max_delay_bound();
-        let wheel_slots = match kind {
-            DeliveryQueueKind::Auto if bound < MAX_WHEEL_TICKS => Some((bound + 1) as usize),
-            _ => None,
-        };
-        match (wheel_slots, &mut *self) {
-            (Some(slots), DeliveryQueue::Wheel(wheel)) if wheel.slots() == slots => {
-                debug_assert!(wheel.pending == 0, "queues are drained between runs");
-                wheel.now = 0;
-            }
-            (Some(slots), _) => *self = DeliveryQueue::Wheel(CalendarWheel::new(slots as u64 - 1)),
-            (None, DeliveryQueue::Heap(heap)) => {
-                debug_assert!(heap.heap.is_empty(), "queues are drained between runs");
-            }
-            (None, slot) => {
-                let mut heap = EventHeap::default();
-                heap.heap.reserve((initiators * 4).max(64));
-                *slot = DeliveryQueue::Heap(heap);
-            }
-        }
-    }
-
-    /// Schedules `rec` for delivery at `time` (strictly in the future).
-    pub(crate) fn push(&mut self, time: u64, rec: EventRec) {
-        match self {
-            DeliveryQueue::Wheel(wheel) => wheel.push(time, rec),
-            DeliveryQueue::Heap(heap) => heap.push(time, rec),
-        }
-    }
-
-    /// Drains the next pending tick into `buf` in `(time, seq)` order,
-    /// returning its time; `None` when the queue is empty.
-    pub(crate) fn take_tick(&mut self, buf: &mut Vec<EventRec>) -> Option<u64> {
-        match self {
-            DeliveryQueue::Wheel(wheel) => wheel.take_tick(buf),
-            DeliveryQueue::Heap(heap) => heap.take_tick(buf),
-        }
-    }
-
-    /// True if no deliveries are pending.
-    pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            DeliveryQueue::Wheel(wheel) => wheel.pending == 0,
-            DeliveryQueue::Heap(heap) => heap.heap.is_empty(),
-        }
-    }
-
-    /// Drops all pending deliveries (error-path cleanup; their payloads die
-    /// with the run's arena).
-    pub(crate) fn clear(&mut self) {
-        match self {
-            DeliveryQueue::Wheel(wheel) => wheel.clear(),
-            DeliveryQueue::Heap(heap) => heap.clear(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn rec(seq: u64) -> EventRec {
         EventRec { seq, bits: 1, from: 0, to: 0, payload: 0 }
+    }
+
+    fn wheel(max_delay: u64) -> DeliveryQueue {
+        let mut queue = DeliveryQueue::default();
+        queue.prepare(Scheduler::RandomAsync { max_delay });
+        queue
     }
 
     fn drain_order(queue: &mut DeliveryQueue) -> Vec<(u64, u64)> {
@@ -311,45 +173,82 @@ mod tests {
         order
     }
 
-    /// Feeds the same (time, seq) schedule to the wheel and the heap,
-    /// interleaving pushes with tick drains the way the engine does, and
-    /// asserts identical pop orders.
+    /// Messages one sweep case sends at most.
+    const SENDS: u64 = 2000;
+
+    /// The wheel and the reference `(time, seq)` min-heap, fed the same
+    /// sends.
+    struct Twin {
+        wheel: DeliveryQueue,
+        heap: BinaryHeap<Reverse<(u64, u64)>>,
+        seq: u64,
+        max_delay: u64,
+        rng: StdRng,
+    }
+
+    impl Twin {
+        /// Sends `count` messages at `now`, each with a delay drawn from
+        /// `[1, max_delay]`, until the case has sent [`SENDS`].
+        fn send(&mut self, now: u64, count: u64) {
+            for _ in 0..count.min(SENDS - self.seq) {
+                self.seq += 1;
+                let time = now + self.rng.gen_range(1..=self.max_delay);
+                self.wheel.push(time, rec(self.seq));
+                self.heap.push(Reverse((time, self.seq)));
+            }
+        }
+
+        /// Pops the heap's earliest tick: its events as `(time, seq)`.
+        fn heap_tick(&mut self) -> Vec<(u64, u64)> {
+            let mut tick: Vec<(u64, u64)> = Vec::new();
+            while let Some(&Reverse(next)) = self.heap.peek() {
+                if tick.first().is_some_and(|&(time, _)| time != next.0) {
+                    break;
+                }
+                tick.push(next);
+                self.heap.pop();
+            }
+            tick
+        }
+    }
+
+    /// Drives the wheel as the engine does — 1–4 sends at time 0, then 0–3
+    /// sends per delivery of each drained tick — next to the reference heap,
+    /// and asserts that every tick drains exactly the heap's earliest tick,
+    /// in its order. 16 seeds for each delay bound, up to the widest wheel.
     #[test]
     fn wheel_matches_heap_under_interleaved_pushes() {
-        for max_delay in [1u64, 2, 3, 8] {
-            let mut wheel = DeliveryQueue::Wheel(CalendarWheel::new(max_delay));
-            let mut heap = DeliveryQueue::Heap(EventHeap::default());
-            // A deterministic but scrambled delay pattern.
-            let mut seq = 0u64;
-            let mut push_both = |w: &mut DeliveryQueue, h: &mut DeliveryQueue, now: u64| {
-                for k in 0..3u64 {
-                    seq += 1;
-                    let delay = 1 + (seq * 7 + k * 13) % max_delay.max(1);
-                    w.push(now + delay, rec(seq));
-                    h.push(now + delay, rec(seq));
+        for max_delay in [1u64, 2, 8, 64, MAX_WHEEL_TICKS - 1] {
+            let mut sent = 0;
+            for seed in 0..16u64 {
+                let mut twin = Twin {
+                    wheel: wheel(max_delay),
+                    heap: BinaryHeap::new(),
+                    seq: 0,
+                    max_delay,
+                    rng: StdRng::seed_from_u64(seed),
+                };
+                let initial = twin.rng.gen_range(1..=4);
+                twin.send(0, initial);
+                let mut buf = Vec::new();
+                while let Some(now) = twin.wheel.take_tick(&mut buf) {
+                    let drained: Vec<(u64, u64)> = buf.iter().map(|r| (now, r.seq)).collect();
+                    assert_eq!(drained, twin.heap_tick(), "max_delay {max_delay}, seed {seed}");
+                    for _ in 0..buf.len() {
+                        let count = twin.rng.gen_range(0..=3);
+                        twin.send(now, count);
+                    }
                 }
-            };
-            push_both(&mut wheel, &mut heap, 0);
-            let (mut wbuf, mut hbuf) = (Vec::new(), Vec::new());
-            for _ in 0..5 {
-                let wt = wheel.take_tick(&mut wbuf);
-                let ht = heap.take_tick(&mut hbuf);
-                assert_eq!(wt, ht);
-                assert_eq!(
-                    wbuf.iter().map(|r| r.seq).collect::<Vec<_>>(),
-                    hbuf.iter().map(|r| r.seq).collect::<Vec<_>>()
-                );
-                if let Some(now) = wt {
-                    push_both(&mut wheel, &mut heap, now);
-                }
+                assert!(twin.heap.is_empty(), "max_delay {max_delay}, seed {seed}");
+                sent += twin.seq;
             }
-            assert_eq!(drain_order(&mut wheel), drain_order(&mut heap));
+            assert!(sent > 8 * SENDS, "most cases reach the send cap, max_delay {max_delay}");
         }
     }
 
     #[test]
     fn within_tick_order_is_fifo_by_seq() {
-        let mut wheel = DeliveryQueue::Wheel(CalendarWheel::new(4));
+        let mut wheel = wheel(4);
         for seq in 1..=6u64 {
             wheel.push(3, rec(seq));
         }
@@ -358,7 +257,7 @@ mod tests {
 
     #[test]
     fn sparse_ticks_are_skipped() {
-        let mut wheel = DeliveryQueue::Wheel(CalendarWheel::new(8));
+        let mut wheel = wheel(8);
         wheel.push(7, rec(1));
         let mut buf = Vec::new();
         assert_eq!(wheel.take_tick(&mut buf), Some(7));
@@ -368,24 +267,23 @@ mod tests {
 
     #[test]
     fn prepare_reuses_matching_shapes_and_reshapes_otherwise() {
-        let sync = Scheduler::Synchronous;
-        let wide = Scheduler::RandomAsync { max_delay: MAX_WHEEL_TICKS + 5 };
         let mut q = DeliveryQueue::default();
-        q.prepare(sync, DeliveryQueueKind::Auto, 4);
-        assert!(matches!(q, DeliveryQueue::Wheel(ref w) if w.slots() == 2));
-        q.prepare(sync, DeliveryQueueKind::Auto, 4);
-        assert!(matches!(q, DeliveryQueue::Wheel(_)));
-        q.prepare(wide, DeliveryQueueKind::Auto, 4);
-        assert!(matches!(q, DeliveryQueue::Heap(_)), "delay bound past the wheel cap");
-        q.prepare(sync, DeliveryQueueKind::ForceHeap, 4);
-        assert!(matches!(q, DeliveryQueue::Heap(_)));
-        q.prepare(Scheduler::RandomAsync { max_delay: 8 }, DeliveryQueueKind::Auto, 4);
-        assert!(matches!(q, DeliveryQueue::Wheel(ref w) if w.slots() == 9));
+        q.prepare(Scheduler::Synchronous);
+        assert_eq!(q.buckets.len(), 2);
+        let storage = q.buckets.as_ptr();
+        q.push(1, rec(1));
+        assert_eq!(q.take_tick(&mut Vec::new()), Some(1));
+        q.prepare(Scheduler::Synchronous);
+        assert_eq!((q.buckets.as_ptr(), q.now), (storage, 0), "same shape: rewound in place");
+        q.prepare(Scheduler::RandomAsync { max_delay: 8 });
+        assert_eq!(q.buckets.len(), 9);
+        q.prepare(Scheduler::RandomAsync { max_delay: MAX_WHEEL_TICKS - 1 });
+        assert_eq!(q.buckets.len() as u64, MAX_WHEEL_TICKS);
     }
 
     #[test]
     fn clear_resets_the_wheel() {
-        let mut q = DeliveryQueue::Wheel(CalendarWheel::new(3));
+        let mut q = wheel(3);
         q.push(2, rec(1));
         assert!(!q.is_empty());
         q.clear();

@@ -12,11 +12,12 @@
 //! of times**. One allocation on the per-message path would separate the
 //! counts by ~49k.
 //!
-//! This file holds a single `#[test]` on purpose: the counter is global to
-//! the test binary, and a concurrently running test would pollute it.
+//! The counter is per thread: it counts only the measuring thread's calls,
+//! so an allocation by another thread of the test binary (the test harness's
+//! own, or a concurrently running test's) cannot separate the two counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use kkt_congest::engine::Outbox;
 use kkt_congest::{Engine, Network, NetworkConfig, NodeView, Protocol};
@@ -24,7 +25,20 @@ use kkt_graphs::{Graph, NodeId};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and free of destructors, so reading it from inside
+    // the allocator never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    ALLOC_CALLS.with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocator calls the current thread has made so far.
+fn calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 // The shim-free way to observe the hot loop's allocation behaviour: count
 // every call that can acquire heap memory, delegate the actual work to the
@@ -32,7 +46,7 @@ static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 // of the counted acquisitions.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.alloc(layout)
     }
 
@@ -41,12 +55,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.alloc_zeroed(layout)
     }
 }
@@ -92,13 +106,13 @@ fn steady_state_delivery_allocates_zero_per_message() {
     // Warmup: builds the views, the wheel, and every pooled buffer.
     run_bounce(&mut net, 64);
 
-    let before_small = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before_small = calls();
     let small = run_bounce(&mut net, 512);
-    let small_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before_small;
+    let small_allocs = calls() - before_small;
 
-    let before_large = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before_large = calls();
     let large = run_bounce(&mut net, 50_000);
-    let large_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before_large;
+    let large_allocs = calls() - before_large;
 
     assert_eq!(small, 513);
     assert_eq!(large, 50_001);

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use kkt_congest::{CostReport, DeliveryQueueKind, Network, NetworkConfig, Scheduler};
+use kkt_congest::{CostReport, Network, NetworkConfig, Scheduler};
 use kkt_graphs::generators::Update;
 use kkt_graphs::{EdgeId, Graph, NodeId, SpanningForest, Weight};
 
@@ -64,9 +64,6 @@ pub struct MaintainOptions {
     pub repair_scheduler: Scheduler,
     /// Seed for all randomness (protocol coins and delivery delays).
     pub seed: u64,
-    /// Delivery-queue implementation for builds and repairs (execution
-    /// strategy only; costs and fingerprints are identical either way).
-    pub queue: DeliveryQueueKind,
 }
 
 impl Default for MaintainOptions {
@@ -75,7 +72,6 @@ impl Default for MaintainOptions {
             config: KktConfig::default(),
             repair_scheduler: Scheduler::RandomAsync { max_delay: 8 },
             seed: 0x5EED,
-            queue: DeliveryQueueKind::Auto,
         }
     }
 }
@@ -118,7 +114,6 @@ impl MaintainedForest {
         let net_config = NetworkConfig {
             scheduler: Scheduler::Synchronous,
             seed: options.seed,
-            queue: options.queue,
             ..NetworkConfig::default()
         };
         let mut net = Network::new(graph, net_config);
@@ -146,7 +141,6 @@ impl MaintainedForest {
         let net_config = NetworkConfig {
             scheduler: options.repair_scheduler,
             seed: options.seed,
-            queue: options.queue,
             ..NetworkConfig::default()
         };
         let mut net = Network::new(graph, net_config);

@@ -554,24 +554,7 @@ impl Graph {
     /// Whether the graph (restricted to live edges) is connected.
     /// An empty graph and a single-node graph are connected.
     pub fn is_connected(&self) -> bool {
-        let n = self.node_count();
-        if n <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(x) = stack.pop() {
-            for (_, y) in self.incident_with_neighbors(x) {
-                if !seen[y] {
-                    seen[y] = true;
-                    count += 1;
-                    stack.push(y);
-                }
-            }
-        }
-        count == n
+        self.component_count() <= 1
     }
 
     /// Number of connected components over live edges.

@@ -17,9 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use kkt_baselines::{build_mst_ghs, build_st_by_flooding};
-use kkt_congest::{
-    CongestError, CostReport, DeliveryQueueKind, Network, NetworkConfig, PhaseLedger, Scheduler,
-};
+use kkt_congest::{CongestError, CostReport, Network, NetworkConfig, PhaseLedger, Scheduler};
 use kkt_core::{
     build_mst, build_st, BatchError, CoreError, KktConfig, MaintainOptions, MaintainedForest,
     TreeKind,
@@ -112,10 +110,6 @@ pub struct ReplayConfig {
     /// Costs what the pre-oracle harness paid on every checkpoint; off by
     /// default.
     pub paranoid: bool,
-    /// Delivery-queue implementation for every engine run of the replay
-    /// (execution strategy only; reports are bit-identical either way —
-    /// asserted by the queue-equivalence tests).
-    pub queue: DeliveryQueueKind,
 }
 
 impl Default for ReplayConfig {
@@ -126,7 +120,6 @@ impl Default for ReplayConfig {
             verify_every: 1,
             seed: 0x5EED,
             paranoid: false,
-            queue: DeliveryQueueKind::Auto,
         }
     }
 }
@@ -324,7 +317,6 @@ impl ReplayHarness {
                 config: KktConfig::default(),
                 repair_scheduler: self.config.scheduler,
                 seed: self.config.seed,
-                queue: self.config.queue,
             };
             let forest = MaintainedForest::build(base.clone(), self.config.kind, options)?;
             let build = forest.build_cost();
@@ -393,12 +385,7 @@ impl ReplayHarness {
             MaintenancePolicy::RebuildGhs => Scheduler::Synchronous,
             _ => self.config.scheduler,
         };
-        net.reset(NetworkConfig {
-            scheduler,
-            seed,
-            queue: self.config.queue,
-            ..NetworkConfig::default()
-        });
+        net.reset(NetworkConfig { scheduler, seed, ..NetworkConfig::default() });
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD15E_A5E0);
         match (policy, self.config.kind) {
             (MaintenancePolicy::RebuildKkt, TreeKind::Mst) => {

@@ -4,7 +4,7 @@
 //!
 //! The event stream comes from the `kkt-workloads` scenario engine: a seeded
 //! Poisson-churn trace, replayed through the paper's repairs by the
-//! [`kkt::workloads::ReplayHarness`] with a Kruskal-oracle check after every
+//! [`kkt::workloads::ReplayHarness`] with a shadow-oracle check after every
 //! event. Same seed ⇒ same trace ⇒ same costs ⇒ identical output.
 //!
 //! ```bash

@@ -20,14 +20,15 @@
 //!   seeded churn traces (Poisson churn, adversarial tree-cutting,
 //!   partition-and-heal bursts, weight drift, mixed lifecycles), a replay
 //!   harness driving them through impromptu repair or rebuild policies under
-//!   either scheduler with Kruskal-oracle checkpoints, and fingerprinted
-//!   JSON cost reports.
+//!   either scheduler with checkpoints against an incrementally maintained
+//!   shadow oracle, and fingerprinted JSON cost reports.
 //!
 //! The runnable examples live in `examples/` (`quickstart`,
 //! `dynamic_network`, `broadcast_tree`, `compare_baselines`,
 //! `churn_stress`) and the experiment harness in the `kkt-bench` crate
-//! (whose `exp1`…`exp11` binaries are registered on this package, so
-//! `cargo run --bin exp11_scale_sweep` works from the repository root).
+//! (whose 14 `exp*` binaries, `exp1`…`exp13` and `exp16`, are registered on
+//! this package, so `cargo run --bin exp11_scale_sweep` works from the
+//! repository root).
 //!
 //! ```rust
 //! use kkt::{MaintainOptions, MaintainedForest, TreeKind};

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests for the batched repair subsystem: the
 //! batched pipeline and one-by-one application must agree on the maintained
 //! forest over seeded random bursts (both tree kinds, both schedulers), and
-//! `multi_edge_cuts` traces must pass Kruskal-oracle checkpoints under every
+//! `multi_edge_cuts` traces must pass shadow-oracle checkpoints under every
 //! policy while batching strictly beats sequential repair on k ≥ 4 bursts.
 
 use kkt::congest::Scheduler;
