@@ -7,7 +7,11 @@
 //! connectivity regime is controlled deliberately. The generators that
 //! target the minimum spanning forest ([`AdversarialTreeCut`],
 //! [`MultiEdgeCuts`]) keep a [`ShadowOracle`] as their shadow, so they read
-//! tree membership and connectivity in O(1) instead of re-running Kruskal:
+//! tree membership and connectivity in O(1) instead of re-running Kruskal.
+//! The two that delete only non-bridges ([`PoissonChurn`],
+//! [`AdversarialTreeCut`]) also keep the shadow's bridge set: one DFS per
+//! trace, then after each insertion or deletion a two-ended search along one
+//! path between its endpoints, instead of a whole-graph DFS per deletion:
 //!
 //! * [`PoissonChurn`], [`AdversarialTreeCut`], [`WeightDrift`] and
 //!   [`MixedPhases`] keep the network connected (deletions avoid bridges),
@@ -100,11 +104,11 @@ fn random_absent_pair(g: &Graph, rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
 }
 
 /// Bridge flags for all live edges (indexed by `EdgeId`), computed with one
-/// iterative Tarjan low-link DFS per component in `O(n + m)` — generators
-/// call this once per emitted deletion, so a per-candidate connectivity
-/// probe would make trace generation quadratic in `m`. Each DFS frame holds
-/// its node's adjacency iterator, which borrows the graph's own slab, so a
-/// frame allocates nothing.
+/// iterative Tarjan low-link DFS per component in `O(n + m)`. A
+/// [`BridgeSet`] calls it once per trace for its starting flags, and the
+/// tests use it as the reference the maintained flags must equal. Each DFS
+/// frame holds its node's adjacency iterator, which borrows the graph's own
+/// slab, so a frame allocates nothing.
 fn bridge_flags(g: &Graph) -> Vec<bool> {
     let n = g.node_count();
     let cap = g.live_edges().map(|e| e.0 + 1).max().unwrap_or(0);
@@ -155,6 +159,150 @@ fn bridge_flags(g: &Graph) -> Vec<bool> {
     is_bridge
 }
 
+/// Reusable scratch for two-ended searches over a graph's live edges: one
+/// breadth-first search from each end takes a node in turn, and both stop as
+/// soon as they meet or one runs out, so when the ends lie on two sides of a
+/// cut the search costs about twice the smaller side.
+struct TwoEndedSearch {
+    /// `mark[x]` is `epoch - 1` or `epoch` when the current search reached
+    /// `x` from its first or its second end; older values are stale, so a
+    /// search starts clean without clearing anything.
+    mark: Vec<u64>,
+    epoch: u64,
+    /// The edge each node of the current search was reached by (`None` at
+    /// the two ends).
+    parent: Vec<Option<EdgeId>>,
+    queues: [Vec<NodeId>; 2],
+}
+
+impl TwoEndedSearch {
+    fn new(n: usize) -> Self {
+        TwoEndedSearch {
+            mark: vec![0; n],
+            epoch: 0,
+            parent: vec![None; n],
+            queues: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// Searches from `a` and `b` over the live edges of `g` other than
+    /// `severed`. Returns the edge where the two searches meet, with its two
+    /// ends, or `None` when one search runs out first.
+    fn meet(
+        &mut self,
+        g: &Graph,
+        a: NodeId,
+        b: NodeId,
+        severed: &[EdgeId],
+    ) -> Option<(EdgeId, [NodeId; 2])> {
+        self.epoch += 2;
+        let marks = [self.epoch - 1, self.epoch];
+        let mut heads = [0; 2];
+        for (s, start) in [a, b].into_iter().enumerate() {
+            self.queues[s].clear();
+            self.queues[s].push(start);
+            self.mark[start] = marks[s];
+            self.parent[start] = None;
+        }
+        loop {
+            for s in 0..2 {
+                let &x = self.queues[s].get(heads[s])?;
+                heads[s] += 1;
+                for (e, y) in g.incident_with_neighbors(x) {
+                    if severed.contains(&e) || self.mark[y] == marks[s] {
+                        continue;
+                    }
+                    if self.mark[y] == marks[1 - s] {
+                        return Some((e, [x, y]));
+                    }
+                    self.mark[y] = marks[s];
+                    self.parent[y] = Some(e);
+                    self.queues[s].push(y);
+                }
+            }
+        }
+    }
+
+    /// Whether `a` and `b` are still joined in `g` once the `severed` edges
+    /// are gone.
+    fn joined_without(&mut self, g: &Graph, a: NodeId, b: NodeId, severed: &[EdgeId]) -> bool {
+        self.meet(g, a, b, severed).is_some()
+    }
+
+    /// The edges of one path joining `a` and `b` in `g` without the
+    /// `severed` edges, or `None` if there is none: the edge where the
+    /// searches met and the parent chains back to both ends.
+    fn path(&mut self, g: &Graph, a: NodeId, b: NodeId, severed: &[EdgeId]) -> Option<Vec<EdgeId>> {
+        let (meet, ends) = self.meet(g, a, b, severed)?;
+        let mut path = vec![meet];
+        for mut x in ends {
+            while let Some(e) = self.parent[x] {
+                path.push(e);
+                x = g.edge(e).other(x);
+            }
+        }
+        Some(path)
+    }
+}
+
+/// The bridges of a generator's shadow graph, kept exact across the
+/// insertions and deletions it emits: [`bridge_flags`] once, then a local
+/// update per primitive instead of a whole-graph DFS per deletion.
+///
+/// * Deleting `{u, v}` can only turn edges into bridges that then separate
+///   `u` from `v`, and such an edge lies on *every* path joining them, so
+///   testing each edge of one such path finds them all (none if `{u, v}`
+///   was itself a bridge: then no path exists).
+/// * Inserting `e = {u, v}` closes a cycle through one path joining `u` and
+///   `v` without `e`, if there is one: the bridges on it stop being bridges,
+///   and every other bridge, which lies on no such path, stays one. With no
+///   such path, `e` is a bridge and nothing else changes.
+struct BridgeSet {
+    /// `is_bridge[e.0]`, exact for every live edge.
+    is_bridge: Vec<bool>,
+    search: TwoEndedSearch,
+}
+
+impl BridgeSet {
+    fn new(g: &Graph) -> Self {
+        BridgeSet { is_bridge: bridge_flags(g), search: TwoEndedSearch::new(g.node_count()) }
+    }
+
+    /// Whether the live edge `e` is a bridge.
+    fn contains(&self, e: EdgeId) -> bool {
+        self.is_bridge[e.0]
+    }
+
+    /// Follows a primitive insertion or deletion that `g` has just applied.
+    fn apply(&mut self, g: &Graph, event: &WorkloadEvent) {
+        match *event {
+            WorkloadEvent::DeleteEdge { u, v } => {
+                let Some(path) = self.search.path(g, u, v, &[]) else { return };
+                for f in path {
+                    if !self.is_bridge[f.0] {
+                        let edge = *g.edge(f);
+                        self.is_bridge[f.0] = !self.search.joined_without(g, edge.u, edge.v, &[f]);
+                    }
+                }
+            }
+            WorkloadEvent::InsertEdge { u, v, .. } => {
+                let e = g.edge_between(u, v).expect("the inserted edge is live");
+                if self.is_bridge.len() <= e.0 {
+                    self.is_bridge.resize(e.0 + 1, false);
+                }
+                let path = self.search.path(g, u, v, &[e]);
+                self.is_bridge[e.0] = path.is_none();
+                for f in path.into_iter().flatten() {
+                    self.is_bridge[f.0] = false;
+                }
+            }
+            ref other => {
+                unreachable!("bridge upkeep follows single insertions and deletions, not {other:?}")
+            }
+        }
+    }
+}
+
 /// An insertion event for a uniformly random absent pair, or `None` if the
 /// graph is complete.
 fn random_insert_event(g: &Graph, max_weight: Weight, rng: &mut StdRng) -> Option<WorkloadEvent> {
@@ -162,55 +310,23 @@ fn random_insert_event(g: &Graph, max_weight: Weight, rng: &mut StdRng) -> Optio
     Some(WorkloadEvent::InsertEdge { u, v, weight: random_weight(max_weight, rng) })
 }
 
-/// A deletion event for a uniformly random deletable (non-bridge) edge of
-/// `g` among those `eligible` accepts (shared by the churn and adversarial
-/// generators so the sampling discipline cannot drift apart).
+/// A deletion event for a uniformly random non-bridge edge of `g` among
+/// `pool` (shared by the churn and adversarial generators so the sampling
+/// discipline cannot drift apart). `pool` lists live edges in ascending
+/// [`EdgeId`] order, so the candidates and the draw among them depend only
+/// on the graph and the RNG.
 fn random_delete_event(
     g: &Graph,
-    eligible: impl Fn(EdgeId) -> bool,
+    pool: impl IntoIterator<Item = EdgeId>,
+    bridges: &BridgeSet,
     rng: &mut StdRng,
 ) -> Option<WorkloadEvent> {
-    let bridges = bridge_flags(g);
-    let candidates: Vec<EdgeId> =
-        g.live_edges().filter(|&e| !bridges[e.0] && eligible(e)).collect();
+    let candidates: Vec<EdgeId> = pool.into_iter().filter(|&e| !bridges.contains(e)).collect();
     if candidates.is_empty() {
         return None;
     }
     let edge = *g.edge(candidates[rng.gen_range(0..candidates.len())]);
     Some(WorkloadEvent::DeleteEdge { u: edge.u, v: edge.v })
-}
-
-/// Whether `a` and `b` are still joined in `g` once the `severed` edges are
-/// gone. One search from each end takes a node in turn, and both stop as
-/// soon as they meet or one runs out, so when the edges do cut the graph the
-/// search costs about twice the smaller side. `side` is all zero on entry
-/// and on return.
-fn joined_without(g: &Graph, a: NodeId, b: NodeId, severed: &[EdgeId], side: &mut [u8]) -> bool {
-    let mut queues = [vec![a], vec![b]];
-    let mut heads = [0; 2];
-    side[a] = 1;
-    side[b] = 2;
-    let joined = 'search: loop {
-        for s in 0..2 {
-            let Some(&x) = queues[s].get(heads[s]) else { break 'search false };
-            heads[s] += 1;
-            let mark = s as u8 + 1;
-            for (e, y) in g.incident_with_neighbors(x) {
-                if severed.contains(&e) || side[y] == mark {
-                    continue;
-                }
-                if side[y] != 0 {
-                    break 'search true;
-                }
-                side[y] = mark;
-                queues[s].push(y);
-            }
-        }
-    };
-    for &x in queues.iter().flatten() {
-        side[x] = 0;
-    }
-    joined
 }
 
 /// A connected region grown by BFS from a random start, of the given size.
@@ -270,18 +386,21 @@ impl Scenario for PoissonChurn {
         let id = self.id();
         let mut rng = scenario_rng(&id, seed);
         let mut shadow = base.clone();
+        let mut bridges = BridgeSet::new(&shadow);
         let mut out = Vec::with_capacity(events);
         for _ in 0..events {
             let delete = rng.gen_bool(self.delete_fraction);
-            let event =
-                if delete { random_delete_event(&shadow, |_| true, &mut rng) } else { None };
+            let cut =
+                |rng: &mut StdRng| random_delete_event(&shadow, shadow.live_edges(), &bridges, rng);
+            let event = if delete { cut(&mut rng) } else { None };
             // A failed draw (tree-only graph has no deletable edge; complete
             // graph has no absent pair) falls through to the other kind.
             let event = event
                 .or_else(|| random_insert_event(&shadow, self.max_weight, &mut rng))
-                .or_else(|| random_delete_event(&shadow, |_| true, &mut rng));
+                .or_else(|| cut(&mut rng));
             let Some(event) = event else { break };
             event.apply_to_graph(&mut shadow).expect("generator emits applicable events");
+            bridges.apply(&shadow, &event);
             out.push(event);
         }
         finish(id, seed, base, out)
@@ -318,11 +437,13 @@ impl Scenario for AdversarialTreeCut {
         let id = self.id();
         let mut rng = scenario_rng(&id, seed);
         let mut shadow = ShadowOracle::new(base);
+        let mut bridges = BridgeSet::new(base);
         let mut out = Vec::with_capacity(events);
         for step in 0..events {
             let replenish = step % 3 == 2;
             let g = shadow.graph();
-            let cut = |rng: &mut StdRng| random_delete_event(g, |e| shadow.is_tree_edge(e), rng);
+            let cut =
+                |rng: &mut StdRng| random_delete_event(g, shadow.forest().edges, &bridges, rng);
             let insert = |rng: &mut StdRng| random_insert_event(g, self.max_weight, rng);
             // Each phase falls back on the other at the density extremes, so
             // the adversary stays well-defined on the whole ladder: on the
@@ -339,6 +460,7 @@ impl Scenario for AdversarialTreeCut {
             };
             let Some(event) = event else { break };
             event.apply_to_oracle(&mut shadow).expect("generator emits applicable events");
+            bridges.apply(shadow.graph(), &event);
             out.push(event);
         }
         finish(id, seed, base, out)
@@ -467,10 +589,10 @@ impl MultiEdgeCuts {
     /// graph connected, preferring pairwise vertex-disjoint picks.
     fn pick_burst(&self, shadow: &ShadowOracle, rng: &mut StdRng) -> Vec<(NodeId, NodeId)> {
         let g = shadow.graph();
-        let mut candidates: Vec<EdgeId> =
-            g.live_edges().filter(|&e| shadow.is_tree_edge(e)).collect();
-        // Deterministic shuffle: the candidate order is a pure function of
-        // the scenario RNG state.
+        let mut candidates = shadow.forest().edges;
+        // Deterministic shuffle: the forest lists its edges in ascending
+        // `EdgeId` order, so the candidate order is a pure function of the
+        // scenario RNG state.
         for i in (1..candidates.len()).rev() {
             candidates.swap(i, rng.gen_range(0..=i));
         }
@@ -478,7 +600,7 @@ impl MultiEdgeCuts {
         if shadow.component_count() > 1 {
             return Vec::new();
         }
-        let mut side = vec![0; g.node_count()];
+        let mut search = TwoEndedSearch::new(g.node_count());
         let mut touched = vec![false; g.node_count()];
         // The edges this burst severs; the graph minus them stays connected,
         // so a candidate keeps it connected iff its ends stay joined.
@@ -496,7 +618,7 @@ impl MultiEdgeCuts {
                     continue;
                 }
                 severed.push(e);
-                if !joined_without(g, edge.u, edge.v, &severed, &mut side) {
+                if !search.joined_without(g, edge.u, edge.v, &severed) {
                     severed.pop();
                     continue;
                 }
@@ -680,7 +802,9 @@ pub fn standard_suite(max_weight: Weight) -> Vec<Box<dyn Scenario>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::{Density, SuiteParams};
     use kkt_graphs::generators;
+    use std::cmp::Ordering;
 
     fn base(seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -710,6 +834,143 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Asserts that the maintained flags equal a fresh [`bridge_flags`] on
+    /// every live edge of `g`.
+    fn assert_bridges_exact(set: &BridgeSet, g: &Graph, context: &str) {
+        let reference = bridge_flags(g);
+        for e in g.live_edges() {
+            assert_eq!(set.contains(e), reference[e.0], "{context}: edge {:?}", g.edge(e));
+        }
+    }
+
+    /// What a seeded update stream exercised: deletions of bridges and of
+    /// other edges, insertions inside one component and across two.
+    #[derive(Default)]
+    struct StreamMix {
+        bridge_deletions: usize,
+        other_deletions: usize,
+        inner_insertions: usize,
+        joining_insertions: usize,
+    }
+
+    /// Applies `len` seeded updates to a copy of `base` and checks the
+    /// maintained bridge set after every one. Each update deletes a random
+    /// bridge, deletes a random other edge, re-inserts the pair deleted
+    /// last, or inserts a random absent pair, with equal odds (a kind with
+    /// nothing to act on inserts a random pair instead).
+    fn check_random_stream(base: &Graph, len: usize, seed: u64, mix: &mut StreamMix) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = base.clone();
+        let mut set = BridgeSet::new(&g);
+        let mut last_deleted = None;
+        for step in 0..len {
+            let kind = rng.gen_range(0..4);
+            let pool: Vec<EdgeId> =
+                g.live_edges().filter(|&e| kind < 2 && set.contains(e) == (kind == 0)).collect();
+            let reinsert =
+                last_deleted.filter(|&(u, v)| kind == 2 && g.edge_between(u, v).is_none());
+            let event = if !pool.is_empty() {
+                let edge = *g.edge(pool[rng.gen_range(0..pool.len())]);
+                last_deleted = Some((edge.u, edge.v));
+                WorkloadEvent::DeleteEdge { u: edge.u, v: edge.v }
+            } else if let Some((u, v)) = reinsert {
+                WorkloadEvent::InsertEdge { u, v, weight: 9 }
+            } else {
+                random_insert_event(&g, 50, &mut rng).expect("the graphs are far from complete")
+            };
+            let components = g.component_count();
+            event.apply_to_graph(&mut g).unwrap();
+            match (&event, g.component_count().cmp(&components)) {
+                (WorkloadEvent::DeleteEdge { .. }, Ordering::Greater) => mix.bridge_deletions += 1,
+                (WorkloadEvent::DeleteEdge { .. }, _) => mix.other_deletions += 1,
+                (_, Ordering::Less) => mix.joining_insertions += 1,
+                _ => mix.inner_insertions += 1,
+            }
+            set.apply(&g, &event);
+            assert_bridges_exact(&set, &g, &format!("seed {seed}, step {step}: {event:?}"));
+        }
+    }
+
+    /// Replays `trace` one event at a time on a copy of `base` and checks
+    /// the maintained bridge set after every event.
+    fn check_trace(base: &Graph, trace: &Workload) {
+        let mut g = base.clone();
+        let mut set = BridgeSet::new(&g);
+        for (i, event) in trace.events.iter().enumerate() {
+            event.apply_to_graph(&mut g).unwrap();
+            set.apply(&g, event);
+            assert_bridges_exact(&set, &g, &format!("{} event {i}: {event:?}", trace.scenario));
+        }
+    }
+
+    /// Small graphs with real bridges: a random tree plus a few chords, a
+    /// ring, a sparse `G(n, p)`, and two components (a random tree and a
+    /// ring with one chord).
+    fn bridged_base(seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match seed % 4 {
+            0 => {
+                let mut g = generators::random_tree(20, 50, &mut rng);
+                for _ in 0..3 {
+                    random_insert_event(&g, 50, &mut rng).unwrap().apply_to_graph(&mut g).unwrap();
+                }
+                g
+            }
+            1 => generators::ring(16, 50, &mut rng),
+            2 => generators::connected_gnp(24, 0.08, 50, &mut rng),
+            _ => {
+                let mut g = Graph::new(20);
+                for x in 1..10 {
+                    g.add_edge(rng.gen_range(0..x), x, rng.gen_range(1..=50));
+                }
+                for x in 10..20 {
+                    g.add_edge(x, if x == 19 { 10 } else { x + 1 }, rng.gen_range(1..=50));
+                }
+                g.add_edge(10, 15, 7);
+                g
+            }
+        }
+    }
+
+    #[test]
+    fn maintained_bridges_match_a_fresh_dfs_after_every_update() {
+        let mut mix = StreamMix::default();
+        for seed in 0..32u64 {
+            let base = bridged_base(seed);
+            check_random_stream(&base, 100, seed, &mut mix);
+            check_trace(
+                &base,
+                &PoissonChurn { delete_fraction: 0.7, max_weight: 50 }.generate(&base, 40, seed),
+            );
+            check_trace(&base, &AdversarialTreeCut { max_weight: 50 }.generate(&base, 40, seed));
+        }
+        assert!(mix.bridge_deletions > 0 && mix.other_deletions > 0);
+        assert!(mix.inner_insertions > 0 && mix.joining_insertions > 0);
+    }
+
+    #[test]
+    #[ignore = "n = 4096, about a second in release; \
+                run with `cargo test --release -p kkt-workloads -- --ignored`"]
+    fn maintained_bridges_match_a_fresh_dfs_at_n4096() {
+        let mut mix = StreamMix::default();
+        for seed in 0..3u64 {
+            for ratio in [2, 4] {
+                let params =
+                    SuiteParams::density_preset(4096, Density::Ratio(ratio)).with_seed(seed);
+                let base = params.base_graph();
+                let max_weight = params.max_weight;
+                check_random_stream(&base, 96, seed, &mut mix);
+                check_trace(
+                    &base,
+                    &PoissonChurn { delete_fraction: 0.5, max_weight }.generate(&base, 96, seed),
+                );
+                check_trace(&base, &AdversarialTreeCut { max_weight }.generate(&base, 96, seed));
+            }
+        }
+        assert!(mix.bridge_deletions > 0 && mix.other_deletions > 0);
+        assert!(mix.inner_insertions > 0 && mix.joining_insertions > 0);
     }
 
     #[test]
